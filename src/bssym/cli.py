@@ -23,7 +23,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grids import GridSolution, make_grid, residual_e, residual_e2, fd_solve, write_csv
+from .grids import (
+    GridSolution,
+    csv_chunks,
+    fd_solve,
+    make_grid,
+    residual_e,
+    residual_e2,
+    write_csv,
+)
 from .isovectors import (
     Isovector,
     SolutionSpec,
@@ -84,6 +92,8 @@ def _parse_range(text: str, key: str) -> tuple:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"{key} bounds must be numbers, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{key} bounds must be finite, got {text!r}")
     if not lo < hi:
         raise ConfigError(f"{key} needs lo < hi, got {text!r}")
     return (lo, hi)
@@ -104,6 +114,8 @@ def parse_pipeline(text: str) -> tuple:
             kappa = float(parts[1])
         except ValueError:
             raise ConfigError(f"bad pipeline stage {chunk!r}") from None
+        if not math.isfinite(kappa):
+            raise ConfigError(f"pipeline kappa must be finite, got {chunk!r}")
         stages.append((i, kappa))
     return tuple(stages)
 
@@ -114,8 +126,8 @@ def _coerce(key: str, raw: str):
             return parse_rational(raw)
         if key in ("strike", "maturity", "residual_rel", "group_law_abs"):
             value = float(raw)
-            if not value > 0:
-                raise ConfigError(f"{key} must be positive, got {raw!r}")
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{key} must be positive and finite, got {raw!r}")
             return value
         if key in ("nt", "nx"):
             value = int(raw)
@@ -207,17 +219,36 @@ def _emit(data: bytes, out: str | None) -> None:
 
 
 def _context(cfg: RunConfig):
-    return make_context(cfg.r, cfg.sigma2)
+    try:
+        return make_context(cfg.r, cfg.sigma2)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _grid(cfg: RunConfig):
     try:
-        return make_grid(
+        grid = make_grid(
             cfg.grid_t[0], cfg.grid_t[1], cfg.nt,
             cfg.grid_x[0], cfg.grid_x[1], cfg.nx,
         )
     except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}") from None
+    with np.errstate(over="ignore"):
+        s = grid.s_values
+    if not np.all(np.isfinite(s) & (s > 0)):
+        raise ConfigError(
+            "bad grid: S = e^x is not a finite positive float on grid_x "
+            f"{cfg.grid_x[0]!r}:{cfg.grid_x[1]!r}"
+        )
+    return grid
+
+
+def _priced_grid(cfg: RunConfig, spec: OptionSpec):
+    """The grid of a closed-form price table, which must end by maturity."""
+    grid = _grid(cfg)
+    if grid.t_values[-1] > spec.maturity + 1e-12:
+        raise ConfigError(f"grid_t extends past maturity {spec.maturity}")
+    return grid
 
 
 def _sample_nu(ctx) -> Isovector:
@@ -370,11 +401,7 @@ def cmd_transform(cfg: RunConfig) -> int:
 def cmd_price(cfg: RunConfig) -> int:
     ctx = _context(cfg)
     spec = OptionSpec(cfg.strike, cfg.maturity, cfg.kind)
-    grid = _grid(cfg)
-    if grid.t_values[-1] > spec.maturity + 1e-12:
-        raise ConfigError(
-            f"grid_t extends past maturity {spec.maturity}"
-        )
+    grid = _priced_grid(cfg, spec)
     T, X = grid.meshes()
     values = bs_price(spec, ctx, T, np.exp(X))
     sol = GridSolution(grid, values, frame="price")
@@ -401,12 +428,7 @@ def cmd_price(cfg: RunConfig) -> int:
 
 
 def _write_csv_text(sol: GridSolution, buf) -> None:
-    axis = sol.grid.x_values if sol.frame == "log" else sol.grid.s_values
-    col = "x" if sol.frame == "log" else "S"
-    buf.write(f"t,{col},value\n")
-    for i, tv in enumerate(sol.grid.t_values):
-        for j, uv in enumerate(axis):
-            buf.write(f"{float(tv)!r},{float(uv)!r},{float(sol.values[i, j])!r}\n")
+    buf.writelines(csv_chunks(sol))
 
 
 _FD_LEVELS = ((301, 101), (601, 201), (1201, 401))
@@ -415,7 +437,7 @@ _FD_LEVELS = ((301, 101), (601, 201), (1201, 401))
 def cmd_residual(cfg: RunConfig) -> int:
     ctx = _context(cfg)
     spec = OptionSpec(cfg.strike, cfg.maturity, cfg.kind)
-    grid = _grid(cfg)
+    grid = _priced_grid(cfg, spec)
     call = ClosedFormSolution(spec, ctx)
     T, X = grid.meshes()
     sol_price = GridSolution(grid, call.value(T, np.exp(X)), frame="price")

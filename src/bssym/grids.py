@@ -15,7 +15,9 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+
+# scipy is imported inside the code that calls it, so that importing
+# bssym (and the exact CLI subcommands) costs about an `import numpy`.
 
 from .model import ModelContext
 from .pricing import OptionSpec
@@ -316,6 +318,8 @@ def fd_solve(spec: OptionSpec, ctx: ModelContext, grid: Grid) -> GridSolution:
     payoff exactly).  The first step from the payoff is split into two
     backward-Euler half steps to damp the kink at the strike.
     """
+    from scipy.linalg import solve_banded
+
     T = spec.maturity
     t = grid.t_values
     if abs(t[-1] - T) > 1e-9 * max(1.0, abs(T)):
@@ -385,18 +389,31 @@ def fd_solve(spec: OptionSpec, ctx: ModelContext, grid: Grid) -> GridSolution:
 # -- CSV interchange -----------------------------------------------------------
 
 
+def csv_chunks(sol: GridSolution):
+    """Yield the CSV text of a grid solution: the header, then one chunk per
+    time row.
+
+    This is the one CSV format of bssym; `write_csv` and the CLI's price
+    output both write it.  The header is "t,x,value" (log frame) or
+    "t,S,value" (price frame), rows are row-major by time, lines end in
+    "\n", and every float is spelled by `repr`, so it round-trips exactly
+    (``nan``, ``inf``, ``-0.0`` and subnormals included).
+    """
+    if sol.frame == "log":
+        col, axis = "x", sol.grid.x_values
+    else:
+        col, axis = "S", sol.grid.s_values
+    yield f"t,{col},value\n"
+    us = [repr(u) for u in axis.tolist()]
+    for tv, row in zip(sol.grid.t_values.tolist(), sol.values.tolist()):
+        head = f"{tv!r},"
+        yield "".join([f"{head}{u},{v!r}\n" for u, v in zip(us, row)])
+
+
 def write_csv(sol: GridSolution, path) -> None:
-    """Write "t,x,value" (log frame) or "t,S,value" (price frame), row-major
-    by time; floats round-trip exactly via repr."""
-    axis = sol.grid.x_values if sol.frame == "log" else sol.grid.s_values
-    col = "x" if sol.frame == "log" else "S"
+    """Write `csv_chunks(sol)` to path, one time row per write."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", col, "value"])
-        for i, tv in enumerate(sol.grid.t_values):
-            for j, uv in enumerate(axis):
-                writer.writerow([repr(float(tv)), repr(float(uv)),
-                                 repr(float(sol.values[i, j]))])
+        fh.writelines(csv_chunks(sol))
 
 
 def read_csv(path) -> GridSolution:

@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+
+# scipy is imported inside the code that calls it, so that importing
+# bssym (and the exact CLI subcommands) costs about an `import numpy`.
 
 from .model import ModelContext
 
@@ -39,6 +41,8 @@ class OptionSpec:
 
 def normal_cdf(z):
     """Standard normal distribution function (scalar or array)."""
+    from scipy.special import ndtr
+
     out = ndtr(np.asarray(z, dtype=float))
     return out if out.ndim else float(out)
 
@@ -63,6 +67,8 @@ def bs_price(spec: OptionSpec, ctx: ModelContext, t, S):
     At t = maturity the payoff is returned exactly; t beyond maturity or a
     nonpositive spot is a domain error.
     """
+    from scipy.special import ndtr
+
     t = np.asarray(t, dtype=float)
     S = np.asarray(S, dtype=float)
     if np.any(S <= 0):
@@ -91,6 +97,8 @@ def bs_price(spec: OptionSpec, ctx: ModelContext, t, S):
 
 def bs_delta(spec: OptionSpec, ctx: ModelContext, t, S):
     """dC/dS for t strictly before maturity."""
+    from scipy.special import ndtr
+
     t = np.asarray(t, dtype=float)
     S = np.asarray(S, dtype=float)
     tau = spec.maturity - t
@@ -104,6 +112,8 @@ def bs_delta(spec: OptionSpec, ctx: ModelContext, t, S):
 
 def bs_theta(spec: OptionSpec, ctx: ModelContext, t, S):
     """dC/dt (calendar time) for t strictly before maturity."""
+    from scipy.special import ndtr
+
     t = np.asarray(t, dtype=float)
     S = np.asarray(S, dtype=float)
     tau = spec.maturity - t

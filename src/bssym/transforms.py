@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
+
+# scipy is imported inside the code that calls it, so that importing
+# bssym (and the exact CLI subcommands) costs about an `import numpy`.
 
 from .exppoly import ExpPoly
 from .grids import Grid, GridSolution, ResidualReport, residual_e, residual_e2
@@ -131,6 +133,8 @@ class GridSurface:
     """Cubic-spline interpolant over a fully evaluable grid solution."""
 
     def __init__(self, sol: GridSolution):
+        from scipy.interpolate import RectBivariateSpline
+
         if not np.all(np.isfinite(sol.values)):
             raise ValueError("cannot interpolate a grid solution with gaps")
         g = sol.grid

@@ -1,15 +1,30 @@
 """Command-line harness: config handling, exit codes, output determinism."""
 
+import io
 import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from bssym.cli import ConfigError, build_config, load_config_file, main, parse_pipeline
+from bssym.cli import (
+    ConfigError,
+    _write_csv_text,
+    build_config,
+    load_config_file,
+    main,
+    parse_pipeline,
+)
+from bssym.grids import GridSolution, make_grid, write_csv
+from bssym.model import make_context
+from bssym.pricing import ClosedFormSolution, OptionSpec, bs_price
+from bssym.transforms import FiniteTransform, certify_transform, compose
 
 FAST = ["--nt", "5", "--nx", "7", "--grid-x", "4.0:5.2"]
+CANONICAL = make_context(Fraction(1, 20), Fraction(1, 25))
 
 
 def run_cli(args, cwd=None):
@@ -168,6 +183,33 @@ def test_transform_requires_pipeline_and_out(tmp_path):
     assert code == 2 and b"--out" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--sigma2", "0"],
+        ["verify", "--sigma2", "-1"],
+        ["residual", "--maturity", "1e-9"],
+        ["price", "--grid-x", "0:800", "--nt", "3", "--nx", "3"],
+        ["price", "--grid-x=-800:0", "--nt", "3", "--nx", "3"],
+        ["price", "--grid-x", "0:inf", "--nt", "3", "--nx", "3"],
+        ["price", "--strike", "inf", *FAST],
+        ["price", "--maturity", "inf", *FAST],
+        ["transform", "--pipeline", "6:nan", "--out", "OUT", *FAST],
+        ["transform", "--pipeline", "5:inf", "--out", "OUT", *FAST],
+        ["transform", "--pipeline", "5:0.1", "--tol", "inf", "--out", "OUT", *FAST],
+    ],
+)
+def test_degenerate_config_exits_two_cleanly(argv, tmp_path):
+    out_dir = tmp_path / "o"
+    argv = [str(out_dir) if a == "OUT" else a for a in argv]
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == b""
+    assert b"Traceback" not in err
+    assert err.startswith(b"error: ") and err.count(b"\n") == 1
+    assert not out_dir.exists()
+
+
 def test_transform_unsupported_flow_exits_two(tmp_path):
     code, _, err = run_cli(
         ["transform", "--pipeline", "2:0.1", "--out", str(tmp_path / "o")]
@@ -273,3 +315,101 @@ def test_residual_report():
 def test_main_returns_int_in_process(capsys):
     assert main(["verify", "--r", "bad"]) == 2
     capsys.readouterr()
+
+
+# -- CSV bytes and imports ------------------------------------------------------
+
+
+def reference_csv(sol) -> bytes:
+    """The documented grid CSV layout, written out line by line."""
+    if sol.frame == "log":
+        col, axis = "x", sol.grid.x_values
+    else:
+        col, axis = "S", sol.grid.s_values
+    lines = [f"t,{col},value\n"]
+    for t, row in zip(sol.grid.t_values.tolist(), sol.values.tolist()):
+        for u, v in zip(axis.tolist(), row):
+            lines.append(f"{t!r},{u!r},{v!r}\n")
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("frame", ["log", "price"])
+def test_csv_writers_match_reference_bytes(frame, tmp_path):
+    g = make_grid(0.0, 1.0, 3, -1.0, 1.0, 4)
+    values = np.array(
+        [[np.nan, np.inf, -np.inf, -0.0],
+         [5e-324, 0.1, -2.5e-310, 1e300],
+         [0.0, 1.0 / 3.0, np.nan, 123456.789]]
+    )
+    sol = GridSolution(g, values, frame=frame)
+    expected = reference_csv(sol)
+    path = tmp_path / "sol.csv"
+    write_csv(sol, path)
+    assert path.read_bytes() == expected
+    buf = io.StringIO()
+    _write_csv_text(sol, buf)
+    assert buf.getvalue().encode() == expected
+
+
+def test_price_csv_matches_reference_bytes(tmp_path):
+    grid = make_grid(0.0, 0.8, 5, 4.0, 5.2, 7)
+    spec = OptionSpec(100.0, 1.0, "call")
+    T, X = grid.meshes()
+    values = bs_price(spec, CANONICAL, T, np.exp(X))
+    expected = reference_csv(GridSolution(grid, values, frame="price"))
+    code, out, _ = run_cli(["price", "--format", "csv", *FAST])
+    assert code == 0
+    assert out == expected
+    out_file = tmp_path / "prices.csv"
+    code, out, _ = run_cli(
+        ["price", "--format", "csv", "--out", str(out_file), *FAST]
+    )
+    assert code == 0 and out == b""
+    assert out_file.read_bytes() == expected
+
+
+def test_transform_stage_csv_matches_reference_bytes(tmp_path):
+    # the time translation pushes the last rows past the grid: NaN nodes
+    grid = make_grid(0.0, 0.8, 5, 4.0, 5.2, 7)
+    call = ClosedFormSolution(OptionSpec(100.0, 1.0, "call"), CANONICAL)
+    pipe = compose(FiniteTransform(3, 0.25, frame="price"))
+    samples = certify_transform(pipe, call, grid, CANONICAL, 5e-4).samples
+    assert np.isnan(samples.values).any()
+    out_dir = tmp_path / "stages"
+    code, _, _ = run_cli(
+        ["transform", "--pipeline", "3:0.25", "--out", str(out_dir), *FAST]
+    )
+    assert code in (0, 1)
+    assert (out_dir / "stage_1.csv").read_bytes() == reference_csv(samples)
+
+
+_LOADED_SCIPY = """
+import json, sys
+from bssym.cli import main
+argv = json.loads(sys.argv[1])
+if argv:
+    assert main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,loaded,absent",
+    [
+        ([], [], ["scipy"]),
+        (["verify"], [], ["scipy"]),
+        (["brackets"], [], ["scipy"]),
+        (["price", *FAST], ["scipy.special"], ["scipy.interpolate"]),
+    ],
+)
+def test_scipy_loads_only_where_called(argv, loaded, absent, tmp_path):
+    if argv:
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCIPY, json.dumps(argv)],
+        capture_output=True, check=True,
+    )
+    modules = set(json.loads(proc.stdout))
+    assert all(name in modules for name in loaded)
+    for name in absent:
+        assert not any(m == name or m.startswith(name + ".") for m in modules)

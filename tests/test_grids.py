@@ -1,6 +1,8 @@
 """Grids, interior residual operators, the implicit solver, and CSV I/O."""
 
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -199,26 +201,28 @@ finite_vals = st.floats(
 def test_csv_round_trip_exact(flat):
     g = make_grid(0.0, 1.0, 2, -1.0, 1.0, 3)
     values = np.asarray(flat).reshape(2, 3)
-    for frame in ("log", "price"):
-        sol = GridSolution(g, values, frame=frame)
-        path = "/tmp/bssym_roundtrip.csv"
-        write_csv(sol, path)
-        back = read_csv(path)
-        assert back.frame == frame
-        assert np.array_equal(back.values, values)
-        assert np.array_equal(back.grid.t_values, g.t_values)
-        if frame == "log":
-            assert np.array_equal(back.grid.x_values, g.x_values)
-        else:
-            # price-frame files carry S; x is recovered through a log
-            assert np.array_equal(back.grid.s_values, g.s_values)
+    # a function-scoped tmp_path fixture would trip hypothesis's health check
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "roundtrip.csv")
+        for frame in ("log", "price"):
+            sol = GridSolution(g, values, frame=frame)
+            write_csv(sol, path)
+            back = read_csv(path)
+            assert back.frame == frame
+            assert np.array_equal(back.values, values)
+            assert np.array_equal(back.grid.t_values, g.t_values)
+            if frame == "log":
+                assert np.array_equal(back.grid.x_values, g.x_values)
+            else:
+                # price-frame files carry S; x is recovered through a log
+                assert np.array_equal(back.grid.s_values, g.s_values)
 
 
-def test_csv_preserves_nan_gaps():
+def test_csv_preserves_nan_gaps(tmp_path):
     g = make_grid(0.0, 1.0, 2, -1.0, 1.0, 3)
     values = np.asarray([[1.0, np.nan, 2.0], [0.5, 1.5, np.nan]])
     sol = GridSolution(g, values, frame="log")
-    path = "/tmp/bssym_nan.csv"
+    path = tmp_path / "nan.csv"
     write_csv(sol, path)
     back = read_csv(path)
     assert np.array_equal(np.isnan(back.values), np.isnan(values))
