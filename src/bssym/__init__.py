@@ -17,11 +17,10 @@ Layers:
 """
 
 from .model import ModelContext, format_rational, make_context, parse_rational
-from .exppoly import ExpPoly, differentiate
+from .exppoly import ExpPoly
 from .forms import (
     DiffForm,
     contract,
-    exterior_derivative,
     lie_derivative,
     structural_forms,
     wedge,
@@ -90,8 +89,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModelContext", "make_context", "parse_rational", "format_rational",
-    "ExpPoly", "differentiate",
-    "DiffForm", "wedge", "exterior_derivative", "contract", "lie_derivative",
+    "ExpPoly",
+    "DiffForm", "wedge", "contract", "lie_derivative",
     "structural_forms",
     "MembershipCertificate", "ideal_membership",
     "Isovector", "Generator", "GHPair", "SolutionSpec", "VerificationReport",

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -73,15 +73,12 @@ class RunConfig:
     nx: int = 601
     pipeline: tuple = ()
     residual_rel: float = 5e-4
-    group_law_abs: float = 1e-10
     format: str = "json"
     out: str = None
 
 
-_CONFIG_KEYS = (
-    "r", "sigma2", "strike", "maturity", "kind", "grid_t", "grid_x",
-    "nt", "nx", "pipeline", "residual_rel", "group_law_abs", "format", "out",
-)
+# the keys of a config file; each flag sets the key its dest names
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def _parse_range(text: str, key: str) -> tuple:
@@ -124,7 +121,7 @@ def _coerce(key: str, raw: str):
     try:
         if key in ("r", "sigma2"):
             return parse_rational(raw)
-        if key in ("strike", "maturity", "residual_rel", "group_law_abs"):
+        if key in ("strike", "maturity", "residual_rel"):
             value = float(raw)
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{key} must be positive and finite, got {raw!r}")
@@ -178,25 +175,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         cfg = replace(cfg, **load_config_file(args.config))
-    flag_map = {
-        "r": args.r,
-        "sigma2": args.sigma2,
-        "strike": args.strike,
-        "maturity": args.maturity,
-        "grid_t": args.grid_t,
-        "grid_x": args.grid_x,
-        "nt": args.nt,
-        "nx": args.nx,
-        "pipeline": args.pipeline,
-        "residual_rel": args.tol,
-        "format": args.format,
-        "out": args.out,
-    }
     overrides = {}
-    for key, raw in flag_map.items():
-        if raw is None:
-            continue
-        overrides[key] = _coerce(key, str(raw))
+    for key in _CONFIG_KEYS:
+        raw = getattr(args, key, None)
+        if raw is not None:
+            overrides[key] = _coerce(key, str(raw))
     return replace(cfg, **overrides)
 
 
@@ -506,7 +489,10 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--nt", type=int)
     sp.add_argument("--nx", type=int)
     sp.add_argument("--pipeline", help="transform pipeline 'i:kappa,i:kappa'")
-    sp.add_argument("--tol", type=float, help="relative residual tolerance")
+    sp.add_argument(
+        "--tol", dest="residual_rel", metavar="TOL", type=float,
+        help="relative residual tolerance",
+    )
     sp.add_argument("--format", choices=("json", "csv"))
     sp.add_argument("--out", help="output file (or directory for transform)")
     sp.add_argument("--config", help="flat key=value config file")

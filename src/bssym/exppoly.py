@@ -284,21 +284,6 @@ class ExpPoly:
             out = out + base * value**k
         return out
 
-    def evaluate(self, **values: float) -> float:
-        """Numerical evaluation; requires a value for every variable used."""
-        total = 0.0
-        for (exps, sig), coeff in self._terms.items():
-            factor = float(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    factor *= float(values[VARS[i]]) ** e
-            if sig[0] != 0 or sig[1] != 0:
-                factor *= np.exp(
-                    float(sig[0]) * float(values["t"]) + float(sig[1]) * float(values["x"])
-                )
-            total += factor
-        return float(total)
-
     def evaluate_exact(self, **values) -> Fraction:
         """Exact evaluation at rational points.
 
@@ -425,8 +410,3 @@ class ExpPoly:
                 entry["exp"] = [str(sig[0]), str(sig[1])]
             out.append(entry)
         return out
-
-
-def differentiate(f: ExpPoly, name: str) -> ExpPoly:
-    """Free-function alias for ExpPoly.diff."""
-    return f.diff(name)

@@ -247,10 +247,6 @@ def wedge(u: DiffForm, v: DiffForm) -> DiffForm:
     return u.wedge(v)
 
 
-def exterior_derivative(u: DiffForm) -> DiffForm:
-    return u.d()
-
-
 def _components_of(N) -> Sequence[ExpPoly]:
     comps = getattr(N, "components", N)
     comps = tuple(comps)

@@ -99,24 +99,6 @@ class GridSolution:
             raise ValueError(f"frame must be 'log' or 'price', got {self.frame!r}")
 
 
-def to_log_frame(sol: GridSolution) -> GridSolution:
-    """Reinterpret a price-frame solution as phi(t, x) = C(t, e^x).
-
-    Node values are unchanged because the grid already stores log-price
-    nodes; only the frame tag flips.
-    """
-    if sol.frame != "price":
-        raise ValueError("to_log_frame expects a price-frame solution")
-    return GridSolution(sol.grid, sol.values.copy(), frame="log")
-
-
-def from_log_frame(sol: GridSolution) -> GridSolution:
-    """Inverse of to_log_frame (exact on nodes)."""
-    if sol.frame != "log":
-        raise ValueError("from_log_frame expects a log-frame solution")
-    return GridSolution(sol.grid, sol.values.copy(), frame="price")
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     """Summary of a discrete PDE residual over the evaluable interior."""
@@ -225,6 +207,17 @@ def _first_finite(v: np.ndarray, i, j, axis: int, tiers):
         if n == len(tiers) - 1:
             three_point[todo] = np.isfinite(val)
     return out, three_point
+
+
+def _first_derivative(v: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Derivative of node values along `axis` (spacing h) by the residual
+    operator's first-derivative tiers: fourth order wherever one fits, the
+    three-point stencil where only that one does.  Every tier reaches one
+    node back and one forward, so the first and last node are NaN."""
+    tiers = [{k: w / (12.0 * h) for k, w in d1.items()} for d1 in _D1_TIERS]
+    i, j = np.indices(v.shape).reshape(2, -1)
+    out, _ = _first_finite(v, i, j, axis, tiers)
+    return out.reshape(v.shape)
 
 
 def _log_frame_residual(

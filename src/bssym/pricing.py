@@ -130,12 +130,35 @@ def bs_theta(spec: OptionSpec, ctx: ModelContext, t, S):
     return out if out.ndim else float(out)
 
 
+def _masked(t, u, fn, inside=None):
+    """fn at the points (t, u), broadcast together, and NaN wherever
+    `inside(t, u)` is false; a float for scalar input.
+
+    This is how every solution surface evaluates: points outside its domain
+    read NaN instead of raising, so pulled-back sampling can count clipped
+    nodes.  Without `inside`, fn sees every point.
+    """
+    t, u = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(u, dtype=float))
+    if inside is None:
+        out = np.asarray(fn(t, u), dtype=float)
+    else:
+        with np.errstate(invalid="ignore"):
+            ok = inside(t, u)
+        out = np.full(t.shape, np.nan)
+        if np.any(ok):
+            out[ok] = fn(t[ok], u[ok])
+    return out if out.ndim else float(out)
+
+
+def _box(t_lo, t_hi, u_lo, u_hi):
+    """The predicate of the closed box [t_lo, t_hi] x [u_lo, u_hi]."""
+    return lambda t, u: (t >= t_lo) & (t <= t_hi) & (u >= u_lo) & (u <= u_hi)
+
+
 class ClosedFormSolution:
     """Price-frame solution surface backed by the closed form.
 
-    Evaluation is mask-based rather than raising: points past maturity or at
-    nonpositive spot evaluate to NaN, so pulled-back sampling can report
-    clipped nodes instead of dying.
+    Points past maturity or at nonpositive spot evaluate to NaN.
     """
 
     frame = "price"
@@ -145,38 +168,23 @@ class ClosedFormSolution:
         self.ctx = ctx
 
     def value(self, t, S):
-        t = np.asarray(t, dtype=float)
-        S = np.asarray(S, dtype=float)
-        t, S = np.broadcast_arrays(t, S)
-        ok = (S > 0) & (self.spec.maturity - t >= 0)
-        out = np.full(t.shape, np.nan)
-        if np.any(ok):
-            out[ok] = bs_price(self.spec, self.ctx, t[ok], S[ok])
-        return out if out.ndim else float(out)
+        return _masked(
+            t, S, lambda t, S: bs_price(self.spec, self.ctx, t, S),
+            lambda t, S: (S > 0) & (self.spec.maturity - t >= 0),
+        )
 
     def to_log(self) -> "LogClosedForm":
         return LogClosedForm(self.spec, self.ctx)
 
 
-class LogClosedForm:
+class LogClosedForm(ClosedFormSolution):
     """Log-frame view phi(t, x) = C(t, e^x), with analytic derivatives."""
 
     frame = "log"
     has_derivatives = True
 
-    def __init__(self, spec: OptionSpec, ctx: ModelContext):
-        self.spec = spec
-        self.ctx = ctx
-
     def value(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        t, x = np.broadcast_arrays(t, x)
-        ok = self.spec.maturity - t >= 0
-        out = np.full(t.shape, np.nan)
-        if np.any(ok):
-            out[ok] = bs_price(self.spec, self.ctx, t[ok], np.exp(x[ok]))
-        return out if out.ndim else float(out)
+        return super().value(t, np.exp(x))
 
     def dt(self, t, x):
         """phi_t = C_t; needs t strictly before maturity."""

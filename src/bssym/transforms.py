@@ -1,20 +1,21 @@
 """One-parameter symmetry flows and their action on solutions.
 
 Four of the basis isovectors integrate to closed-form flows; index them by
-their basis number:
+their basis number.  In the log frame each flow reads
 
-    3: time translation        psi(t,u) = exp(-kappa stilde^2/(2 sigma2)) phi(t+kappa, u)
-    4: boost                   psi(t,x) = exp((kappa/sigma2)(rtilde t - x)
-                                              - kappa^2 t/(2 sigma2)) phi(t, x+kappa t)
-    5: space translation       psi(t,x) = exp(kappa rtilde/sigma2) phi(t, x+kappa)
-    6: scaling                 psi(t,u) = exp(kappa) phi(t, u)
+    psi(t, x) = e^(a + b x) phi(t + dt, x + dx)
 
-In the price frame the boost reads
-    psi(t,S) = exp(kappa t (2 rtilde - kappa)/(2 sigma2)) S^(-kappa/sigma2)
-               C(t, e^(kappa t) S)
-and the space translation rescales the spot by e^kappa.  Each flow maps
-solutions to solutions; `certify_transform` machine-checks that claim with
-the discrete residual operators.
+with
+    3: time translation    dt = kappa,   a = -kappa stilde^2/(2 sigma2)
+    4: boost               dx = kappa t, a = kappa t (2 rtilde - kappa)/(2 sigma2),
+                           b = -kappa/sigma2
+    5: space translation   dx = kappa,   a = kappa rtilde/sigma2
+    6: scaling             a = kappa
+and every other part zero.  The price frame is the log frame under S = e^x,
+so the same table gives it by conjugation: the spot moves to e^dx S and the
+prefactor is e^a S^b.  Each flow maps solutions to solutions;
+`certify_transform` machine-checks that claim with the discrete residual
+operators.
 
 Solutions are "surfaces": objects with a `frame` attribute and a vectorized
 `value(t, u)` method that returns NaN outside their domain.  Closed forms
@@ -26,7 +27,7 @@ a failed verdict can be attributed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -34,12 +35,29 @@ import numpy as np
 # bssym (and the exact CLI subcommands) costs about an `import numpy`.
 
 from .exppoly import ExpPoly
-from .grids import Grid, GridSolution, ResidualReport, residual_e, residual_e2
+from .grids import (
+    Grid,
+    GridSolution,
+    ResidualReport,
+    _first_derivative,
+    residual_e,
+    residual_e2,
+)
 from .isovectors import Isovector, gh_of
 from .model import ModelContext
-from .pricing import ClosedFormSolution, LogClosedForm
+from .pricing import _box, _masked
 
-FLOW_GENERATORS = (3, 4, 5, 6)
+# (dt, dx, a, b) of exp(kappa N_i) in the log frame, as functions of
+# (kappa, ctx, t); None marks a part that is the identity, so it costs nothing.
+_LOG_FLOWS = {
+    3: lambda k, c, t: (k, None, -k * c.stilde_f**2 / (2.0 * c.sigma2_f), None),
+    4: lambda k, c, t: (
+        None, k * t, k * t * (2.0 * c.rtilde_f - k) / (2.0 * c.sigma2_f), -k / c.sigma2_f
+    ),
+    5: lambda k, c, t: (None, k, k * c.rtilde_f / c.sigma2_f, None),
+    6: lambda k, c, t: (None, None, k, None),
+}
+FLOW_GENERATORS = tuple(_LOG_FLOWS)
 
 
 class TransformDomainError(ValueError):
@@ -70,37 +88,20 @@ class FiniteTransform:
 
     def pullback(self, ctx: ModelContext, t, u):
         """Map evaluation points to base-solution points."""
-        k = self.kappa
-        if self.generator == 3:
-            return t + k, u
-        if self.generator == 4:
-            if self.frame == "log":
-                return t, u + k * t
-            return t, np.exp(k * t) * u
-        if self.generator == 5:
-            if self.frame == "log":
-                return t, u + k
-            return t, np.exp(k) * u
+        dt, dx, _, _ = _LOG_FLOWS[self.generator](self.kappa, ctx, t)
+        if dt is not None:
+            t = t + dt
+        if dx is not None:
+            u = u + dx if self.frame == "log" else np.exp(dx) * u
         return t, u
 
     def prefactor(self, ctx: ModelContext, t, u):
-        k = self.kappa
-        s2 = ctx.sigma2_f
-        if self.generator == 3:
-            return np.exp(-k * ctx.stilde_f**2 / (2.0 * s2)) * np.ones_like(
-                np.asarray(t, dtype=float)
-            )
-        if self.generator == 4:
-            if self.frame == "log":
-                arg = (k / s2) * (ctx.rtilde_f * t - u) - k * k * t / (2.0 * s2)
-                return np.exp(arg)
-            arg = k * t * (2.0 * ctx.rtilde_f - k) / (2.0 * s2)
-            return np.exp(arg) * np.asarray(u, dtype=float) ** (-k / s2)
-        if self.generator == 5:
-            return np.exp(k * ctx.rtilde_f / s2) * np.ones_like(
-                np.asarray(t, dtype=float)
-            )
-        return np.exp(k) * np.ones_like(np.asarray(t, dtype=float))
+        _, _, a, b = _LOG_FLOWS[self.generator](self.kappa, ctx, t)
+        if b is None:
+            return np.exp(a)
+        if self.frame == "log":
+            return np.exp(a + b * u)
+        return np.exp(a) * np.asarray(u, dtype=float) ** b
 
     def to_json(self) -> dict:
         return {"generator": self.generator, "kappa": self.kappa, "frame": self.frame}
@@ -121,12 +122,11 @@ class TransformedSurface:
         self.frame = transform.frame
 
     def value(self, t, u):
-        t = np.asarray(t, dtype=float)
-        u = np.asarray(u, dtype=float)
-        t, u = np.broadcast_arrays(t, u)
-        tp, up = self.transform.pullback(self.ctx, t, u)
-        pref = self.transform.prefactor(self.ctx, t, u)
-        return pref * self.base.value(tp, up)
+        def flowed(t, u):
+            tp, up = self.transform.pullback(self.ctx, t, u)
+            return self.transform.prefactor(self.ctx, t, u) * self.base.value(tp, up)
+
+        return _masked(t, u, flowed)
 
 
 class GridSurface:
@@ -138,32 +138,15 @@ class GridSurface:
         if not np.all(np.isfinite(sol.values)):
             raise ValueError("cannot interpolate a grid solution with gaps")
         g = sol.grid
-        kx = min(3, g.nt - 1)
-        ky = min(3, g.nx - 1)
         self._spline = RectBivariateSpline(
-            g.t_values, g.x_values, sol.values, kx=kx, ky=ky
+            g.t_values, g.x_values, sol.values, kx=min(3, g.nt - 1), ky=min(3, g.nx - 1)
         )
         self.frame = sol.frame
-        self._bounds = (
-            float(g.t_values[0]),
-            float(g.t_values[-1]),
-            float(g.x_values[0]),
-            float(g.x_values[-1]),
-        )
-        self.order = (kx, ky)
+        self._inside = _box(g.t_values[0], g.t_values[-1], g.x_values[0], g.x_values[-1])
 
     def value(self, t, u):
-        t = np.asarray(t, dtype=float)
-        u = np.asarray(u, dtype=float)
-        t, u = np.broadcast_arrays(t, u)
         x = np.log(u) if self.frame == "price" else u
-        t_lo, t_hi, x_lo, x_hi = self._bounds
-        with np.errstate(invalid="ignore"):
-            ok = (t >= t_lo) & (t <= t_hi) & (x >= x_lo) & (x <= x_hi)
-        out = np.full(t.shape, np.nan)
-        if np.any(ok):
-            out[ok] = self._spline.ev(t[ok], x[ok])
-        return out if out.ndim else float(out)
+        return _masked(t, x, self._spline.ev, self._inside)
 
 
 class BoxRestrictedSurface:
@@ -172,33 +155,20 @@ class BoxRestrictedSurface:
     Certification treats the base solution as known on the certification
     grid only, so pulled-back points must stay inside the grid's bounding
     box; this wrapper realizes that clipping for closed forms, which would
-    otherwise evaluate anywhere before maturity.
+    otherwise evaluate anywhere before maturity.  The box is widened by
+    1e-12 of its largest bound on each axis, so nodes on its edge stay in.
     """
 
     def __init__(self, base, t_lo, t_hi, u_lo, u_hi):
         self.base = base
         self.frame = base.frame
-        self._box = (float(t_lo), float(t_hi), float(u_lo), float(u_hi))
-
-    def value(self, t, u):
-        t = np.asarray(t, dtype=float)
-        u = np.asarray(u, dtype=float)
-        t, u = np.broadcast_arrays(t, u)
-        t_lo, t_hi, u_lo, u_hi = self._box
+        t_lo, t_hi, u_lo, u_hi = float(t_lo), float(t_hi), float(u_lo), float(u_hi)
         eps_t = 1e-12 * max(abs(t_lo), abs(t_hi), 1.0)
         eps_u = 1e-12 * max(abs(u_lo), abs(u_hi), 1.0)
-        with np.errstate(invalid="ignore"):
-            ok = (
-                (t >= t_lo - eps_t)
-                & (t <= t_hi + eps_t)
-                & (u >= u_lo - eps_u)
-                & (u <= u_hi + eps_u)
-            )
-        out = np.full(t.shape, np.nan)
-        if np.any(ok):
-            vals = np.asarray(self.base.value(t[ok], u[ok]))
-            out[ok] = vals
-        return out if out.ndim else float(out)
+        self._inside = _box(t_lo - eps_t, t_hi + eps_t, u_lo - eps_u, u_hi + eps_u)
+
+    def value(self, t, u):
+        return _masked(t, u, self.base.value, self._inside)
 
 
 def restrict_to_grid(surface, grid: Grid):
@@ -366,6 +336,17 @@ class InfinitesimalAction:
             source=N, minus_nt=-N.Nt, minus_nx=-N.Nx, g=pair.g, h=pair.h
         )
 
+    def apply(self, t, x, phi, phi_t, phi_x):
+        """The action at points (t, x) where the solution is phi.  phi_t()
+        and phi_x() return its derivatives there; each is called only if
+        its coefficient, N^t or N^x, is not zero."""
+        out = self.g.eval_grid(t, x) + self.h.eval_grid(t, x) * phi
+        if not self.minus_nt.is_zero():
+            out = out + self.minus_nt.eval_grid(t, x) * phi_t()
+        if not self.minus_nx.is_zero():
+            out = out + self.minus_nx.eval_grid(t, x) * phi_x()
+        return out
+
     def to_json(self) -> dict:
         return {
             "name": self.source.name,
@@ -393,24 +374,20 @@ class ActionSurface:
         self.base = base
 
     def value(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        t, x = np.broadcast_arrays(t, x)
-        act = self.action
-        out = act.g.eval_grid(t, x) + act.h.eval_grid(t, x) * self.base.value(t, x)
-        if not act.minus_nt.is_zero():
-            out = out + act.minus_nt.eval_grid(t, x) * self.base.dt(t, x)
-        if not act.minus_nx.is_zero():
-            out = out + act.minus_nx.eval_grid(t, x) * self.base.dx(t, x)
-        return out
+        b = self.base
+        return _masked(t, x, lambda t, x: self.action.apply(
+            t, x, b.value(t, x), lambda: b.dt(t, x), lambda: b.dx(t, x)
+        ))
 
 
 def infinitesimal_action(N: Isovector, sol):
     """Build N~(phi) for a log-frame solution.
 
     Closed-form solutions use their analytic derivatives and return a
-    surface; grid solutions use central stencils and return a GridSolution
-    whose border ring is NaN (no full stencil there).
+    surface; grid solutions use the fourth-order stencils of the residual
+    operator (`grids._first_derivative`) and return a GridSolution.  No
+    stencil is one-sided, so where N^t (or N^x) is not zero the first and
+    last time rows (or space columns) are NaN.
     """
     action = InfinitesimalAction.from_isovector(N)
     if isinstance(sol, GridSolution):
@@ -421,14 +398,10 @@ def infinitesimal_action(N: Isovector, sol):
             raise ValueError("grid too coarse for derivative stencils")
         v = sol.values
         T, X = g.meshes()
-        phi_t = np.full_like(v, np.nan)
-        phi_x = np.full_like(v, np.nan)
-        phi_t[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2.0 * g.dt)
-        phi_x[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * g.dx)
-        out = action.g.eval_grid(T, X) + action.h.eval_grid(T, X) * v
-        if not action.minus_nt.is_zero():
-            out = out + action.minus_nt.eval_grid(T, X) * phi_t
-        if not action.minus_nx.is_zero():
-            out = out + action.minus_nx.eval_grid(T, X) * phi_x
+        out = action.apply(
+            T, X, v,
+            lambda: _first_derivative(v, g.dt, axis=0),
+            lambda: _first_derivative(v, g.dx, axis=1),
+        )
         return GridSolution(g, out, frame="log")
     return ActionSurface(action, sol)

@@ -22,7 +22,7 @@ import pytest
 from conftest import record_criterion
 
 from bssym.exppoly import ExpPoly
-from bssym.forms import DiffForm, contract, exterior_derivative, structural_forms, wedge
+from bssym.forms import DiffForm, contract, structural_forms, wedge
 from bssym.grids import GridSolution, fd_solve, make_grid, residual_e2
 from bssym.ideal import ideal_membership
 from bssym.isovectors import (
@@ -176,11 +176,11 @@ def test_criterion_2_structural_identities():
     for r, sigma2 in MODEL_POINTS:
         ctx = make_context(r, sigma2)
         alpha, da, beta = structural_forms(ctx)
-        if exterior_derivative(alpha) != da:
+        if alpha.d() != da:
             problems.append(f"d(alpha) mismatch at r={r}")
         shift = dx - dt * ExpPoly.constant(ctx.rtilde)
         want = wedge(da, shift) - wedge(wedge(alpha, dx), dt) * ExpPoly.constant(ctx.r)
-        if exterior_derivative(beta) != want:
+        if beta.d() != want:
             problems.append(f"d(beta) recombination fails at r={r}")
 
     # generic vector field: contraction into dalpha must be linear in the

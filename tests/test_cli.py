@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from bssym.cli import (
+    _CONFIG_KEYS,
     ConfigError,
     _write_csv_text,
     build_config,
     load_config_file,
     main,
+    make_parser,
     parse_pipeline,
 )
 from bssym.grids import GridSolution, make_grid, write_csv
@@ -51,7 +53,6 @@ def test_defaults():
     assert cfg.grid_x[1] == pytest.approx(math.log(200.0))
     assert (cfg.nt, cfg.nx) == (801, 601)
     assert cfg.residual_rel == 5e-4
-    assert cfg.group_law_abs == 1e-10
 
 
 def make_args(**over):
@@ -59,7 +60,7 @@ def make_args(**over):
 
     ns = argparse.Namespace(
         command="verify", r=None, sigma2=None, strike=None, maturity=None,
-        grid_t=None, grid_x=None, nt=None, nx=None, pipeline=None, tol=None,
+        grid_t=None, grid_x=None, nt=None, nx=None, pipeline=None, residual_rel=None,
         format=None, out=None, config=None,
     )
     for key, value in over.items():
@@ -101,6 +102,44 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg_file.write_text("volatility = 0.2\n")
     with pytest.raises(ConfigError, match="unknown config key"):
         load_config_file(str(cfg_file))
+
+
+# one flag and a value for every config key that has a flag
+FLAG_AND_FILE = {
+    "r": ("--r", "3/100"),
+    "sigma2": ("--sigma2", "9/100"),
+    "strike": ("--strike", "80.5"),
+    "maturity": ("--maturity", "2.0"),
+    "grid_t": ("--grid-t", "0:0.5"),
+    "grid_x": ("--grid-x", "3.5:5.5"),
+    "nt": ("--nt", "11"),
+    "nx": ("--nx", "13"),
+    "pipeline": ("--pipeline", "4:0.1,6:-0.3"),
+    "residual_rel": ("--tol", "0.001"),
+    "format": ("--format", "csv"),
+    "out": ("--out", "stage_dir"),
+}
+
+
+def test_flag_and_file_set_the_same_config(tmp_path):
+    assert set(FLAG_AND_FILE) == set(_CONFIG_KEYS) - {"kind"}
+    parser = make_parser()
+    default = build_config(parser.parse_args(["price"]))
+    for key, (flag, value) in FLAG_AND_FILE.items():
+        cfg_file = tmp_path / f"{key}.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        by_flag = build_config(parser.parse_args(["price", flag, value]))
+        by_file = build_config(parser.parse_args(["price", "--config", str(cfg_file)]))
+        assert by_flag == by_file, key
+        assert getattr(by_flag, key) != getattr(default, key), key
+
+
+def test_dropped_group_law_key_is_unknown(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("group_law_abs = 1e-10\n")
+    assert main(["verify", "--config", str(cfg_file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unknown config key: 'group_law_abs'" in err
 
 
 def test_malformed_config_line_rejected(tmp_path):

@@ -9,7 +9,6 @@ from bssym.exppoly import VARS, ExpPoly
 from bssym.forms import (
     DiffForm,
     contract,
-    exterior_derivative,
     lie_derivative,
     structural_forms,
     wedge,
@@ -64,21 +63,21 @@ def test_wedge_associativity_and_linearity(u, v, w):
 
 @given(functions())
 def test_d_squared_zero_on_functions(f):
-    df = exterior_derivative(DiffForm.function(f))
-    assert exterior_derivative(df).is_zero()
+    df = DiffForm.function(f).d()
+    assert df.d().is_zero()
 
 
 @given(one_forms())
 def test_d_squared_zero_on_one_forms(u):
-    assert exterior_derivative(exterior_derivative(u)).is_zero()
+    assert u.d().d().is_zero()
 
 
 @given(functions(), one_forms())
 def test_leibniz_rule(f, u):
     # d(f u) = df ^ u + f du
-    left = exterior_derivative(u * f)
-    df = exterior_derivative(DiffForm.function(f))
-    right = wedge(df, u) + exterior_derivative(u) * f
+    left = (u * f).d()
+    df = DiffForm.function(f).d()
+    right = wedge(df, u) + u.d() * f
     assert left == right
 
 
@@ -108,7 +107,7 @@ def test_contact_form_strings():
 @given(contexts)
 def test_dalpha_is_context_free(ctx):
     alpha, dalpha, _ = structural_forms(ctx)
-    assert exterior_derivative(alpha) == dalpha
+    assert alpha.d() == dalpha
     dx, dA = DiffForm.covector("dx"), DiffForm.covector("dA")
     dt, dB = DiffForm.covector("dt"), DiffForm.covector("dB")
     assert dalpha == wedge(dx, dA) + wedge(dt, dB)
@@ -124,7 +123,7 @@ def test_dbeta_structural_identity(ctx):
     expected = wedge(dalpha, shift) - wedge(wedge(alpha, dx), dt) * ExpPoly.constant(
         ctx.r
     )
-    assert exterior_derivative(beta) == expected
+    assert beta.d() == expected
 
 
 def test_contraction_of_generic_vector_into_dalpha():
@@ -161,9 +160,7 @@ def test_cartan_formula_consistency(u):
     # L_N u = N _| du + d(N _| u)
     N = basis_isovector(4, DEFAULT)
     got = lie_derivative(N, u)
-    want = contract(N, exterior_derivative(u)) + exterior_derivative(
-        contract(N, u)
-    )
+    want = contract(N, u.d()) + contract(N, u).d()
     assert got == want
 
 

@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 from bssym.grids import (
     GridSolution,
     fd_solve,
-    from_log_frame,
     make_grid,
     read_csv,
     residual_e,
     residual_e2,
-    to_log_frame,
     write_csv,
 )
 from bssym.isovectors import SolutionSpec
@@ -51,15 +49,6 @@ def test_grid_solution_shape_checked():
         GridSolution(g, np.zeros((4, 3)), frame="log")
     with pytest.raises(ValueError):
         GridSolution(g, np.zeros((3, 4)), frame="spot")
-
-
-def test_frame_round_trip_is_node_exact():
-    g = make_grid(0.0, 0.5, 4, 0.0, 1.0, 6)
-    values = np.random.default_rng(0).normal(size=(4, 6))
-    sol = GridSolution(g, values, frame="log")
-    back = to_log_frame(from_log_frame(sol))
-    assert back.frame == "log"
-    assert np.array_equal(back.values, values)
 
 
 def exact_mode_values(grid, b, ctx):

@@ -132,6 +132,64 @@ def test_group_law_in_kappa():
         )
 
 
+def _oracle_pullback(tr, ctx, t, u):
+    """Reference pullback: each flow written out in each frame."""
+    k = tr.kappa
+    if tr.generator == 3:
+        return t + k, u
+    if tr.generator == 4:
+        if tr.frame == "log":
+            return t, u + k * t
+        return t, np.exp(k * t) * u
+    if tr.generator == 5:
+        if tr.frame == "log":
+            return t, u + k
+        return t, np.exp(k) * u
+    return t, u
+
+
+def _oracle_prefactor(tr, ctx, t, u):
+    """Reference prefactor: each flow written out in each frame."""
+    k = tr.kappa
+    s2 = ctx.sigma2_f
+    ones = np.ones_like(np.asarray(t, dtype=float))
+    if tr.generator == 3:
+        return np.exp(-k * ctx.stilde_f**2 / (2.0 * s2)) * ones
+    if tr.generator == 4:
+        if tr.frame == "log":
+            return np.exp((k / s2) * (ctx.rtilde_f * t - u) - k * k * t / (2.0 * s2))
+        arg = k * t * (2.0 * ctx.rtilde_f - k) / (2.0 * s2)
+        return np.exp(arg) * np.asarray(u, dtype=float) ** (-k / s2)
+    if tr.generator == 5:
+        return np.exp(k * ctx.rtilde_f / s2) * ones
+    return np.exp(k) * ones
+
+
+@pytest.mark.parametrize("kappa", [-0.3, 0.0, 0.123, 0.3])
+@pytest.mark.parametrize("i", [3, 4, 5, 6])
+def test_flow_table_matches_per_frame_formulas(i, kappa):
+    # the log-frame table, conjugated by S = e^x, reproduces the price-frame
+    # formulas bit for bit, and the log-frame ones to rounding
+    T, X = make_grid(0.0, 0.8, 9, math.log(50.0), math.log(200.0), 7).meshes()
+    for frame, U in (("price", np.exp(X)), ("log", X)):
+        tr = FiniteTransform(i, kappa, frame=frame)
+        base = call_surface() if frame == "price" else call_surface().to_log()
+        want_t, want_u = _oracle_pullback(tr, DEFAULT, T, U)
+        want_p = _oracle_prefactor(tr, DEFAULT, T, U)
+        want_v = want_p * base.value(want_t, want_u)
+        got_t, got_u = tr.pullback(DEFAULT, T, U)
+        got_p = np.broadcast_to(tr.prefactor(DEFAULT, T, U), T.shape)
+        got_v = apply_transform(tr, base, DEFAULT).value(T, U)
+        pairs = ((got_t, want_t), (got_u, want_u), (got_p, want_p), (got_v, want_v))
+        for got, want in pairs:
+            if frame == "price":
+                assert np.array_equal(got, want, equal_nan=True), (frame, i, kappa)
+            else:
+                assert np.allclose(
+                    got, want, rtol=1e-13, atol=0.0, equal_nan=True
+                ), (frame, i, kappa)
+
+
 def test_kappa_zero_is_identity():
     surf = apply_transform(FiniteTransform(4, 0.0), call_surface(), DEFAULT)
     base = call_surface()
@@ -242,6 +300,23 @@ def test_infinitesimal_action_grid_route_agrees():
     assert np.isnan(stencil.values[0]).all()
     scale = np.max(np.abs(inner_exact))
     assert np.max(np.abs(inner_exact - inner_st)) < 2e-3 * scale
+
+
+def test_infinitesimal_action_grid_route_is_fourth_order():
+    # the stencil route shares the residual operator's fourth-order first
+    # derivatives: its error shrinks about 16x per halving of the spacing
+    surf = call_surface().to_log()
+    for i in (2, 5):
+        N = basis_isovector(i, DEFAULT)
+        errors = []
+        for n in (81, 161, 321):
+            g = make_grid(0.0, 0.8, n, math.log(50.0), math.log(200.0), n)
+            exact = sample_surface(infinitesimal_action(N, surf), g).values[1:-1, 1:-1]
+            sampled = GridSolution(g, sample_surface(surf, g).values, frame="log")
+            stencil = infinitesimal_action(N, sampled).values[1:-1, 1:-1]
+            errors.append(np.max(np.abs(exact - stencil)) / np.max(np.abs(exact)))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 12.0 < coarse / fine < 20.0, (i, errors)
 
 
 def test_action_of_solution_direction_is_inhomogeneous_shift():
