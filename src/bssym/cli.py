@@ -183,10 +183,32 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **overrides)
 
 
+_OUT_OF_RANGE = "the configuration leaves the float range"
+
+
 def _json_bytes(obj) -> bytes:
-    return (
-        json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    ).encode("utf-8")
+    try:
+        text = json.dumps(
+            obj, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False
+        )
+    except ValueError:
+        raise ConfigError(_OUT_OF_RANGE + ": a reported number is not finite") from None
+    return (text + "\n").encode("utf-8")
+
+
+def _finite_prices(values: np.ndarray, what: str = "closed-form") -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{_OUT_OF_RANGE}: {what} prices are not finite")
+    return values
+
+
+def _residual(op, sol: GridSolution, ctx):
+    """A residual report of finite prices: a stencil that is nowhere finite
+    has overflowed."""
+    try:
+        return op(sol, ctx)
+    except ValueError as exc:
+        raise ConfigError(f"{_OUT_OF_RANGE}: {exc}") from None
 
 
 def _emit(data: bytes, out: str | None) -> None:
@@ -216,8 +238,7 @@ def _grid(cfg: RunConfig):
         )
     except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}") from None
-    with np.errstate(over="ignore"):
-        s = grid.s_values
+    s = grid.s_values
     if not np.all(np.isfinite(s) & (s > 0)):
         raise ConfigError(
             "bad grid: S = e^x is not a finite positive float on grid_x "
@@ -226,10 +247,18 @@ def _grid(cfg: RunConfig):
     return grid
 
 
-def _priced_grid(cfg: RunConfig, spec: OptionSpec):
-    """The grid of a closed-form price table, which must end by maturity."""
+def _priced_grid(cfg: RunConfig, spec: OptionSpec, stencils: bool = False):
+    """The grid of a closed-form price table, which must end by maturity;
+    with `stencils`, one the residual stencils act on (3 nodes per axis)."""
+    if stencils and (cfg.nt < 3 or cfg.nx < 3):
+        raise ConfigError(
+            f"residual stencils need nt and nx of at least 3, got {cfg.nt}x{cfg.nx}"
+        )
     grid = _grid(cfg)
-    if grid.t_values[-1] > spec.maturity + 1e-12:
+    # the stencil weights go up to 16 / (12 h^2)
+    if stencils and min(grid.dt, grid.dx) ** 2 < 2.0 / sys.float_info.max:
+        raise ConfigError(_OUT_OF_RANGE + ": grid spacing too fine for the stencils")
+    if grid.t_values[-1] > spec.maturity:
         raise ConfigError(f"grid_t extends past maturity {spec.maturity}")
     return grid
 
@@ -327,7 +356,7 @@ def cmd_transform(cfg: RunConfig) -> int:
         raise ConfigError("transform needs --out (directory for stage files)")
     ctx = _context(cfg)
     spec = OptionSpec(cfg.strike, cfg.maturity, cfg.kind)
-    grid = _grid(cfg)
+    grid = _priced_grid(cfg, spec, stencils=True)
     call = ClosedFormSolution(spec, ctx)
     try:
         transforms = [
@@ -336,12 +365,16 @@ def cmd_transform(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    os.makedirs(cfg.out, exist_ok=True)
-    verdicts = []
+    # every stage is certified before anything is written, so that a
+    # configuration error leaves no files behind
+    results = []
+    obj = None
     for stage in range(1, len(transforms) + 1):
         pipe = compose(*transforms[:stage])
         try:
-            result = certify_transform(pipe, call, grid, ctx, cfg.residual_rel)
+            results.append(
+                (pipe, certify_transform(pipe, call, grid, ctx, cfg.residual_rel))
+            )
         except TransformDomainError as exc:
             obj = {
                 "schema": 1,
@@ -354,31 +387,34 @@ def cmd_transform(cfg: RunConfig) -> int:
                     "n_total": exc.n_total,
                 },
             }
-            sys.stdout.buffer.write(_json_bytes(obj))
-            return 1
-        csv_path = os.path.join(cfg.out, f"stage_{stage}.csv")
-        write_csv(result.samples, csv_path)
-        verdicts.append(
+            break
+    if obj is None:
+        verdicts = [
             {
                 "stage": stage,
                 "transforms": pipe.to_json(),
-                "csv": os.path.basename(csv_path),
+                "csv": f"stage_{stage}.csv",
                 **result.to_json(),
             }
-        )
-    obj = {
-        "schema": 1,
-        "command": "transform",
-        "model": ctx.to_json(),
-        "option": {"strike": cfg.strike, "maturity": cfg.maturity, "kind": cfg.kind},
-        "stages": verdicts,
-        "all_passed": all(v["verdict"] == "pass" for v in verdicts),
-    }
+            for stage, (pipe, result) in enumerate(results, start=1)
+        ]
+        obj = {
+            "schema": 1,
+            "command": "transform",
+            "model": ctx.to_json(),
+            "option": {"strike": cfg.strike, "maturity": cfg.maturity, "kind": cfg.kind},
+            "stages": verdicts,
+            "all_passed": all(v["verdict"] == "pass" for v in verdicts),
+        }
     data = _json_bytes(obj)
-    with open(os.path.join(cfg.out, "verdicts.json"), "wb") as fh:
-        fh.write(data)
+    os.makedirs(cfg.out, exist_ok=True)
+    for stage, (_, result) in enumerate(results, start=1):
+        write_csv(result.samples, os.path.join(cfg.out, f"stage_{stage}.csv"))
+    if "error" not in obj:
+        with open(os.path.join(cfg.out, "verdicts.json"), "wb") as fh:
+            fh.write(data)
     sys.stdout.buffer.write(data)
-    return 0 if obj["all_passed"] else 1
+    return 0 if obj.get("all_passed") else 1
 
 
 def cmd_price(cfg: RunConfig) -> int:
@@ -386,7 +422,7 @@ def cmd_price(cfg: RunConfig) -> int:
     spec = OptionSpec(cfg.strike, cfg.maturity, cfg.kind)
     grid = _priced_grid(cfg, spec)
     T, X = grid.meshes()
-    values = bs_price(spec, ctx, T, np.exp(X))
+    values = _finite_prices(bs_price(spec, ctx, T, np.exp(X)))
     sol = GridSolution(grid, values, frame="price")
     if cfg.format == "csv":
         buf = io.StringIO()
@@ -420,12 +456,12 @@ _FD_LEVELS = ((301, 101), (601, 201), (1201, 401))
 def cmd_residual(cfg: RunConfig) -> int:
     ctx = _context(cfg)
     spec = OptionSpec(cfg.strike, cfg.maturity, cfg.kind)
-    grid = _priced_grid(cfg, spec)
+    grid = _priced_grid(cfg, spec, stencils=True)
     call = ClosedFormSolution(spec, ctx)
     T, X = grid.meshes()
-    sol_price = GridSolution(grid, call.value(T, np.exp(X)), frame="price")
-    rep_e = residual_e(sol_price, ctx)
-    rep_e2 = residual_e2(GridSolution(grid, sol_price.values, frame="log"), ctx)
+    sol_price = GridSolution(grid, _finite_prices(call.value(T, np.exp(X))), frame="price")
+    rep_e = _residual(residual_e, sol_price, ctx)
+    rep_e2 = _residual(residual_e2, GridSolution(grid, sol_price.values, frame="log"), ctx)
 
     # strike-centered convergence study for the FD solver
     x_mid = math.log(cfg.strike)
@@ -433,15 +469,20 @@ def cmd_residual(cfg: RunConfig) -> int:
     terminal_ok = True
     fd_report = None
     for nx, nt in _FD_LEVELS:
-        g = make_grid(0.0, spec.maturity, nt, x_mid - 3.0, x_mid + 3.0, nx)
-        fd = fd_solve(spec, ctx, g)
+        try:
+            g = make_grid(0.0, spec.maturity, nt, x_mid - 3.0, x_mid + 3.0, nx)
+            fd = fd_solve(spec, ctx, g)
+        except ValueError as exc:
+            raise ConfigError(f"the FD study cannot run on this configuration: {exc}") from None
+        _finite_prices(fd.values, "FD")
         if not np.array_equal(fd.values[-1], spec.payoff(g.s_values)):
             terminal_ok = False
         j = (nx - 1) // 2
         err = abs(fd.values[0, j] - bs_price(spec, ctx, 0.0, cfg.strike))
         errors.append(float(err))
-        fd_report = residual_e2(fd, ctx)
-    ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
+        fd_report = _residual(residual_e2, fd, ctx)
+    # an exact FD level leaves its ratio undefined, and NaN reports it
+    ratios = [a / b if b else math.nan for a, b in zip(errors, errors[1:])]
 
     obj = {
         "schema": 1,
@@ -459,6 +500,7 @@ def cmd_residual(cfg: RunConfig) -> int:
             "finest_E2": fd_report.to_json(),
         },
     }
+    data = _json_bytes(obj)
     if cfg.format == "csv":
         buf = io.StringIO()
         buf.write("section,key,value\n")
@@ -472,7 +514,7 @@ def cmd_residual(cfg: RunConfig) -> int:
         buf.write(f"fd,terminal_matches_payoff,{terminal_ok}\n")
         _emit(buf.getvalue().encode(), cfg.out)
     else:
-        _emit(_json_bytes(obj), cfg.out)
+        _emit(data, cfg.out)
     return 0
 
 
@@ -522,16 +564,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
-        if args.command == "verify":
-            return cmd_verify(cfg, debug_faulty_n5=args.debug_faulty_n5)
-        if args.command == "brackets":
-            return cmd_brackets(cfg)
-        if args.command == "transform":
-            return cmd_transform(cfg)
-        if args.command == "price":
-            return cmd_price(cfg)
-        if args.command == "residual":
-            return cmd_residual(cfg)
+        # the commands check for non-finite results themselves and report
+        # them as config errors; numpy's warnings would only add stderr lines
+        with np.errstate(all="ignore"):
+            if args.command == "verify":
+                return cmd_verify(cfg, debug_faulty_n5=args.debug_faulty_n5)
+            if args.command == "brackets":
+                return cmd_brackets(cfg)
+            if args.command == "transform":
+                return cmd_transform(cfg)
+            if args.command == "price":
+                return cmd_price(cfg)
+            if args.command == "residual":
+                return cmd_residual(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,12 +12,19 @@ through solution modes of the constant-coefficient equation.
 
 All arithmetic is exact (fractions.Fraction); floats are rejected so that a
 zero really is a zero.
+
+Terms are grouped by exponential signature: `_terms` maps the small int id
+of an interned (a, b) pair (id 0 is exp(0)) to a dict {exps: coeff}, so no
+lookup hashes the Fractions a and b.  Zero coefficients and empty groups are
+never stored, so equal expressions have equal `_terms`.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from operator import add as _add
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -28,6 +35,51 @@ Scalar = Union[int, Fraction]
 
 _ZERO_EXPS = (0, 0, 0, 0, 0)
 _ZERO_SIG = (Fraction(0), Fraction(0))
+
+# interned signatures: _SIGS[sid] is the (a, b) pair named by sid
+_SIGS = [_ZERO_SIG]
+_SIG_IDS = {_ZERO_SIG: 0}
+_SIG_SUMS: dict = {}
+_SIG_LOCK = threading.Lock()
+
+
+def _sig_id(sig) -> int:
+    with _SIG_LOCK:
+        if sig not in _SIG_IDS:
+            _SIGS.append(sig)
+            _SIG_IDS[sig] = len(_SIGS) - 1
+        return _SIG_IDS[sig]
+
+
+def _sig_sum(s1: int, s2: int) -> int:
+    """Id of the signature of a product, memoised by the id pair."""
+    if not s1 or not s2:
+        return s1 or s2
+    sid = _SIG_SUMS.get((s1, s2))
+    if sid is None:
+        (a1, b1), (a2, b2) = _SIGS[s1], _SIGS[s2]
+        sid = _SIG_SUMS[s1, s2] = _sig_id((a1 + a2, b1 + b2))
+    return sid
+
+
+def _acc(mono: dict, exps: tuple, coeff: Fraction) -> None:
+    """Add a nonzero coeff to the exps entry of one signature group."""
+    acc = mono.get(exps)
+    if acc is None:
+        mono[exps] = coeff
+        return
+    acc += coeff
+    if acc:
+        mono[exps] = acc
+    else:
+        del mono[exps]
+
+
+def _wrap(terms: dict) -> "ExpPoly":
+    """An ExpPoly around clean grouped terms; groups are shared, never changed."""
+    out = object.__new__(ExpPoly)
+    out._terms = terms
+    return out
 
 
 def _as_fraction(value) -> Fraction:
@@ -62,18 +114,9 @@ class ExpPoly:
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != 5 or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent tuple {exps}")
-                sig = (_as_fraction(sig[0]), _as_fraction(sig[1]))
-                key = (exps, sig)
-                acc = clean.get(key)
-                if acc is None:
-                    clean[key] = coeff
-                else:
-                    acc = acc + coeff
-                    if acc == 0:
-                        del clean[key]
-                    else:
-                        clean[key] = acc
-        object.__setattr__(self, "_terms", clean)
+                sid = _sig_id((_as_fraction(sig[0]), _as_fraction(sig[1])))
+                _acc(clean.setdefault(sid, {}), exps, coeff)
+        self._terms = {sid: mono for sid, mono in clean.items() if mono}
 
     # -- constructors ------------------------------------------------------
 
@@ -115,101 +158,89 @@ class ExpPoly:
         return not self._terms
 
     def is_constant(self) -> bool:
-        if not self._terms:
-            return True
-        if len(self._terms) != 1:
-            return False
-        (exps, sig), _ = next(iter(self._terms.items()))
-        return exps == _ZERO_EXPS and sig == _ZERO_SIG
+        terms = self._terms
+        return not terms or terms.keys() == {0} and terms[0].keys() == {_ZERO_EXPS}
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return next(iter(self._terms.values()))
+        return self._terms[0][_ZERO_EXPS]
 
     def depends_on(self, name: str) -> bool:
         i = var_index(name)
-        for exps, sig in self._terms:
-            if exps[i] > 0:
+        for sid, mono in self._terms.items():
+            if i < 2 and _SIGS[sid][i] != 0:
                 return True
-            if i == 0 and sig[0] != 0:
-                return True
-            if i == 1 and sig[1] != 0:
+            if any(exps[i] > 0 for exps in mono):
                 return True
         return False
 
     def degree_in(self, name: str) -> int:
         """Largest power of the variable (exponential content not counted)."""
         i = var_index(name)
-        return max((exps[i] for exps, _ in self._terms), default=0)
+        return max((e[i] for mono in self._terms.values() for e in mono), default=0)
 
     def is_polynomial(self) -> bool:
         """True when no term carries an exponential factor."""
-        return all(sig == _ZERO_SIG for _, sig in self._terms)
+        return self._terms.keys() <= {0}
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExpPoly.constant(other)
         if not isinstance(other, ExpPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ExpPoly.constant(other)
         terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = terms.get(key, Fraction(0)) + coeff
-            if acc == 0:
-                terms.pop(key, None)
+        for sid, mono in other._terms.items():
+            mine = terms.get(sid)
+            if mine is None:
+                terms[sid] = mono
+                continue
+            mine = dict(mine)
+            for exps, coeff in mono.items():
+                _acc(mine, exps, coeff)
+            if mine:
+                terms[sid] = mine
             else:
-                terms[key] = acc
-        out = ExpPoly()
-        object.__setattr__(out, "_terms", terms)
-        return out
+                del terms[sid]
+        return _wrap(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = ExpPoly()
-        object.__setattr__(out, "_terms", {k: -c for k, c in self._terms.items()})
-        return out
+        return _wrap({sid: {e: -c for e, c in mono.items()}
+                      for sid, mono in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExpPoly.constant(other)
         if not isinstance(other, ExpPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ExpPoly.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, ExpPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = _as_fraction(other)
             if other == 0:
                 return ExpPoly()
-            out = ExpPoly()
-            object.__setattr__(
-                out, "_terms", {k: c * other for k, c in self._terms.items()}
-            )
-            return out
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
+            return _wrap({sid: {e: c * other for e, c in mono.items()}
+                          for sid, mono in self._terms.items()})
         terms: dict = {}
-        for (e1, s1), c1 in self._terms.items():
-            for (e2, s2), c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                sig = (s1[0] + s2[0], s1[1] + s2[1])
-                key = (exps, sig)
-                acc = terms.get(key, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = acc
-        out = ExpPoly()
-        object.__setattr__(out, "_terms", terms)
-        return out
+        for s1, m1 in self._terms.items():
+            for s2, m2 in other._terms.items():
+                mono = terms.setdefault(_sig_sum(s1, s2), {})
+                for e1, c1 in m1.items():
+                    for e2, c2 in m2.items():
+                        _acc(mono, tuple(map(_add, e1, e2)), c1 * c2)
+        return _wrap({sid: mono for sid, mono in terms.items() if mono})
 
     __rmul__ = __mul__
 
@@ -222,14 +253,21 @@ class ExpPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExpPoly.constant(other)
         if not isinstance(other, ExpPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ExpPoly.constant(other)
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash(frozenset(self._items()))
+
+    def _items(self):
+        """The terms as ((exps, (a, b)), coeff) pairs."""
+        for sid, mono in self._terms.items():
+            sig = _SIGS[sid]
+            for exps, coeff in mono.items():
+                yield (exps, sig), coeff
 
     # -- calculus ----------------------------------------------------------
 
@@ -237,28 +275,18 @@ class ExpPoly:
         """Exact partial derivative in one of the five variables."""
         i = var_index(name)
         terms: dict = {}
-
-        def _bump(key, coeff):
-            if coeff == 0:
-                return
-            acc = terms.get(key, Fraction(0)) + coeff
-            if acc == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-
-        for (exps, sig), coeff in self._terms.items():
-            if exps[i] > 0:
-                lowered = list(exps)
-                lowered[i] -= 1
-                _bump((tuple(lowered), sig), coeff * exps[i])
-            if i == 0 and sig[0] != 0:
-                _bump((exps, sig), coeff * sig[0])
-            elif i == 1 and sig[1] != 0:
-                _bump((exps, sig), coeff * sig[1])
-        out = ExpPoly()
-        object.__setattr__(out, "_terms", terms)
-        return out
+        for sid, mono in self._terms.items():
+            rate = _SIGS[sid][i] if i < 2 else 0
+            out: dict = {}
+            for exps, coeff in mono.items():
+                if exps[i] > 0:
+                    lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+                    _acc(out, lowered, coeff * exps[i])
+                if rate != 0:
+                    _acc(out, exps, coeff * rate)
+            if out:
+                terms[sid] = out
+        return _wrap(terms)
 
     def substitute(self, name: str, value) -> "ExpPoly":
         """Replace a variable by an exact value or another ExpPoly.
@@ -272,7 +300,7 @@ class ExpPoly:
         if not isinstance(value, ExpPoly):
             raise TypeError("substitute expects an exact scalar or ExpPoly")
         out = ExpPoly()
-        for (exps, sig), coeff in self._terms.items():
+        for (exps, sig), coeff in self._items():
             if (i == 0 and sig[0] != 0) or (i == 1 and sig[1] != 0):
                 raise ValueError(
                     f"cannot substitute {name}: it appears in an exponential factor"
@@ -291,7 +319,7 @@ class ExpPoly:
         to exactly zero (so the factor is exactly 1).
         """
         total = Fraction(0)
-        for (exps, sig), coeff in self._terms.items():
+        for (exps, sig), coeff in self._items():
             factor = coeff
             for i, e in enumerate(exps):
                 if e:
@@ -315,7 +343,7 @@ class ExpPoly:
                 arrays[name] = np.asarray(arr, dtype=float)
         shape = np.broadcast_shapes(*(a.shape for a in arrays.values()))
         total = np.zeros(shape)
-        for (exps, sig), coeff in self._terms.items():
+        for (exps, sig), coeff in self._items():
             factor = np.full(shape, float(coeff))
             for i, e in enumerate(exps):
                 if e:
@@ -336,7 +364,7 @@ class ExpPoly:
         """Collect the coefficient of var^power (the variable is stripped)."""
         i = var_index(name)
         terms = {}
-        for (exps, sig), coeff in self._terms.items():
+        for (exps, sig), coeff in self._items():
             if exps[i] != power:
                 continue
             if (i == 0 and sig[0] != 0) or (i == 1 and sig[1] != 0):
@@ -351,7 +379,7 @@ class ExpPoly:
     def sorted_terms(self):
         """Terms in descending graded-lexicographic order (deterministic)."""
         return sorted(
-            self._terms.items(),
+            self._items(),
             key=lambda item: (sum(item[0][0]), item[0][0], item[0][1]),
             reverse=True,
         )

@@ -1,14 +1,20 @@
 """Command-line harness: config handling, exit codes, output determinism."""
 
+import contextlib
+import hashlib
 import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bssym.cli import (
     _CONFIG_KEYS,
@@ -236,6 +242,13 @@ def test_transform_requires_pipeline_and_out(tmp_path):
         ["transform", "--pipeline", "6:nan", "--out", "OUT", *FAST],
         ["transform", "--pipeline", "5:inf", "--out", "OUT", *FAST],
         ["transform", "--pipeline", "5:0.1", "--tol", "inf", "--out", "OUT", *FAST],
+        ["transform", "--pipeline", "5:0.1", "--maturity", "1e-9", "--out", "OUT", *FAST],
+        ["transform", "--pipeline", "5:0.1", "--grid-t", "0:2", "--out", "OUT", *FAST],
+        ["transform", "--pipeline", "5:0.1", "--nt", "2", "--out", "OUT"],
+        ["transform", "--pipeline", "5:0.1", "--nx", "2", "--out", "OUT"],
+        ["residual", "--nt", "2", "--nx", "2"],
+        ["residual", "--nt", "2", *FAST[2:]],
+        ["residual", "--nx", "2"],
     ],
 )
 def test_degenerate_config_exits_two_cleanly(argv, tmp_path):
@@ -356,6 +369,47 @@ def test_main_returns_int_in_process(capsys):
     capsys.readouterr()
 
 
+def run_in_process(argv):
+    """main(argv) in this process: (exit code, stdout bytes, stderr text)."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+        out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+# SHA-256 of the stdout of the exact subcommands, and their exit codes, as
+# the flat-dict ExpPoly layout produced them: the term storage of the exact
+# layer must not change a byte of what it proves.
+OTHER_POINT = ["--r", "3/7", "--sigma2", "5/11"]
+GOLDEN = [
+    (["verify"], 0,
+     "21728147dde0bb0a27639eefa9dab07fff92aa898ce8c8fe2263192f54b243f1"),
+    (["verify", "--debug-faulty-n5"], 1,
+     "9f0a4179e9db7a121aa2a1d72ada2b89521f02b99a79026ab3e1dcf1ba15a3ac"),
+    (["brackets"], 0,
+     "679ac52955cdbad4ec94402d4402e26f63fa3c76fb334dee753d0f8c490b1922"),
+    (["brackets", "--format", "csv"], 0,
+     "76526c6fd49eb40f7e0bc9eac9e4749bf9004c367f176d536ad8f8845d108a51"),
+    (["verify", *OTHER_POINT], 0,
+     "6a85023b5c28ad702701350d73652ae05d46b10bce8bc8446a8d13bfc4ad1a8c"),
+    (["verify", "--debug-faulty-n5", *OTHER_POINT], 1,
+     "facd8ef4d0bab670af4ba50d58271f835aebcd5c2285f337a7742ade0caad68a"),
+    (["brackets", *OTHER_POINT], 0,
+     "9efd08b34c6011fee6f1df212125914b6cf21ce8397e06a6980bab5ea06b5cb7"),
+    (["brackets", "--format", "csv", *OTHER_POINT], 0,
+     "d32b5869f865f4c107899ce2cb45f6d6c5b6185c7e7cf81fe865c9fed5a5a0cd"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_exact_subcommands_golden_bytes(argv, code, digest):
+    got_code, out, err = run_in_process(argv)
+    assert (got_code, err) == (code, "")
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 # -- CSV bytes and imports ------------------------------------------------------
 
 
@@ -452,3 +506,75 @@ def test_scipy_loads_only_where_called(argv, loaded, absent, tmp_path):
     assert all(name in modules for name in loaded)
     for name in absent:
         assert not any(m == name or m.startswith(name + ".") for m in modules)
+
+
+# -- the CLI contract under generated configs -------------------------------------
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+_rationals = st.one_of(
+    st.sampled_from(["0", "-1", "1/0", "0/7", "1/20", "-3/7", "2", "1.5", "x"]),
+    st.fractions(max_denominator=10**6).map(str),
+    st.integers(min_value=-10**30, max_value=10**30).map(str),
+    st.tuples(st.integers(-10**12, 10**12), st.integers(1, 10**12)).map(
+        lambda pq: f"{pq[0]}/{pq[1]}"
+    ),
+)
+_floats = st.one_of(
+    st.sampled_from(["1", "0.5", "80", "100.0", "1e-3"]),
+    st.sampled_from(["0", "-1", "1e-300", "5e-324", "1e300", "inf", "nan", "-inf"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(min_value=1e-9, max_value=1e3).map(repr),
+)
+_ranges = st.one_of(
+    st.sampled_from(["0:0.8", "0:0.5", "4.0:5.2", "3.5:5.5", "-1:1"]),
+    st.sampled_from(
+        ["-800:800", "0:1e-300", "1e-300:2e-300", "0:5e-324", "-700:-690",
+         "700:710", "0:1e308", "1:1", "2:1", "0:nan"]
+    ),
+    st.tuples(_floats, _floats).map(lambda lh: f"{lh[0]}:{lh[1]}"),
+)
+_kappas = st.one_of(
+    st.sampled_from(["0", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "50"]),
+    st.floats(min_value=-1.0, max_value=1.0).map(repr),
+)
+_pipelines = st.lists(
+    st.tuples(st.integers(0, 7), _kappas).map(lambda ik: f"{ik[0]}:{ik[1]}"),
+    min_size=1, max_size=2,
+).map(",".join)
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(["verify", "brackets", "price", "residual", "transform"]))
+    argv = [command, "--nt", str(draw(st.integers(2, 9))),
+            "--nx", str(draw(st.integers(2, 9)))]
+    for flag, values in (
+        ("--r", _rationals), ("--sigma2", _rationals), ("--strike", _floats),
+        ("--maturity", _floats), ("--grid-t", _ranges), ("--grid-x", _ranges),
+        ("--tol", _floats), ("--pipeline", _pipelines),
+    ):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    if command == "verify" and draw(st.booleans()):
+        argv.append("--debug-faulty-n5")
+    return argv
+
+
+@given(cli_argvs())
+def test_cli_contract_holds_on_generated_configs(argv):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if argv[0] == "transform":
+            argv = [*argv, "--out", f"{tmp}/out"]
+        code, out, err = run_in_process(argv)
+    assert not caught  # a warning would be one more line on stderr
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == b""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        json.loads(out, parse_constant=_reject_constant)

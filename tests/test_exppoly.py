@@ -158,3 +158,162 @@ def test_evaluate_exact_requires_vanishing_exponent():
     assert p.evaluate_exact(t=Fraction(2), x=Fraction(2), phi=0, A=0, B=0) == 1
     with pytest.raises(ValueError):
         p.evaluate_exact(t=Fraction(1), x=Fraction(0), phi=0, A=0, B=0)
+
+
+# -- term storage ----------------------------------------------------------------
+
+# few distinct signatures, so that terms of one signature meet and cancel
+shared_sigs = st.sampled_from(
+    [(0, 0), (Fraction(1, 2), -1), (-1, Fraction(2, 3)), (0, 2), (Fraction(-1, 20), 1)]
+)
+
+
+@st.composite
+def mixed_polys(draw, max_terms=6):
+    """Lists of terms over at least two distinct nonzero signatures."""
+    sigs = draw(st.lists(shared_sigs.filter(lambda s: s != (0, 0)),
+                         min_size=2, max_size=4, unique=True))
+    sigs += draw(st.lists(shared_sigs, max_size=max_terms - len(sigs)))
+    return [ExpPoly.term(draw(coeffs.filter(bool)), draw(small_exps), *sig)
+            for sig in sigs]
+
+
+def total(terms):
+    out = ExpPoly.zero()
+    for term in terms:
+        out = out + term
+    return out
+
+
+@given(mixed_polys(), st.randoms(use_true_random=False))
+def test_sums_in_any_order_are_equal_and_hash_equal(terms, rng):
+    shuffled = list(terms)
+    rng.shuffle(shuffled)
+    p, q = total(terms), total(shuffled)
+    assert p == q and hash(p) == hash(q)
+
+
+@given(mixed_polys(max_terms=4), mixed_polys(max_terms=4), st.randoms(use_true_random=False))
+def test_products_in_any_order_are_equal_and_hash_equal(left, right, rng):
+    p = total(left) * total(right)
+    factors = list(left), list(right)
+    for part in factors:
+        rng.shuffle(part)
+    # expand term by term, in a shuffled order of the pairs
+    pairs = [(a, b) for a in factors[1] for b in factors[0]]
+    rng.shuffle(pairs)
+    q = total([a * b for a, b in pairs])
+    assert p == q and hash(p) == hash(q)
+    assert total(right) * total(left) == p
+
+
+@given(mixed_polys())
+def test_difference_with_itself_is_the_zero_constant(terms):
+    p = total(terms)
+    for zero in (p - p, p + (-p), p * 0, (p - p) * p):
+        assert zero.is_zero() and zero.is_constant()
+        assert zero == ExpPoly.zero() and hash(zero) == hash(ExpPoly.zero())
+        assert zero.constant_value() == 0 and str(zero) == "0"
+
+
+def test_trivial_exponential_is_one():
+    assert ExpPoly.exp_factor(0, 0) == ExpPoly.one()
+    assert hash(ExpPoly.exp_factor(0, 0)) == hash(ExpPoly.one())
+    assert ExpPoly.exp_factor(0, 0).is_polynomial()
+    e = ExpPoly.exp_factor(Fraction(1, 2), -1)
+    assert e * ExpPoly.exp_factor(Fraction(-1, 2), 1) == ExpPoly.one()
+    assert (e * ExpPoly.exp_factor(Fraction(-1, 2), 1)).is_constant()
+
+
+def _pinned_polys():
+    t, x, phi, A, B = (ExpPoly.var(n) for n in VARS)
+    return {
+        "mixed": ExpPoly.term(Fraction(3, 4), (1, 0, 0, 0, 0), Fraction(1, 2), -1)
+        - x * ExpPoly.exp_factor(Fraction(1, 2), -1)
+        + ExpPoly.constant(Fraction(-5, 3)) * t * t * phi
+        + ExpPoly.exp_factor(0, 2) * A + B - 7,
+        "product": (x + ExpPoly.exp_factor(Fraction(-1, 20), 1))
+        * (t - ExpPoly.exp_factor(Fraction(1, 20), -1) * B),
+        "derivative": (
+            ExpPoly.term(2, (2, 1, 0, 0, 0), 1, Fraction(2, 3))
+            + t * ExpPoly.exp_factor(-1, 0)
+        ).diff("t"),
+    }
+
+
+F = Fraction
+PINNED = {
+    "mixed": (
+        "-5/3*t^2*phi + 3/4*t*exp(1/2*t - 1*x) - x*exp(1/2*t - 1*x) "
+        "+ A*exp(2*x) + B - 7",
+        [(((2, 0, 1, 0, 0), (F(0), F(0))), F(-5, 3)),
+         (((1, 0, 0, 0, 0), (F(1, 2), F(-1))), F(3, 4)),
+         (((0, 1, 0, 0, 0), (F(1, 2), F(-1))), F(-1)),
+         (((0, 0, 0, 1, 0), (F(0), F(2))), F(1)),
+         (((0, 0, 0, 0, 1), (F(0), F(0))), F(1)),
+         (((0, 0, 0, 0, 0), (F(0), F(0))), F(-7))],
+        [{"coeff": "-5/3", "exps": [2, 0, 1, 0, 0]},
+         {"coeff": "3/4", "exps": [1, 0, 0, 0, 0], "exp": ["1/2", "-1"]},
+         {"coeff": "-1", "exps": [0, 1, 0, 0, 0], "exp": ["1/2", "-1"]},
+         {"coeff": "1", "exps": [0, 0, 0, 1, 0], "exp": ["0", "2"]},
+         {"coeff": "1", "exps": [0, 0, 0, 0, 1]},
+         {"coeff": "-7", "exps": [0, 0, 0, 0, 0]}],
+    ),
+    "product": (
+        "t*x - x*B*exp(1/20*t - 1*x) + t*exp(-1/20*t + x) - B",
+        [(((1, 1, 0, 0, 0), (F(0), F(0))), F(1)),
+         (((0, 1, 0, 0, 1), (F(1, 20), F(-1))), F(-1)),
+         (((1, 0, 0, 0, 0), (F(-1, 20), F(1))), F(1)),
+         (((0, 0, 0, 0, 1), (F(0), F(0))), F(-1))],
+        [{"coeff": "1", "exps": [1, 1, 0, 0, 0]},
+         {"coeff": "-1", "exps": [0, 1, 0, 0, 1], "exp": ["1/20", "-1"]},
+         {"coeff": "1", "exps": [1, 0, 0, 0, 0], "exp": ["-1/20", "1"]},
+         {"coeff": "-1", "exps": [0, 0, 0, 0, 1]}],
+    ),
+    "derivative": (
+        "2*t^2*x*exp(t + 2/3*x) + 4*t*x*exp(t + 2/3*x) - t*exp(-1*t) + exp(-1*t)",
+        [(((2, 1, 0, 0, 0), (F(1), F(2, 3))), F(2)),
+         (((1, 1, 0, 0, 0), (F(1), F(2, 3))), F(4)),
+         (((1, 0, 0, 0, 0), (F(-1), F(0))), F(-1)),
+         (((0, 0, 0, 0, 0), (F(-1), F(0))), F(1))],
+        [{"coeff": "2", "exps": [2, 1, 0, 0, 0], "exp": ["1", "2/3"]},
+         {"coeff": "4", "exps": [1, 1, 0, 0, 0], "exp": ["1", "2/3"]},
+         {"coeff": "-1", "exps": [1, 0, 0, 0, 0], "exp": ["-1", "0"]},
+         {"coeff": "1", "exps": [0, 0, 0, 0, 0], "exp": ["-1", "0"]}],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_rendering_is_pinned(name):
+    p = _pinned_polys()[name]
+    text, terms, json_terms = PINNED[name]
+    assert str(p) == text
+    assert p.sorted_terms() == terms
+    assert p.to_json() == json_terms
+
+
+def test_signatures_interned_from_many_threads_stay_distinct():
+    import sys
+    import threading
+
+    def build(worker, bad):
+        for j in range(300):
+            sig = (Fraction(j, 7919), Fraction(worker + 1, 104729))
+            p = ExpPoly.exp_factor(*sig) * ExpPoly.var("x")
+            if p.sorted_terms() != [(((0, 1, 0, 0, 0), sig), 1)]:
+                bad.append((worker, j))
+
+    bad = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(w, bad)) for w in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert bad == []

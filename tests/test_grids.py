@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bssym.grids import (
+    _D1_TIERS,
     GridSolution,
+    _first_derivative,
+    _first_finite,
     fd_solve,
     make_grid,
     read_csv,
@@ -130,6 +133,32 @@ def test_residual_stays_fourth_order_beside_clipped_rows():
     rep = residual_e2(GridSolution(g, hemmed, frame="log"), DEFAULT)
     assert rep.stencil == "4th-order-uniform+3-point-fallback"
     assert rep.n_interior == (79 - 6) * 99
+
+
+def _node_by_node_derivative(v, h, axis):
+    """Every node through `_first_finite`, the derivative's reference route."""
+    tiers = [{k: w / (12.0 * h) for k, w in d1.items()} for d1 in _D1_TIERS]
+    i, j = np.indices(v.shape).reshape(2, -1)
+    out, _ = _first_finite(v, i, j, axis, tiers)
+    return out.reshape(v.shape)
+
+
+@pytest.mark.parametrize("clip", [False, True], ids=["canonical", "clipped"])
+def test_first_derivative_block_bulk_matches_node_by_node(clip):
+    g = make_grid(0.0, 0.8, 801, math.log(0.5), math.log(200.0), 601)
+    T, X = g.meshes()
+    v = bs_price(OptionSpec(100.0, 1.0, "call"), DEFAULT, T, np.exp(X))
+    if clip:
+        # clipped top rows, as a forward time shift leaves them, and a
+        # clipped column and patch inside
+        v[-7:] = np.nan
+        v[:, 3] = np.nan
+        v[300, 100:110] = np.nan
+    for axis, h in ((0, g.dt), (1, g.dx)):
+        want = _node_by_node_derivative(v, h, axis)
+        got = _first_derivative(v, h, axis)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got).any()
 
 
 def test_fd_matches_closed_form():
