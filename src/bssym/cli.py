@@ -13,10 +13,12 @@ and nothing time- or environment-dependent is written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -150,24 +152,35 @@ def _coerce(key: str, raw: str):
     raise ConfigError(f"unknown config key: {key!r}")
 
 
+@contextlib.contextmanager
+def _file_errors(action: str):
+    """A file that cannot be read or written (or decoded) is a config error."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot {action}: {exc}") from None
+
+
 def load_config_file(path: str) -> dict:
     """Flat "key = value" lines; '#' starts a comment; unknown keys rejected."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    with _file_errors(f"read config file {path!r}"):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}"
-                )
-            key, raw = (part.strip() for part in body.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key: {key!r}")
-            values[key] = _coerce(key, raw)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ConfigError(
+                f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}"
+            )
+        key, raw = (part.strip() for part in body.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key: {key!r}")
+        values[key] = _coerce(key, raw)
     return values
 
 
@@ -213,11 +226,12 @@ def _residual(op, sol: GridSolution, ctx):
 
 def _emit(data: bytes, out: str | None) -> None:
     if out:
-        parent = os.path.dirname(out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(out, "wb") as fh:
-            fh.write(data)
+        with _file_errors(f"write {out!r}"):
+            parent = os.path.dirname(out)
+            if parent:
+                os.makedirs(parent, exist_ok=True)
+            with open(out, "wb") as fh:
+                fh.write(data)
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.flush()
@@ -407,12 +421,13 @@ def cmd_transform(cfg: RunConfig) -> int:
             "all_passed": all(v["verdict"] == "pass" for v in verdicts),
         }
     data = _json_bytes(obj)
-    os.makedirs(cfg.out, exist_ok=True)
-    for stage, (_, result) in enumerate(results, start=1):
-        write_csv(result.samples, os.path.join(cfg.out, f"stage_{stage}.csv"))
-    if "error" not in obj:
-        with open(os.path.join(cfg.out, "verdicts.json"), "wb") as fh:
-            fh.write(data)
+    with _file_errors(f"write {cfg.out!r}"):
+        os.makedirs(cfg.out, exist_ok=True)
+        for stage, (_, result) in enumerate(results, start=1):
+            write_csv(result.samples, os.path.join(cfg.out, f"stage_{stage}.csv"))
+        if "error" not in obj:
+            with open(os.path.join(cfg.out, "verdicts.json"), "wb") as fh:
+                fh.write(data)
     sys.stdout.buffer.write(data)
     return 0 if obj.get("all_passed") else 1
 
@@ -460,8 +475,9 @@ def cmd_residual(cfg: RunConfig) -> int:
     call = ClosedFormSolution(spec, ctx)
     T, X = grid.meshes()
     sol_price = GridSolution(grid, _finite_prices(call.value(T, np.exp(X))), frame="price")
+    # E(C)(t, e^x) = E2(phi)(t, x) on the same node values: one residual, two names
     rep_e = _residual(residual_e, sol_price, ctx)
-    rep_e2 = _residual(residual_e2, GridSolution(grid, sol_price.values, frame="log"), ctx)
+    rep_e2 = replace(rep_e, op="E2")
 
     # strike-centered convergence study for the FD solver
     x_mid = math.log(cfg.strike)
@@ -524,15 +540,15 @@ def cmd_residual(cfg: RunConfig) -> int:
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--r", help="interest rate as p/q")
     sp.add_argument("--sigma2", help="variance rate as p/q")
-    sp.add_argument("--strike", type=float)
-    sp.add_argument("--maturity", type=float)
+    sp.add_argument("--strike")
+    sp.add_argument("--maturity")
     sp.add_argument("--grid-t", dest="grid_t", help="t range as lo:hi")
     sp.add_argument("--grid-x", dest="grid_x", help="x range as lo:hi")
-    sp.add_argument("--nt", type=int)
-    sp.add_argument("--nx", type=int)
+    sp.add_argument("--nt")
+    sp.add_argument("--nx")
     sp.add_argument("--pipeline", help="transform pipeline 'i:kappa,i:kappa'")
     sp.add_argument(
-        "--tol", dest="residual_rel", metavar="TOL", type=float,
+        "--tol", dest="residual_rel", metavar="TOL",
         help="relative residual tolerance",
     )
     sp.add_argument("--format", choices=("json", "csv"))
@@ -556,12 +572,19 @@ def make_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="replace N5 by a deliberately broken variant (h forced to 0)",
             )
+        # a token naming no flag is a value, so "--r -1/3" parses (argparse's
+        # own pattern admits only plain negative numbers); set after the flags
+        # are added, since argparse tests each new flag name against it
+        sp._negative_number_matcher = re.compile(r"-.")
     return parser
 
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0)
+        return exc.code
     try:
         cfg = build_config(args)
         # the commands check for non-finite results themselves and report

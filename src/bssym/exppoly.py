@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from operator import add as _add
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -34,12 +34,12 @@ _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
 Scalar = Union[int, Fraction]
 
 _ZERO_EXPS = (0, 0, 0, 0, 0)
-_ZERO_SIG = (Fraction(0), Fraction(0))
+_ZERO = Fraction(0)
+_ZERO_SIG = (_ZERO, _ZERO)
 
 # interned signatures: _SIGS[sid] is the (a, b) pair named by sid
 _SIGS = [_ZERO_SIG]
 _SIG_IDS = {_ZERO_SIG: 0}
-_SIG_SUMS: dict = {}
 _SIG_LOCK = threading.Lock()
 
 
@@ -52,14 +52,11 @@ def _sig_id(sig) -> int:
 
 
 def _sig_sum(s1: int, s2: int) -> int:
-    """Id of the signature of a product, memoised by the id pair."""
+    """Id of the signature of a product."""
     if not s1 or not s2:
         return s1 or s2
-    sid = _SIG_SUMS.get((s1, s2))
-    if sid is None:
-        (a1, b1), (a2, b2) = _SIGS[s1], _SIGS[s2]
-        sid = _SIG_SUMS[s1, s2] = _sig_id((a1 + a2, b1 + b2))
-    return sid
+    (a1, b1), (a2, b2) = _SIGS[s1], _SIGS[s2]
+    return _sig_id((a1 + a2, b1 + b2))
 
 
 def _acc(mono: dict, exps: tuple, coeff: Fraction) -> None:
@@ -104,19 +101,9 @@ class ExpPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping | None = None):
-        clean = {}
-        if terms:
-            for (exps, sig), coeff in terms.items():
-                coeff = _as_fraction(coeff)
-                if coeff == 0:
-                    continue
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != 5 or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps}")
-                sid = _sig_id((_as_fraction(sig[0]), _as_fraction(sig[1])))
-                _acc(clean.setdefault(sid, {}), exps, coeff)
-        self._terms = {sid: mono for sid, mono in clean.items() if mono}
+    def __init__(self):
+        """The zero polynomial; the constructors below build the others."""
+        self._terms = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -130,27 +117,32 @@ class ExpPoly:
 
     @staticmethod
     def constant(value) -> "ExpPoly":
-        value = _as_fraction(value)
-        if value == 0:
-            return ExpPoly()
-        return ExpPoly({(_ZERO_EXPS, _ZERO_SIG): value})
+        return ExpPoly.term(value)
 
     @staticmethod
     def var(name: str) -> "ExpPoly":
         exps = [0, 0, 0, 0, 0]
         exps[var_index(name)] = 1
-        return ExpPoly({(tuple(exps), _ZERO_SIG): Fraction(1)})
+        return ExpPoly.term(1, exps)
 
     @staticmethod
     def exp_factor(a, b) -> "ExpPoly":
         """exp(a*t + b*x) with rational a, b."""
-        sig = (_as_fraction(a), _as_fraction(b))
-        return ExpPoly({(_ZERO_EXPS, sig): Fraction(1)})
+        return ExpPoly.term(1, a=a, b=b)
 
     @staticmethod
-    def term(coeff, exps: Sequence[int] = _ZERO_EXPS, a=0, b=0) -> "ExpPoly":
-        sig = (_as_fraction(a), _as_fraction(b))
-        return ExpPoly({(tuple(exps), sig): _as_fraction(coeff)})
+    def term(coeff, exps: Sequence[int] = _ZERO_EXPS, a=_ZERO, b=_ZERO) -> "ExpPoly":
+        """The single term coeff * t^i x^j phi^k A^l B^m * exp(a*t + b*x)."""
+        coeff = _as_fraction(coeff)
+        exps = tuple(map(int, exps))
+        if len(exps) != 5 or min(exps) < 0:
+            raise ValueError(f"bad exponent tuple {exps}")
+        a, b = _as_fraction(a), _as_fraction(b)
+        if not coeff:
+            return ExpPoly()
+        # exp(0) is id 0 without a trip through the interning lock
+        sid = _sig_id((a, b)) if a or b else 0
+        return _wrap({sid: {exps: coeff}})
 
     # -- predicates --------------------------------------------------------
 
@@ -244,14 +236,6 @@ class ExpPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = ExpPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, ExpPoly):
             if not isinstance(other, (int, Fraction)):
@@ -287,30 +271,6 @@ class ExpPoly:
             if out:
                 terms[sid] = out
         return _wrap(terms)
-
-    def substitute(self, name: str, value) -> "ExpPoly":
-        """Replace a variable by an exact value or another ExpPoly.
-
-        Only allowed when no exponential factor involves the variable
-        (exponentials are restricted to t and x and are never substituted).
-        """
-        i = var_index(name)
-        if isinstance(value, (int, Fraction)):
-            value = ExpPoly.constant(value)
-        if not isinstance(value, ExpPoly):
-            raise TypeError("substitute expects an exact scalar or ExpPoly")
-        out = ExpPoly()
-        for (exps, sig), coeff in self._items():
-            if (i == 0 and sig[0] != 0) or (i == 1 and sig[1] != 0):
-                raise ValueError(
-                    f"cannot substitute {name}: it appears in an exponential factor"
-                )
-            rest = list(exps)
-            k = rest[i]
-            rest[i] = 0
-            base = ExpPoly({(tuple(rest), sig): coeff})
-            out = out + base * value**k
-        return out
 
     def evaluate_exact(self, **values) -> Fraction:
         """Exact evaluation at rational points.
@@ -364,17 +324,19 @@ class ExpPoly:
         """Collect the coefficient of var^power (the variable is stripped)."""
         i = var_index(name)
         terms = {}
-        for (exps, sig), coeff in self._items():
-            if exps[i] != power:
-                continue
-            if (i == 0 and sig[0] != 0) or (i == 1 and sig[1] != 0):
-                raise ValueError(
-                    f"coefficient extraction in {name}: exponential dependence"
-                )
-            rest = list(exps)
-            rest[i] = 0
-            terms[(tuple(rest), sig)] = coeff
-        return ExpPoly(terms)
+        for sid, mono in self._terms.items():
+            group = {}
+            for exps, coeff in mono.items():
+                if exps[i] != power:
+                    continue
+                if i < 2 and _SIGS[sid][i] != 0:
+                    raise ValueError(
+                        f"coefficient extraction in {name}: exponential dependence"
+                    )
+                group[exps[:i] + (0,) + exps[i + 1:]] = coeff
+            if group:
+                terms[sid] = group
+        return _wrap(terms)
 
     def sorted_terms(self):
         """Terms in descending graded-lexicographic order (deterministic)."""
@@ -429,12 +391,3 @@ class ExpPoly:
 
     def __repr__(self) -> str:
         return f"ExpPoly({self})"
-
-    def to_json(self) -> list:
-        out = []
-        for (exps, sig), coeff in self.sorted_terms():
-            entry = {"coeff": str(coeff), "exps": list(exps)}
-            if sig[0] != 0 or sig[1] != 0:
-                entry["exp"] = [str(sig[0]), str(sig[1])]
-            out.append(entry)
-        return out

@@ -75,13 +75,6 @@ class DiffForm:
         return DiffForm(degree)
 
     @staticmethod
-    def function(poly) -> "DiffForm":
-        """A 0-form."""
-        if not isinstance(poly, ExpPoly):
-            poly = ExpPoly.constant(poly)
-        return DiffForm(0, {(): poly})
-
-    @staticmethod
     def covector(name: str) -> "DiffForm":
         """Basis 1-form: one of dt, dx, dphi, dA, dB."""
         if not name.startswith("d"):
@@ -232,15 +225,6 @@ class DiffForm:
 
     def __repr__(self) -> str:
         return f"DiffForm<{self.degree}>({self})"
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "terms": [
-                {"basis": [COVARS[i] for i in key], "coeff": str(poly)}
-                for key, poly in self.items()
-            ],
-        }
 
 
 def wedge(u: DiffForm, v: DiffForm) -> DiffForm:

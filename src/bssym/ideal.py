@@ -68,14 +68,6 @@ class MembershipCertificate:
             1, {(0,): self.R1, (1,): self.R2, (3,): self.R3, (4,): self.R4}
         )
 
-    @property
-    def xi(self) -> ExpPoly:
-        return self.R5
-
-    @property
-    def omega(self) -> ExpPoly:
-        return self.R6
-
     def reconstruct(self, ctx: ModelContext) -> DiffForm:
         """Rebuild rho ^ alpha + xi dalpha + omega beta from the multipliers."""
         alpha, dalpha, beta = structural_forms(ctx)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .exppoly import ExpPoly
 from .forms import DiffForm, contract, lie_derivative, structural_forms
@@ -88,11 +88,6 @@ class SolutionSpec:
             if value != 0:
                 raise DispersionError(mode, value)
 
-    def to_json(self) -> list:
-        return [
-            {"coeff": str(c), "a": str(a), "b": str(b)} for c, a, b in self.modes
-        ]
-
 
 def pde_defect(g: ExpPoly, ctx: ModelContext) -> ExpPoly:
     """Exact defect g_t + (sigma2/2) g_xx + rtilde g_x - r g of a candidate
@@ -134,14 +129,6 @@ class Generator:
     def F(self) -> ExpPoly:
         return self.c + _B * self.d
 
-    def __eq__(self, other):
-        if not isinstance(other, Generator):
-            return NotImplemented
-        return self.c == other.c and self.d == other.d
-
-    def to_json(self) -> dict:
-        return {"c": str(self.c), "d": str(self.d)}
-
 
 @dataclass(frozen=True)
 class Isovector:
@@ -149,7 +136,6 @@ class Isovector:
 
     components: Tuple[ExpPoly, ExpPoly, ExpPoly, ExpPoly, ExpPoly]
     name: str = ""
-    provenance: Optional[tuple] = None  # (C1..C6, SolutionSpec) when known
 
     @property
     def Nt(self) -> ExpPoly:
@@ -205,20 +191,6 @@ class Isovector:
         ]
         return "; ".join(parts)
 
-    def to_json(self) -> dict:
-        out = {
-            "name": self.name,
-            "components": {
-                var: str(comp)
-                for var, comp in zip(("t", "x", "phi", "A", "B"), self.components)
-            },
-        }
-        if self.provenance is not None:
-            constants, modes = self.provenance
-            out["constants"] = [str(c) for c in constants]
-            out["modes"] = modes.to_json()
-        return out
-
 
 @dataclass(frozen=True)
 class GHPair:
@@ -226,9 +198,6 @@ class GHPair:
 
     g: ExpPoly
     h: ExpPoly
-
-    def to_json(self) -> dict:
-        return {"g": str(self.g), "h": str(self.h)}
 
 
 @dataclass(frozen=True)
@@ -309,8 +278,9 @@ def isovector_from_constants(
         h(t,x) = (rtilde / 2 sigma2) d'(t) x - (d''(t) / 4 sigma2) x^2
                  - (mu'(t)/sigma2) x + k(t)
 
-    as N^t = -d, N^x = -f, N^phi = g + h*phi, with the prolonged components
-    N^A = g_x + h_x phi + A f_x + A h and
+    as the prolongation (`isovector_from_generator`) of the generator
+    F = N _| alpha = g + h*phi + A*f + B*d, which gives N^t = -d, N^x = -f,
+    N^phi = g + h*phi, N^A = g_x + h_x phi + A f_x + A h and
     N^B = g_t + h_t phi + A f_t + B d' + B h.
     """
     if len(tuple(constants)) != 6:
@@ -335,23 +305,8 @@ def isovector_from_constants(
         + k
     )
     g = modes.to_exppoly()
-
-    Nt = -d
-    Nx = -f
-    Nphi = g + h * _PHI
-    NA = g.diff("x") + h.diff("x") * _PHI + _A * f.diff("x") + _A * h
-    NB = (
-        g.diff("t")
-        + h.diff("t") * _PHI
-        + _A * f.diff("t")
-        + _B * dp
-        + _B * h
-    )
-    return Isovector(
-        (Nt, Nx, Nphi, NA, NB),
-        name=name,
-        provenance=((C1, C2, C3, C4, C5, C6), modes),
-    )
+    N = isovector_from_generator(Generator(c=g + h * _PHI + _A * f, d=d))
+    return Isovector(N.components, name=name)
 
 
 def basis_isovector(i: int, ctx: ModelContext) -> Isovector:

@@ -39,14 +39,6 @@ class OptionSpec:
         return out if out.ndim else float(out)
 
 
-def normal_cdf(z):
-    """Standard normal distribution function (scalar or array)."""
-    from scipy.special import ndtr
-
-    out = ndtr(np.asarray(z, dtype=float))
-    return out if out.ndim else float(out)
-
-
 def normal_pdf(z):
     z = np.asarray(z, dtype=float)
     out = np.exp(-0.5 * z * z) / _SQRT_2PI

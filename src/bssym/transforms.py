@@ -182,7 +182,7 @@ def restrict_to_grid(surface, grid: Grid):
     )
 
 
-def as_surface(sol, interpolated=None):
+def as_surface(sol):
     """Wrap a GridSolution as an interpolating surface; pass others through.
 
     Returns (surface, used_interpolation).
@@ -191,7 +191,7 @@ def as_surface(sol, interpolated=None):
         return GridSurface(sol), True
     if not hasattr(sol, "value") or not hasattr(sol, "frame"):
         raise TypeError(f"not a solution surface: {sol!r}")
-    return sol, bool(interpolated)
+    return sol, False
 
 
 def apply_transform(transform: FiniteTransform, sol, ctx: ModelContext):
@@ -318,7 +318,6 @@ class InfinitesimalAction:
         (N~ phi)(t, x) = -N^t phi_t - N^x phi_x + g + h phi
     """
 
-    source: Isovector
     minus_nt: ExpPoly
     minus_nx: ExpPoly
     g: ExpPoly
@@ -333,7 +332,7 @@ class InfinitesimalAction:
                 )
         pair = gh_of(N)
         return InfinitesimalAction(
-            source=N, minus_nt=-N.Nt, minus_nx=-N.Nx, g=pair.g, h=pair.h
+            minus_nt=-N.Nt, minus_nx=-N.Nx, g=pair.g, h=pair.h
         )
 
     def apply(self, t, x, phi, phi_t, phi_x):
@@ -346,15 +345,6 @@ class InfinitesimalAction:
         if not self.minus_nx.is_zero():
             out = out + self.minus_nx.eval_grid(t, x) * phi_x()
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.source.name,
-            "-N^t": str(self.minus_nt),
-            "-N^x": str(self.minus_nx),
-            "g": str(self.g),
-            "h": str(self.h),
-        }
 
 
 class ActionSurface:

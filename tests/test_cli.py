@@ -249,11 +249,19 @@ def test_transform_requires_pipeline_and_out(tmp_path):
         ["residual", "--nt", "2", "--nx", "2"],
         ["residual", "--nt", "2", *FAST[2:]],
         ["residual", "--nx", "2"],
+        ["verify", "--config", "DIR"],
+        ["verify", "--config", "NOT_UTF8"],
+        ["verify", "--out", "DIR"],
+        ["transform", "--pipeline", "5:0.1", "--out", "FILE", *FAST],
     ],
 )
 def test_degenerate_config_exits_two_cleanly(argv, tmp_path):
     out_dir = tmp_path / "o"
-    argv = [str(out_dir) if a == "OUT" else a for a in argv]
+    (tmp_path / "not_utf8.cfg").write_bytes(b"r = 1/20 \xff\n")
+    (tmp_path / "file").write_text("")
+    paths = {"OUT": out_dir, "DIR": tmp_path, "NOT_UTF8": tmp_path / "not_utf8.cfg",
+             "FILE": tmp_path / "file"}
+    argv = [str(paths.get(a, a)) for a in argv]
     code, out, err = run_cli(argv)
     assert code == 2
     assert out == b""
@@ -366,7 +374,22 @@ def test_residual_report():
 
 def test_main_returns_int_in_process(capsys):
     assert main(["verify", "--r", "bad"]) == 2
+    assert main(["verify", "--r"]) == 2  # argparse's usage error
+    assert main(["verify", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_negative_values_as_separate_tokens():
+    assert run_in_process(["verify", "--r", "-1/3"]) == run_in_process(["verify", "--r=-1/3"])
+    code, out, err = run_in_process(["price", "--grid-x", "-0.5:1", "--nt", "3", "--nx", "3"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["grid"]["S"][0] == math.exp(-0.5)
+    code, out, err = run_in_process(["price", "--strike", "-3"])
+    assert (code, out) == (2, b"")
+    assert err == "error: strike must be positive and finite, got '-3'\n"
+    code, out, err = run_in_process(["price", "--nt", "abc"])
+    assert (code, out) == (2, b"")
+    assert err.startswith("error: bad value for nt: 'abc'") and err.count("\n") == 1
 
 
 def run_in_process(argv):
@@ -558,7 +581,8 @@ def cli_argvs(draw):
         ("--tol", _floats), ("--pipeline", _pipelines),
     ):
         if draw(st.booleans()):
-            argv.append(f"{flag}={draw(values)}")
+            value = draw(values)
+            argv += draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
     if command == "verify" and draw(st.booleans()):
         argv.append("--debug-faulty-n5")
     return argv

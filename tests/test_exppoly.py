@@ -90,29 +90,6 @@ def test_exp_factors_multiply_by_adding_signatures():
     assert e1.diff("x") == e1
 
 
-def test_power():
-    x = ExpPoly.var("x")
-    assert x**0 == ExpPoly.one()
-    assert x**3 == x * x * x
-    with pytest.raises(ValueError):
-        x ** (-1)
-
-
-@given(pure_polys, coeffs)
-def test_substitute_matches_evaluation(p, value):
-    q = p.substitute("x", value)
-    assert not q.depends_on("x")
-    point = {"t": Fraction(2, 3), "x": value, "phi": Fraction(-1, 7),
-             "A": Fraction(1, 9), "B": Fraction(4)}
-    assert p.evaluate_exact(**point) == q.evaluate_exact(**point)
-
-
-def test_substitute_rejects_exponential_dependence():
-    p = ExpPoly.exp_factor(0, 1)
-    with pytest.raises(ValueError):
-        p.substitute("x", Fraction(1))
-
-
 @given(pure_polys)
 def test_evaluate_agrees_with_exact(p):
     point = {"t": Fraction(1, 3), "x": Fraction(-2, 5), "phi": Fraction(7, 2),
@@ -252,12 +229,6 @@ PINNED = {
          (((0, 0, 0, 1, 0), (F(0), F(2))), F(1)),
          (((0, 0, 0, 0, 1), (F(0), F(0))), F(1)),
          (((0, 0, 0, 0, 0), (F(0), F(0))), F(-7))],
-        [{"coeff": "-5/3", "exps": [2, 0, 1, 0, 0]},
-         {"coeff": "3/4", "exps": [1, 0, 0, 0, 0], "exp": ["1/2", "-1"]},
-         {"coeff": "-1", "exps": [0, 1, 0, 0, 0], "exp": ["1/2", "-1"]},
-         {"coeff": "1", "exps": [0, 0, 0, 1, 0], "exp": ["0", "2"]},
-         {"coeff": "1", "exps": [0, 0, 0, 0, 1]},
-         {"coeff": "-7", "exps": [0, 0, 0, 0, 0]}],
     ),
     "product": (
         "t*x - x*B*exp(1/20*t - 1*x) + t*exp(-1/20*t + x) - B",
@@ -265,10 +236,6 @@ PINNED = {
          (((0, 1, 0, 0, 1), (F(1, 20), F(-1))), F(-1)),
          (((1, 0, 0, 0, 0), (F(-1, 20), F(1))), F(1)),
          (((0, 0, 0, 0, 1), (F(0), F(0))), F(-1))],
-        [{"coeff": "1", "exps": [1, 1, 0, 0, 0]},
-         {"coeff": "-1", "exps": [0, 1, 0, 0, 1], "exp": ["1/20", "-1"]},
-         {"coeff": "1", "exps": [1, 0, 0, 0, 0], "exp": ["-1/20", "1"]},
-         {"coeff": "-1", "exps": [0, 0, 0, 0, 1]}],
     ),
     "derivative": (
         "2*t^2*x*exp(t + 2/3*x) + 4*t*x*exp(t + 2/3*x) - t*exp(-1*t) + exp(-1*t)",
@@ -276,10 +243,6 @@ PINNED = {
          (((1, 1, 0, 0, 0), (F(1), F(2, 3))), F(4)),
          (((1, 0, 0, 0, 0), (F(-1), F(0))), F(-1)),
          (((0, 0, 0, 0, 0), (F(-1), F(0))), F(1))],
-        [{"coeff": "2", "exps": [2, 1, 0, 0, 0], "exp": ["1", "2/3"]},
-         {"coeff": "4", "exps": [1, 1, 0, 0, 0], "exp": ["1", "2/3"]},
-         {"coeff": "-1", "exps": [1, 0, 0, 0, 0], "exp": ["-1", "0"]},
-         {"coeff": "1", "exps": [0, 0, 0, 0, 0], "exp": ["-1", "0"]}],
     ),
 }
 
@@ -287,10 +250,9 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_rendering_is_pinned(name):
     p = _pinned_polys()[name]
-    text, terms, json_terms = PINNED[name]
+    text, terms = PINNED[name]
     assert str(p) == text
     assert p.sorted_terms() == terms
-    assert p.to_json() == json_terms
 
 
 def test_signatures_interned_from_many_threads_stay_distinct():

@@ -63,7 +63,7 @@ def test_wedge_associativity_and_linearity(u, v, w):
 
 @given(functions())
 def test_d_squared_zero_on_functions(f):
-    df = DiffForm.function(f).d()
+    df = DiffForm(0, {(): f}).d()
     assert df.d().is_zero()
 
 
@@ -76,7 +76,7 @@ def test_d_squared_zero_on_one_forms(u):
 def test_leibniz_rule(f, u):
     # d(f u) = df ^ u + f du
     left = (u * f).d()
-    df = DiffForm.function(f).d()
+    df = DiffForm(0, {(): f}).d()
     right = wedge(df, u) + u.d() * f
     assert left == right
 
@@ -150,7 +150,7 @@ def test_contraction_of_generic_vector_into_dalpha():
 @given(functions())
 def test_lie_derivative_on_functions_is_directional(f):
     N = basis_isovector(2, DEFAULT)
-    form = DiffForm.function(f)
+    form = DiffForm(0, {(): f})
     got = lie_derivative(N, form)
     assert got.coeff(()) == N.apply(f)
 

@@ -106,6 +106,44 @@ def test_decompose_inverts_construction(constants, bs):
     assert rebuilt == N
 
 
+def hand_written_family(constants, modes, ctx):
+    """The six-constant family with N^A and N^B written out by hand: the
+    oracle for the prolongation that `isovector_from_constants` applies."""
+    T, X = ExpPoly.var("t"), ExpPoly.var("x")
+    PHI, A, B = ExpPoly.var("phi"), ExpPoly.var("A"), ExpPoly.var("B")
+    C1, C2, C3, C4, C5, C6 = constants
+    s2, rt, st_ = ctx.sigma2, ctx.rtilde, ctx.stilde
+    d = C1 * T * T + C2 * T + C3
+    dp = d.diff("t")
+    mu = C4 * T + C5
+    f = Fraction(1, 2) * dp * X + mu
+    k = -(st_ * st_ / (2 * s2)) * d + (rt / s2) * mu + Fraction(1, 4) * dp + C6
+    h = ((rt / (2 * s2)) * dp * X - Fraction(1, 4) / s2 * dp.diff("t") * X * X
+         - (1 / s2) * mu.diff("t") * X + k)
+    g = modes.to_exppoly()
+    NA = g.diff("x") + h.diff("x") * PHI + A * f.diff("x") + A * h
+    NB = g.diff("t") + h.diff("t") * PHI + A * f.diff("t") + B * dp + B * h
+    return (-d, -f, g + h * PHI, NA, NB)
+
+
+MODEL_POINTS = (DEFAULT, ZERO_RATE, make_context(Fraction(3, 7), Fraction(5, 11)))
+
+
+@given(
+    const_tuples,
+    st.lists(st.tuples(consts, st.fractions(
+        min_value=Fraction(-2), max_value=Fraction(2), max_denominator=4)), max_size=2),
+    st.sampled_from(MODEL_POINTS),
+)
+def test_family_is_the_prolongation_of_its_generator(constants, modes, ctx):
+    spec = SolutionSpec.empty()
+    for coeff, b in modes:
+        spec = spec + SolutionSpec.mode_for(b, ctx, coeff=coeff)
+    N = isovector_from_constants(constants, spec, ctx, name="N_c")
+    assert N.components == hand_written_family(constants, spec, ctx)
+    assert N.name == "N_c"
+
+
 def test_bare_x_translation_decomposes_into_the_family():
     # F = A alone is the x-translation; it sits inside the family with a
     # compensating constant term C6 = -rtilde/sigma2
