@@ -198,6 +198,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 _OUT_OF_RANGE = "the configuration leaves the float range"
 
+# the most nodes (nt * nx) one grid may have: about 21 times the canonical
+# 801x601, checked before any array is allocated
+MAX_GRID_NODES = 10**7
+
 
 def _json_bytes(obj) -> bytes:
     try:
@@ -245,6 +249,11 @@ def _context(cfg: RunConfig):
 
 
 def _grid(cfg: RunConfig):
+    if cfg.nt * cfg.nx > MAX_GRID_NODES:
+        raise ConfigError(
+            f"bad grid: {cfg.nt}x{cfg.nx} is {cfg.nt * cfg.nx} nodes, "
+            f"over the limit of {MAX_GRID_NODES}"
+        )
     try:
         grid = make_grid(
             cfg.grid_t[0], cfg.grid_t[1], cfg.nt,
@@ -551,7 +560,9 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
         "--tol", dest="residual_rel", metavar="TOL",
         help="relative residual tolerance",
     )
-    sp.add_argument("--format", choices=("json", "csv"))
+    # checked by _coerce, as a config file's format is; the metavar keeps the
+    # help text naming the two choices
+    sp.add_argument("--format", metavar="{json,csv}")
     sp.add_argument("--out", help="output file (or directory for transform)")
     sp.add_argument("--config", help="flat key=value config file")
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Tuple
 
-from .exppoly import ExpPoly
+from .exppoly import VARS, ExpPoly
 from .forms import DiffForm, contract, lie_derivative, structural_forms
 from .ideal import MembershipCertificate, ideal_membership
 from .model import ModelContext
@@ -157,13 +158,24 @@ class Isovector:
     def NB(self) -> ExpPoly:
         return self.components[4]
 
+    def _derive(self, grad) -> ExpPoly:
+        """Sum of N^w * grad[w]: the derivation rule, given the derivatives."""
+        out = ExpPoly.zero()
+        for comp, df in zip(self.components, grad):
+            if not comp.is_zero():
+                out = out + comp * df
+        return out
+
     def apply(self, f: ExpPoly) -> ExpPoly:
         """Act on a function as a derivation: sum of N^v * df/dv."""
-        out = ExpPoly.zero()
-        for comp, var in zip(self.components, ("t", "x", "phi", "A", "B")):
-            if not comp.is_zero():
-                out = out + comp * f.diff(var)
-        return out
+        return self._derive(tuple(f.diff(var) for var in VARS))
+
+    @cached_property
+    def _jacobian(self) -> tuple:
+        """Row v holds the derivatives dN^v/dw, computed once per field."""
+        return tuple(
+            tuple(comp.diff(var) for var in VARS) for comp in self.components
+        )
 
     def __add__(self, other: "Isovector") -> "Isovector":
         comps = tuple(a + b for a, b in zip(self.components, other.components))
@@ -187,7 +199,7 @@ class Isovector:
         label = self.name or "N"
         parts = [
             f"{label}^{var} = {comp}"
-            for var, comp in zip(("t", "x", "phi", "A", "B"), self.components)
+            for var, comp in zip(VARS, self.components)
         ]
         return "; ".join(parts)
 
@@ -354,7 +366,8 @@ def verify_isovector(N: Isovector, ctx: ModelContext) -> VerificationReport:
 def bracket(M: Isovector, N: Isovector) -> Isovector:
     """Commutator [M, N] acting componentwise: M(N^v) - N(M^v)."""
     comps = tuple(
-        M.apply(nc) - N.apply(mc) for mc, nc in zip(M.components, N.components)
+        M._derive(n_grad) - N._derive(m_grad)
+        for m_grad, n_grad in zip(M._jacobian, N._jacobian)
     )
     name = ""
     if M.name and N.name:
@@ -454,11 +467,13 @@ def decompose(N: Isovector, ctx: ModelContext):
     spec.check_dispersion(ctx)
 
     constants = (C1, C2, C3, C4, C5, C6)
-    rebuilt = isovector_from_constants(constants, spec, ctx)
+    # the prolongation is linear in F, so the family member is the probe plus
+    # the prolongation of the rest of F, C6*phi + g
+    rebuilt = probe + isovector_from_generator(
+        Generator(c=C6 * _PHI + pair.g, d=ExpPoly.zero())
+    )
     if rebuilt != N:
-        for var, a, b in zip(
-            ("t", "x", "phi", "A", "B"), rebuilt.components, N.components
-        ):
+        for var, a, b in zip(VARS, rebuilt.components, N.components):
             if a != b:
                 raise NotInFamilyError(
                     f"component N^{var} mismatch: family form gives {a}, "
@@ -486,13 +501,22 @@ def pretty_combination(terms) -> str:
 def structure_constants(ctx: ModelContext) -> dict:
     """Brackets of the six basis isovectors expanded back in the basis.
 
-    Returns a dict mapping (i, j) to a tuple of (k, coeff) pairs; every
-    bracket must land in the span of N1..N6 with no solution-mode part.
+    Returns a dict mapping (i, j) to a tuple of (k, coeff) pairs, in
+    row-major (i, j) order; every bracket must land in the span of N1..N6
+    with no solution-mode part.  Only the pairs i < j are bracketed and
+    decomposed: the commutator is antisymmetric, so [N_i, N_i] = 0 and
+    [N_j, N_i] is [N_i, N_j] with its coefficients negated, exactly.
     """
     basis = {i: basis_isovector(i, ctx) for i in range(1, 7)}
     table = {}
     for i in range(1, 7):
         for j in range(1, 7):
+            if i > j:  # row j came first
+                table[(i, j)] = tuple((k, -c) for k, c in table[(j, i)])
+                continue
+            if i == j:
+                table[(i, j)] = ()
+                continue
             br = bracket(basis[i], basis[j])
             constants, spec = decompose(br, ctx)
             if not spec.is_zero():

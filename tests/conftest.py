@@ -5,7 +5,17 @@ the terminal-summary hook prints them after the run so the pass/fail status
 of every criterion is visible even when pytest captures stdout.
 """
 
+import os
+from pathlib import Path
+
 from hypothesis import settings
+
+# pytest puts src/ on sys.path (pyproject's pythonpath); the CLI tests start
+# `python -m bssym.cli` in child processes, which need it in PYTHONPATH too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 settings.register_profile("exact", deadline=None, max_examples=60, derandomize=True)
 settings.load_profile("exact")

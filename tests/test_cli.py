@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bssym import cli
 from bssym.cli import (
     _CONFIG_KEYS,
     ConfigError,
@@ -253,6 +254,8 @@ def test_transform_requires_pipeline_and_out(tmp_path):
         ["verify", "--config", "NOT_UTF8"],
         ["verify", "--out", "DIR"],
         ["transform", "--pipeline", "5:0.1", "--out", "FILE", *FAST],
+        ["price", "--format", "xml"],
+        ["price", "--nt", "100000", "--nx", "100000"],
     ],
 )
 def test_degenerate_config_exits_two_cleanly(argv, tmp_path):
@@ -268,6 +271,38 @@ def test_degenerate_config_exits_two_cleanly(argv, tmp_path):
     assert b"Traceback" not in err
     assert err.startswith(b"error: ") and err.count(b"\n") == 1
     assert not out_dir.exists()
+
+
+class GridBuilt(Exception):
+    """Raised by a stand-in make_grid: the node cap let the grid through."""
+
+
+def test_node_cap_is_checked_before_any_grid(monkeypatch):
+    def make_grid(*args):
+        raise GridBuilt(args)
+
+    monkeypatch.setattr(cli, "make_grid", make_grid)
+    code, out, err = run_in_process(["price", "--nt", "100000", "--nx", "100000"])
+    assert (code, out) == (2, b"")
+    assert err == (
+        "error: bad grid: 100000x100000 is 10000000000 nodes, "
+        f"over the limit of {cli.MAX_GRID_NODES}\n"
+    )
+    # one node over the limit is refused; the limit itself reaches make_grid
+    assert cli.MAX_GRID_NODES == 5000 * 2000
+    assert run_in_process(["price", "--nt", "5000", "--nx", "2001"])[0] == 2
+    with pytest.raises(GridBuilt):
+        main(["price", "--nt", "5000", "--nx", "2000"])
+
+
+def test_format_is_checked_like_a_config_value(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("format = xml\n")
+    want = (2, b"", "error: format must be json or csv, got 'xml'\n")
+    assert run_in_process(["brackets", "--format", "xml"]) == want
+    assert run_in_process(["brackets", "--config", str(cfg_file)]) == want
+    code, out, _ = run_in_process(["price", "--help"])
+    assert code == 0 and b"[--format {json,csv}]" in out
 
 
 def test_transform_unsupported_flow_exits_two(tmp_path):
@@ -403,9 +438,11 @@ def run_in_process(argv):
 
 
 # SHA-256 of the stdout of the exact subcommands, and their exit codes, as
-# the flat-dict ExpPoly layout produced them: the term storage of the exact
-# layer must not change a byte of what it proves.
+# the flat-dict ExpPoly layout produced them (the rtilde = 0 ones as the
+# table of all 36 bracketed pairs produced them): neither the term storage
+# nor the order of the exact work may change a byte of what it proves.
 OTHER_POINT = ["--r", "3/7", "--sigma2", "5/11"]
+ZERO_RTILDE = ["--r", "1", "--sigma2", "2"]  # rtilde = r - sigma2/2 = 0
 GOLDEN = [
     (["verify"], 0,
      "21728147dde0bb0a27639eefa9dab07fff92aa898ce8c8fe2263192f54b243f1"),
@@ -423,6 +460,15 @@ GOLDEN = [
      "9efd08b34c6011fee6f1df212125914b6cf21ce8397e06a6980bab5ea06b5cb7"),
     (["brackets", "--format", "csv", *OTHER_POINT], 0,
      "d32b5869f865f4c107899ce2cb45f6d6c5b6185c7e7cf81fe865c9fed5a5a0cd"),
+    (["verify", *ZERO_RTILDE], 0,
+     "3af17a2b402b123951bd6f3ddbd89dc5c4cc56708b75a31ba04c8b91ef838ff5"),
+    # N5 has h = rtilde/sigma2 = 0 here, so forcing h to 0 changes nothing
+    (["verify", "--debug-faulty-n5", *ZERO_RTILDE], 0,
+     "52ac8f3fc0daca23e83a1341c2bc8288f213469551bbe89d56c552ca4c61ef49"),
+    (["brackets", *ZERO_RTILDE], 0,
+     "67b3b45234b3de90e4379c62116c20fda688268fd6645fd60a3b5142d2f163eb"),
+    (["brackets", "--format", "csv", *ZERO_RTILDE], 0,
+     "75ae46ac515f36f8fd3ee80f4cca5f171e0cd0232ac6ff56ad925f7daa5fd014"),
 ]
 
 

@@ -4,10 +4,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bssym.exppoly import ExpPoly
+from bssym.exppoly import VARS, ExpPoly
 from bssym.forms import DiffForm, contract, structural_forms, wedge
 from bssym.isovectors import (
     DispersionError,
@@ -30,7 +30,7 @@ from bssym.isovectors import (
     structure_constants,
     verify_isovector,
 )
-from bssym.model import make_context
+from bssym.model import ModelContext, make_context
 
 DEFAULT = make_context(Fraction(1, 20), Fraction(1, 25))
 ZERO_RATE = make_context(Fraction(0), Fraction(2))
@@ -352,12 +352,16 @@ def test_decompose_rejects_outsiders():
     cubic = Isovector(
         (N.Nt * ExpPoly.var("t"), N.Nx, N.Nphi, N.NA, N.NB), name="bad"
     )
-    with pytest.raises(NotInFamilyError):
+    with pytest.raises(NotInFamilyError) as info:
         decompose(cubic, DEFAULT)
+    assert str(info.value) == "N^t = -t^3 is not a quadratic polynomial in t"
 
     off_model = basis_isovector(1, ZERO_RATE)
-    with pytest.raises(NotInFamilyError):
+    with pytest.raises(NotInFamilyError) as info:
         decompose(off_model, DEFAULT)
+    assert str(info.value) == (
+        "C6 is not constant: -151/800*t^2 - 5/4*t*x + 49/4*x^2"
+    )
 
 
 def test_isovector_from_constants_validates_length():
@@ -370,3 +374,110 @@ def test_basis_index_validated():
         basis_isovector(0, DEFAULT)
     with pytest.raises(ValueError):
         basis_isovector(7, DEFAULT)
+
+
+# -- the exact layer against per-pair oracles ---------------------------------
+
+# drawn model points (r, sigma2); the first example is rtilde = 0
+rates = st.fractions(min_value=Fraction(-1), max_value=Fraction(1), max_denominator=10)
+variances = st.fractions(
+    min_value=Fraction(1, 10), max_value=Fraction(3), max_denominator=10
+)
+nonzero_consts = consts.filter(lambda c: c != 0)
+weighted_modes = st.lists(
+    st.tuples(nonzero_consts, st.fractions(
+        min_value=Fraction(-2), max_value=Fraction(2), max_denominator=4)),
+    max_size=2,
+    unique_by=lambda mode: mode[1],
+)
+
+
+def member_at(ctx: ModelContext, constants, c6, modes) -> Isovector:
+    """A family member with C6 != 0 and modes that satisfy the dispersion."""
+    spec = SolutionSpec.empty()
+    for coeff, b in modes:
+        spec = spec + SolutionSpec.mode_for(b, ctx, coeff=coeff)
+    return isovector_from_constants((*constants[:5], c6), spec, ctx)
+
+
+def commutator_by_hand(M: Isovector, N: Isovector) -> tuple:
+    """M(N^v) - N(M^v) with every derivative taken afresh."""
+
+    def act(P, f):
+        out = ExpPoly.zero()
+        for comp, var in zip(P.components, VARS):
+            out = out + comp * f.diff(var)
+        return out
+
+    return tuple(act(M, nc) - act(N, mc) for mc, nc in zip(M.components, N.components))
+
+
+@given(rates, variances)
+@example(Fraction(1), Fraction(2))
+@settings(max_examples=15)
+def test_structure_constants_match_every_ordered_pair(r, sigma2):
+    ctx = make_context(r, sigma2)
+    basis = _basis(ctx)
+    expected = {}
+    for i in range(1, 7):
+        for j in range(1, 7):
+            constants, spec = decompose(bracket(basis[i], basis[j]), ctx)
+            assert spec.is_zero()
+            expected[(i, j)] = tuple(
+                (k + 1, c) for k, c in enumerate(constants) if c != 0
+            )
+    table = structure_constants(ctx)
+    assert list(table) == list(expected)  # row-major key order
+    assert table == expected
+
+
+@given(rates, variances, const_tuples, nonzero_consts, weighted_modes,
+       const_tuples, nonzero_consts, weighted_modes)
+@example(Fraction(1), Fraction(2), (1, 0, 0, 0, 1, 0), 1, [(1, 1)],
+         (0, 1, 0, 1, 0, 0), -1, [(2, -1)])
+@settings(max_examples=25)
+def test_bracket_matches_the_derivation_rule(r, sigma2, cs1, c6m, modes1, cs2, c6n, modes2):
+    ctx = make_context(r, sigma2)
+    M = member_at(ctx, cs1, c6m, modes1)
+    N = member_at(ctx, cs2, c6n, modes2)
+    want = commutator_by_hand(M, N)
+    assert bracket(M, N).components == want
+    via_apply = tuple(
+        M.apply(nc) - N.apply(mc) for mc, nc in zip(M.components, N.components)
+    )
+    assert via_apply == want
+    # the derivative tables cached by the first bracket give the same answer
+    assert bracket(M, N).components == want
+    assert bracket(N, M).components == tuple(-c for c in want)
+
+
+@given(rates, variances, const_tuples, nonzero_consts, weighted_modes)
+@example(Fraction(1), Fraction(2), (1, -1, 2, 1, -1, 0), 3, [(1, 1), (2, -1)])
+@settings(max_examples=25)
+def test_decompose_round_trips_members(r, sigma2, constants, c6, modes):
+    ctx = make_context(r, sigma2)
+    N = member_at(ctx, constants, c6, modes)
+    got_constants, spec = decompose(N, ctx)
+    assert got_constants == tuple(Fraction(c) for c in (*constants[:5], c6))
+    assert sorted(spec.modes) == sorted(
+        mode for coeff, b in modes
+        for mode in SolutionSpec.mode_for(b, ctx, coeff=coeff).modes
+    )
+    assert isovector_from_constants(got_constants, spec, ctx) == N
+
+
+def test_decompose_names_the_mismatched_component():
+    modes = SolutionSpec.mode_for(Fraction(1, 2), DEFAULT, coeff=3)
+    N = isovector_from_constants(
+        (1, Fraction(-1, 2), 2, Fraction(1, 3), -1, Fraction(5, 7)), modes, DEFAULT
+    )
+    ((_, a, b),) = modes.modes
+    for var, k, extra in (("A", 3, ExpPoly.var("A")), ("B", 4, -ExpPoly.exp_factor(a, b))):
+        comps = list(N.components)
+        comps[k] = comps[k] + extra
+        with pytest.raises(NotInFamilyError) as info:
+            decompose(Isovector(tuple(comps)), DEFAULT)
+        assert str(info.value) == (
+            f"component N^{var} mismatch: family form gives {N.components[k]}, "
+            f"input has {comps[k]}"
+        )
