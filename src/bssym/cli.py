@@ -152,20 +152,24 @@ def _coerce(key: str, raw: str):
     raise ConfigError(f"unknown config key: {key!r}")
 
 
+# a file that cannot be read or written (or decoded)
+_FILE_ERRORS = (OSError, ValueError)
+
+
 @contextlib.contextmanager
-def _file_errors(action: str):
-    """A file that cannot be read or written (or decoded) is a config error."""
+def _config_errors(prefix: str = "", errors=ValueError):
+    """Report an expected error as a config error: its message after prefix."""
     try:
         yield
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot {action}: {exc}") from None
+    except errors as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def load_config_file(path: str) -> dict:
     """Flat "key = value" lines; '#' starts a comment; unknown keys rejected."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with _file_errors(f"read config file {path!r}"):
+    with _config_errors(f"cannot read config file {path!r}: ", _FILE_ERRORS):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     values = {}
@@ -219,18 +223,9 @@ def _finite_prices(values: np.ndarray, what: str = "closed-form") -> np.ndarray:
     return values
 
 
-def _residual(op, sol: GridSolution, ctx):
-    """A residual report of finite prices: a stencil that is nowhere finite
-    has overflowed."""
-    try:
-        return op(sol, ctx)
-    except ValueError as exc:
-        raise ConfigError(f"{_OUT_OF_RANGE}: {exc}") from None
-
-
 def _emit(data: bytes, out: str | None) -> None:
     if out:
-        with _file_errors(f"write {out!r}"):
+        with _config_errors(f"cannot write {out!r}: ", _FILE_ERRORS):
             parent = os.path.dirname(out)
             if parent:
                 os.makedirs(parent, exist_ok=True)
@@ -242,10 +237,8 @@ def _emit(data: bytes, out: str | None) -> None:
 
 
 def _context(cfg: RunConfig):
-    try:
+    with _config_errors():
         return make_context(cfg.r, cfg.sigma2)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _grid(cfg: RunConfig):
@@ -254,13 +247,11 @@ def _grid(cfg: RunConfig):
             f"bad grid: {cfg.nt}x{cfg.nx} is {cfg.nt * cfg.nx} nodes, "
             f"over the limit of {MAX_GRID_NODES}"
         )
-    try:
+    with _config_errors("bad grid: "):
         grid = make_grid(
             cfg.grid_t[0], cfg.grid_t[1], cfg.nt,
             cfg.grid_x[0], cfg.grid_x[1], cfg.nx,
         )
-    except ValueError as exc:
-        raise ConfigError(f"bad grid: {exc}") from None
     s = grid.s_values
     if not np.all(np.isfinite(s) & (s > 0)):
         raise ConfigError(
@@ -340,13 +331,14 @@ def cmd_brackets(cfg: RunConfig) -> int:
     basis = [basis_isovector(i, ctx) for i in range(1, 7)]
     j_ideal = all(in_solution_ideal(bracket(N, Nu), ctx) for N in basis)
     uv_zero = all(c.is_zero() for c in bracket(Nu, Nv).components)
-    duality = True
-    for M in basis + [Nu]:
-        for N in basis + [Nu]:
-            left = gh_of(bracket(M, N))
-            right = bracket_gh(M, N)
-            if left.g != right.g or left.h != right.h:
-                duality = False
+    # bracket and bracket_gh are both exactly antisymmetric, so the pairs
+    # k <= l decide the same verdict as all ordered pairs
+    family = basis + [Nu]
+    duality = all(
+        gh_of(bracket(M, N)) == bracket_gh(M, N)
+        for k, M in enumerate(family)
+        for N in family[k:]
+    )
     checks = {
         "[Ni,Nu] in J": "pass" if j_ideal else "fail",
         "[Nu,Nv]=0": "pass" if uv_zero else "fail",
@@ -381,12 +373,10 @@ def cmd_transform(cfg: RunConfig) -> int:
     spec = OptionSpec(cfg.strike, cfg.maturity, cfg.kind)
     grid = _priced_grid(cfg, spec, stencils=True)
     call = ClosedFormSolution(spec, ctx)
-    try:
+    with _config_errors():
         transforms = [
             FiniteTransform(i, kappa, frame="price") for i, kappa in cfg.pipeline
         ]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
     # every stage is certified before anything is written, so that a
     # configuration error leaves no files behind
@@ -430,7 +420,7 @@ def cmd_transform(cfg: RunConfig) -> int:
             "all_passed": all(v["verdict"] == "pass" for v in verdicts),
         }
     data = _json_bytes(obj)
-    with _file_errors(f"write {cfg.out!r}"):
+    with _config_errors(f"cannot write {cfg.out!r}: ", _FILE_ERRORS):
         os.makedirs(cfg.out, exist_ok=True)
         for stage, (_, result) in enumerate(results, start=1):
             write_csv(result.samples, os.path.join(cfg.out, f"stage_{stage}.csv"))
@@ -460,11 +450,8 @@ def cmd_price(cfg: RunConfig) -> int:
             "option": {
                 "strike": cfg.strike, "maturity": cfg.maturity, "kind": cfg.kind,
             },
-            "grid": {
-                "t": [float(v) for v in grid.t_values],
-                "S": [float(v) for v in grid.s_values],
-            },
-            "table": [[float(v) for v in row] for row in values],
+            "grid": {"t": grid.t_values.tolist(), "S": grid.s_values.tolist()},
+            "table": values.tolist(),
         }
         _emit(_json_bytes(obj), cfg.out)
     return 0
@@ -484,8 +471,10 @@ def cmd_residual(cfg: RunConfig) -> int:
     call = ClosedFormSolution(spec, ctx)
     T, X = grid.meshes()
     sol_price = GridSolution(grid, _finite_prices(call.value(T, np.exp(X))), frame="price")
-    # E(C)(t, e^x) = E2(phi)(t, x) on the same node values: one residual, two names
-    rep_e = _residual(residual_e, sol_price, ctx)
+    # E(C)(t, e^x) = E2(phi)(t, x) on the same node values: one residual, two
+    # names; on finite prices, a stencil that is nowhere finite has overflowed
+    with _config_errors(f"{_OUT_OF_RANGE}: "):
+        rep_e = residual_e(sol_price, ctx)
     rep_e2 = replace(rep_e, op="E2")
 
     # strike-centered convergence study for the FD solver
@@ -494,18 +483,17 @@ def cmd_residual(cfg: RunConfig) -> int:
     terminal_ok = True
     fd_report = None
     for nx, nt in _FD_LEVELS:
-        try:
+        with _config_errors("the FD study cannot run on this configuration: "):
             g = make_grid(0.0, spec.maturity, nt, x_mid - 3.0, x_mid + 3.0, nx)
             fd = fd_solve(spec, ctx, g)
-        except ValueError as exc:
-            raise ConfigError(f"the FD study cannot run on this configuration: {exc}") from None
         _finite_prices(fd.values, "FD")
         if not np.array_equal(fd.values[-1], spec.payoff(g.s_values)):
             terminal_ok = False
         j = (nx - 1) // 2
         err = abs(fd.values[0, j] - bs_price(spec, ctx, 0.0, cfg.strike))
         errors.append(float(err))
-        fd_report = _residual(residual_e2, fd, ctx)
+        with _config_errors(f"{_OUT_OF_RANGE}: "):
+            fd_report = residual_e2(fd, ctx)
     # an exact FD level leaves its ratio undefined, and NaN reports it
     ratios = [a / b if b else math.nan for a, b in zip(errors, errors[1:])]
 
@@ -546,6 +534,16 @@ def cmd_residual(cfg: RunConfig) -> int:
 # -- entry point -------------------------------------------------------------
 
 
+# each subcommand, called with the config and the parsed flags
+_COMMANDS = {
+    "verify": lambda cfg, args: cmd_verify(cfg, args.debug_faulty_n5),
+    "brackets": lambda cfg, args: cmd_brackets(cfg),
+    "transform": lambda cfg, args: cmd_transform(cfg),
+    "price": lambda cfg, args: cmd_price(cfg),
+    "residual": lambda cfg, args: cmd_residual(cfg),
+}
+
+
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--r", help="interest rate as p/q")
     sp.add_argument("--sigma2", help="variance rate as p/q")
@@ -574,7 +572,7 @@ def make_parser() -> argparse.ArgumentParser:
         "brackets, flows, pricing and residual audits",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "brackets", "transform", "price", "residual"):
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
         _add_common_flags(sp)
         if name == "verify":
@@ -601,17 +599,7 @@ def main(argv=None) -> int:
         # the commands check for non-finite results themselves and report
         # them as config errors; numpy's warnings would only add stderr lines
         with np.errstate(all="ignore"):
-            if args.command == "verify":
-                return cmd_verify(cfg, debug_faulty_n5=args.debug_faulty_n5)
-            if args.command == "brackets":
-                return cmd_brackets(cfg)
-            if args.command == "transform":
-                return cmd_transform(cfg)
-            if args.command == "price":
-                return cmd_price(cfg)
-            if args.command == "residual":
-                return cmd_residual(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

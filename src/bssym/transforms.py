@@ -107,24 +107,62 @@ class FiniteTransform:
         return {"generator": self.generator, "kappa": self.kappa, "frame": self.frame}
 
 
-class TransformedSurface:
-    """Lazy application of a finite transform to a base surface."""
+@dataclass(frozen=True)
+class Pipeline:
+    """A sequence of finite transforms applied left to right."""
 
-    def __init__(self, base, transform: FiniteTransform, ctx: ModelContext):
-        if base.frame != transform.frame:
+    transforms: tuple
+
+    def __post_init__(self):
+        if not self.transforms:
+            raise ValueError("empty transform pipeline")
+        frames = {tr.frame for tr in self.transforms}
+        if len(frames) != 1:
+            raise ValueError(f"pipeline mixes frames: {sorted(frames)}")
+
+    @property
+    def frame(self) -> str:
+        return self.transforms[0].frame
+
+    def to_json(self) -> list:
+        return [tr.to_json() for tr in self.transforms]
+
+
+def compose(*transforms: FiniteTransform) -> Pipeline:
+    return Pipeline(tuple(transforms))
+
+
+class TransformedSurface:
+    """Lazy application of a pipeline to a base surface.
+
+    The pipeline acts left to right, so a point is pulled back through its
+    last stage first.  The base is evaluated once, at the fully pulled-back
+    points; then each stage's prefactor multiplies in at the point that
+    stage saw, innermost first: the stage-by-stage product, in the same
+    order and so bit for bit, in one masked call.
+    """
+
+    def __init__(self, base, pipeline: Pipeline, ctx: ModelContext):
+        if base.frame != pipeline.frame:
             raise ValueError(
                 f"frame mismatch: surface is {base.frame!r}, "
-                f"transform acts on {transform.frame!r}"
+                f"transform acts on {pipeline.frame!r}"
             )
         self.base = base
-        self.transform = transform
+        self.pipeline = pipeline
         self.ctx = ctx
-        self.frame = transform.frame
+        self.frame = pipeline.frame
 
     def value(self, t, u):
         def flowed(t, u):
-            tp, up = self.transform.pullback(self.ctx, t, u)
-            return self.transform.prefactor(self.ctx, t, u) * self.base.value(tp, up)
+            seen = []
+            for tr in reversed(self.pipeline.transforms):
+                seen.append((tr, t, u))
+                t, u = tr.pullback(self.ctx, t, u)
+            out = self.base.value(t, u)
+            for tr, t, u in reversed(seen):
+                out = tr.prefactor(self.ctx, t, u) * out
+            return out
 
         return _masked(t, u, flowed)
 
@@ -150,7 +188,8 @@ class GridSurface:
 
 
 class BoxRestrictedSurface:
-    """A surface clipped to a bounding box; outside it evaluates to NaN.
+    """A surface clipped to the bounding box of a grid, taken in the
+    surface's own frame; outside it evaluates to NaN.
 
     Certification treats the base solution as known on the certification
     grid only, so pulled-back points must stay inside the grid's bounding
@@ -159,10 +198,14 @@ class BoxRestrictedSurface:
     1e-12 of its largest bound on each axis, so nodes on its edge stay in.
     """
 
-    def __init__(self, base, t_lo, t_hi, u_lo, u_hi):
+    def __init__(self, base, grid: Grid):
         self.base = base
         self.frame = base.frame
-        t_lo, t_hi, u_lo, u_hi = float(t_lo), float(t_hi), float(u_lo), float(u_hi)
+        t_lo, t_hi = float(grid.t_values[0]), float(grid.t_values[-1])
+        u_lo, u_hi = grid.x_values[0], grid.x_values[-1]
+        if self.frame == "price":
+            u_lo, u_hi = np.exp(u_lo), np.exp(u_hi)
+        u_lo, u_hi = float(u_lo), float(u_hi)
         eps_t = 1e-12 * max(abs(t_lo), abs(t_hi), 1.0)
         eps_u = 1e-12 * max(abs(u_lo), abs(u_hi), 1.0)
         self._inside = _box(t_lo - eps_t, t_hi + eps_t, u_lo - eps_u, u_hi + eps_u)
@@ -171,64 +214,21 @@ class BoxRestrictedSurface:
         return _masked(t, u, self.base.value, self._inside)
 
 
-def restrict_to_grid(surface, grid: Grid):
-    """Clip a surface to the bounding box of a grid (in its own frame)."""
-    if surface.frame == "price":
-        u_lo, u_hi = float(np.exp(grid.x_values[0])), float(np.exp(grid.x_values[-1]))
-    else:
-        u_lo, u_hi = float(grid.x_values[0]), float(grid.x_values[-1])
-    return BoxRestrictedSurface(
-        surface, grid.t_values[0], grid.t_values[-1], u_lo, u_hi
-    )
-
-
 def as_surface(sol):
-    """Wrap a GridSolution as an interpolating surface; pass others through.
-
-    Returns (surface, used_interpolation).
-    """
+    """Wrap a GridSolution as an interpolating surface; pass others through."""
     if isinstance(sol, GridSolution):
-        return GridSurface(sol), True
+        return GridSurface(sol)
     if not hasattr(sol, "value") or not hasattr(sol, "frame"):
         raise TypeError(f"not a solution surface: {sol!r}")
-    return sol, False
+    return sol
 
 
-def apply_transform(transform: FiniteTransform, sol, ctx: ModelContext):
-    """Apply a finite flow to a solution surface (or GridSolution)."""
-    surface, _ = as_surface(sol)
-    return TransformedSurface(surface, transform, ctx)
-
-
-@dataclass(frozen=True)
-class Pipeline:
-    """A sequence of finite transforms applied left to right."""
-
-    transforms: tuple
-
-    def __post_init__(self):
-        if not self.transforms:
-            raise ValueError("empty transform pipeline")
-        frames = {tr.frame for tr in self.transforms}
-        if len(frames) != 1:
-            raise ValueError(f"pipeline mixes frames: {sorted(frames)}")
-
-    @property
-    def frame(self) -> str:
-        return self.transforms[0].frame
-
-    def apply(self, sol, ctx: ModelContext):
-        surface, _ = as_surface(sol)
-        for tr in self.transforms:
-            surface = TransformedSurface(surface, tr, ctx)
-        return surface
-
-    def to_json(self) -> list:
-        return [tr.to_json() for tr in self.transforms]
-
-
-def compose(*transforms: FiniteTransform) -> Pipeline:
-    return Pipeline(tuple(transforms))
+def apply_transform(transform: Union[FiniteTransform, Pipeline], sol, ctx: ModelContext):
+    """Apply a finite flow, or a pipeline of them, to a solution surface (or
+    GridSolution).  A single flow is the one-stage pipeline compose(flow)."""
+    if not isinstance(transform, Pipeline):
+        transform = compose(transform)
+    return TransformedSurface(as_surface(sol), transform, ctx)
 
 
 def sample_surface(surface, grid: Grid) -> GridSolution:
@@ -277,13 +277,10 @@ def certify_transform(
     evaluable the transform has left the domain entirely and a
     TransformDomainError is raised.
     """
-    base_surface, interpolated = as_surface(sol)
-    if not isinstance(base_surface, GridSurface):
-        base_surface = restrict_to_grid(base_surface, grid)
-    if isinstance(transform, Pipeline):
-        surface = transform.apply(base_surface, ctx)
-    else:
-        surface = TransformedSurface(base_surface, transform, ctx)
+    base = as_surface(sol)
+    if not isinstance(base, GridSurface):
+        base = BoxRestrictedSurface(base, grid)
+    surface = apply_transform(transform, base, ctx)
     sampled = sample_surface(surface, grid)
     n_bad = int(np.sum(~np.isfinite(sampled.values)))
     try:
@@ -303,7 +300,7 @@ def certify_transform(
         tol=float(tol),
         verdict=bool(report.rel_max <= tol),
         n_clipped_nodes=n_bad,
-        used_interpolation=interpolated,
+        used_interpolation=isinstance(base, GridSurface),
         samples=sampled,
     )
 

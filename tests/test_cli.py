@@ -479,6 +479,30 @@ def test_exact_subcommands_golden_bytes(argv, code, digest):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
+# SHA-256 over the stdout of a four-stage transform, then each stage CSV and
+# verdicts.json in name order, and its exit code (the coarse grid fails the
+# default tolerance), as nested one-stage surfaces produced them: how a
+# pipeline is evaluated may not change a byte of what it writes.
+TRANSFORM_GOLDEN = (
+    ["transform", "--pipeline", "4:0.2,5:-0.3,3:0.1,6:0.2", "--nt", "41", "--nx", "31"],
+    1,
+    "2110055a4c56e6096b23f7c84e75bdc23099243d79e5d0b42cb2bb08980b9ac1",
+)
+
+
+def test_transform_golden_bytes(tmp_path):
+    argv, code, digest = TRANSFORM_GOLDEN
+    out_dir = tmp_path / "o"
+    got_code, out, err = run_in_process([*argv, "--out", str(out_dir)])
+    assert (got_code, err) == (code, "")
+    names = sorted(p.name for p in out_dir.iterdir())
+    assert names == [*(f"stage_{k}.csv" for k in range(1, 5)), "verdicts.json"]
+    h = hashlib.sha256(out)
+    for name in names:
+        h.update((out_dir / name).read_bytes())
+    assert h.hexdigest() == digest
+
+
 # -- CSV bytes and imports ------------------------------------------------------
 
 

@@ -7,11 +7,17 @@ import numpy as np
 import pytest
 
 from bssym.grids import GridSolution, make_grid, residual_e2
-from bssym.isovectors import SolutionSpec, basis_isovector, solution_isovector
+from bssym.isovectors import (
+    SolutionSpec,
+    basis_isovector,
+    solution_isovector,
+    structure_constants,
+)
 from bssym.model import make_context
 from bssym.pricing import ClosedFormSolution, OptionSpec, bs_price
 from bssym.transforms import (
     FiniteTransform,
+    GridSurface,
     TransformDomainError,
     apply_transform,
     as_surface,
@@ -96,9 +102,33 @@ def test_pipeline_composition_order():
     pipe = compose(a, b)
     assert pipe.frame == "price"
     staged = apply_transform(b, apply_transform(a, call_surface(), DEFAULT), DEFAULT)
-    direct = pipe.apply(call_surface(), DEFAULT)
+    direct = apply_transform(pipe, call_surface(), DEFAULT)
     for t, S in ((0.1, 90.0), (0.4, 120.0)):
         assert direct.value(t, S) == pytest.approx(staged.value(t, S), rel=1e-14)
+
+
+def test_pipeline_order_is_pinned():
+    # a pipeline acts left to right: it is the staged application bit for
+    # bit, and swapping two stages that do not commute changes it by the
+    # exponential of their bracket, [N4, N5] = -sigma2^-1 N6
+    a, b = 0.1, -0.2
+    t = np.array([0.1, 0.4, 0.7])[:, None]
+    S = np.array([80.0, 100.0, 125.0])[None, :]
+    pipe = compose(FiniteTransform(4, a), FiniteTransform(5, b))
+    got = apply_transform(pipe, call_surface(), DEFAULT).value(t, S)
+    staged = apply_transform(
+        FiniteTransform(5, b),
+        apply_transform(FiniteTransform(4, a), call_surface(), DEFAULT),
+        DEFAULT,
+    ).value(t, S)
+    assert np.array_equal(got, staged)
+    swapped = apply_transform(
+        compose(FiniteTransform(5, b), FiniteTransform(4, a)), call_surface(), DEFAULT
+    ).value(t, S)
+    ((k, c),) = structure_constants(DEFAULT)[(4, 5)]
+    assert (k, c) == (6, -1 / DEFAULT.sigma2)
+    want = math.exp(a * b * float(c))  # e^0.5 at the canonical model
+    assert np.allclose(got / swapped, want, rtol=1e-12, atol=0.0)
 
 
 def test_pipeline_needs_common_frame():
@@ -271,6 +301,15 @@ def test_grid_surface_route_matches_closed_form():
     assert result.verdict
 
 
+def test_certify_bare_grid_surface_reports_interpolation():
+    # an interpolant passed in as a surface is still an interpolant
+    surface = as_surface(sample_surface(call_surface(), COARSE))
+    assert isinstance(surface, GridSurface)
+    result = certify_transform(FiniteTransform(5, 0.1), surface, COARSE, DEFAULT, 5e-3)
+    assert result.used_interpolation
+    assert result.verdict
+
+
 def test_infinitesimal_action_of_scaling_is_identity():
     surf = call_surface().to_log()
     act = infinitesimal_action(basis_isovector(6, DEFAULT), surf)
@@ -353,8 +392,9 @@ def test_richardson_limit_toward_action():
 
 def test_as_surface_round_trip():
     samples = sample_surface(call_surface(), COARSE)
-    surf, interpolated = as_surface(samples)
-    assert interpolated
+    surf = as_surface(samples)
+    assert isinstance(surf, GridSurface)
+    assert as_surface(surf) is surf
     T, X = COARSE.meshes()
     vals = surf.value(T, np.exp(X))
     assert np.allclose(vals, samples.values, rtol=1e-9, atol=1e-9, equal_nan=True)
