@@ -288,6 +288,11 @@ def _sample_nu(ctx) -> Isovector:
 
 def cmd_verify(cfg: RunConfig, debug_faulty_n5: bool = False) -> int:
     ctx = _context(cfg)
+    if debug_faulty_n5 and ctx.rtilde == 0:
+        raise ConfigError(
+            "--debug-faulty-n5 needs r != sigma2/2: there N5 has h = 0, "
+            "so forcing h to 0 breaks nothing"
+        )
     candidates = []
     for i in range(1, 7):
         N = basis_isovector(i, ctx)
@@ -481,7 +486,6 @@ def cmd_residual(cfg: RunConfig) -> int:
     x_mid = math.log(cfg.strike)
     errors = []
     terminal_ok = True
-    fd_report = None
     for nx, nt in _FD_LEVELS:
         with _config_errors("the FD study cannot run on this configuration: "):
             g = make_grid(0.0, spec.maturity, nt, x_mid - 3.0, x_mid + 3.0, nx)
@@ -492,8 +496,10 @@ def cmd_residual(cfg: RunConfig) -> int:
         j = (nx - 1) // 2
         err = abs(fd.values[0, j] - bs_price(spec, ctx, 0.0, cfg.strike))
         errors.append(float(err))
-        with _config_errors(f"{_OUT_OF_RANGE}: "):
-            fd_report = residual_e2(fd, ctx)
+    # the finest level has the largest stencil weights, so it alone decides
+    # whether a residual leaves the float range
+    with _config_errors(f"{_OUT_OF_RANGE}: "):
+        fd_report = residual_e2(fd, ctx)
     # an exact FD level leaves its ratio undefined, and NaN reports it
     ratios = [a / b if b else math.nan for a, b in zip(errors, errors[1:])]
 

@@ -89,6 +89,19 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"exact scalar required, got {type(value).__name__}")
 
 
+def _signed_sum(bodies) -> str:
+    """Join rendered terms as "a + b - c"; an empty sum is "0"."""
+    out = ""
+    for body in bodies:
+        if not out:
+            out = body
+        elif body.startswith("-"):
+            out += " - " + body[1:]
+        else:
+            out += " + " + body
+    return out or "0"
+
+
 def var_index(name: str) -> int:
     try:
         return _VAR_INDEX[name]
@@ -362,32 +375,22 @@ class ExpPoly:
                 pieces.append("t" if sig[0] == 1 else f"{sig[0]}*t")
             if sig[1] != 0:
                 pieces.append("x" if sig[1] == 1 else f"{sig[1]}*x")
-            arg = " + ".join(pieces).replace("+ -", "- ")
-            parts.append(f"exp({arg})")
+            parts.append(f"exp({_signed_sum(pieces)})")
         return "*".join(parts)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks = []
+        bodies = []
         for (exps, sig), coeff in self.sorted_terms():
             mono = self._monomial_str(exps, sig)
-            if mono:
-                if coeff == 1:
-                    body = mono
-                elif coeff == -1:
-                    body = f"-{mono}"
-                else:
-                    body = f"{coeff}*{mono}"
+            if not mono:
+                bodies.append(str(coeff))
+            elif coeff == 1:
+                bodies.append(mono)
+            elif coeff == -1:
+                bodies.append(f"-{mono}")
             else:
-                body = str(coeff)
-            if not chunks:
-                chunks.append(body)
-            elif body.startswith("-"):
-                chunks.append("- " + body[1:])
-            else:
-                chunks.append("+ " + body)
-        return " ".join(chunks)
+                bodies.append(f"{coeff}*{mono}")
+        return _signed_sum(bodies)
 
     def __repr__(self) -> str:
         return f"ExpPoly({self})"

@@ -16,10 +16,9 @@ and `structural_forms` builds the triple for a given model context.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exppoly import VARS, ExpPoly, var_index
+from .exppoly import VARS, ExpPoly, _signed_sum, var_index
 from .model import ModelContext
 
 COVARS = ("dt", "dx", "dphi", "dA", "dB")
@@ -69,10 +68,6 @@ class DiffForm:
         object.__setattr__(self, "_coeffs", clean)
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(degree: int = 0) -> "DiffForm":
-        return DiffForm(degree)
 
     @staticmethod
     def covector(name: str) -> "DiffForm":
@@ -189,8 +184,6 @@ class DiffForm:
     def __str__(self) -> str:
         if self.degree == 0:
             return str(self._coeffs.get((), ExpPoly.zero()))
-        if not self._coeffs:
-            return "0"
         # display each basis wedge with covariables in descending order, terms
         # sorted by that display tuple
         rendered = []
@@ -201,27 +194,21 @@ class DiffForm:
                 poly = -poly
             rendered.append((disp, poly))
         rendered.sort(key=lambda item: item[0])
-        chunks = []
+        pieces = []
         for disp, poly in rendered:
             basis = "^".join(COVARS[i] for i in disp)
             terms = poly.sorted_terms()
             if len(terms) == 1:
                 body = str(poly)
                 if body == "1":
-                    piece = basis
+                    pieces.append(basis)
                 elif body == "-1":
-                    piece = f"-{basis}"
+                    pieces.append(f"-{basis}")
                 else:
-                    piece = f"{body}*{basis}"
+                    pieces.append(f"{body}*{basis}")
             else:
-                piece = f"({poly})*{basis}"
-            if not chunks:
-                chunks.append(piece)
-            elif piece.startswith("-"):
-                chunks.append("- " + piece[1:])
-            else:
-                chunks.append("+ " + piece)
-        return " ".join(chunks)
+                pieces.append(f"({poly})*{basis}")
+        return _signed_sum(pieces)
 
     def __repr__(self) -> str:
         return f"DiffForm<{self.degree}>({self})"

@@ -18,18 +18,16 @@ one at a time, and the remaining four slots (dt^dx, dx^dA, dx^dB, dA^dB)
 become consistency checks.  The residue left in those four slots is returned
 as the certificate remainder; it vanishes exactly iff gamma is in I.
 
-The only division performed is by sigma2/2, which is a unit (sigma2 > 0), so
-the solve always decides; the 'undecided' status exists for the impossible
-branch and is reported with the offending slot rather than silently failing.
+The only division performed is by sigma2/2, a unit because ModelContext
+enforces sigma2 > 0, so the solve always decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .exppoly import ExpPoly
-from .forms import DiffForm, structural_forms, wedge
+from .forms import DiffForm
 from .model import ModelContext
 
 _SLOT_TX = (0, 1)
@@ -55,36 +53,21 @@ class MembershipCertificate:
     R5: ExpPoly  # xi, the dalpha multiplier
     R6: ExpPoly  # omega, the beta multiplier
     remainder: DiffForm
-    status: str = "decided"
-    offending_slot: Optional[str] = None
 
     @property
     def in_ideal(self) -> bool:
-        return self.status == "decided" and self.remainder.is_zero()
-
-    @property
-    def rho(self) -> DiffForm:
-        return DiffForm(
-            1, {(0,): self.R1, (1,): self.R2, (3,): self.R3, (4,): self.R4}
-        )
-
-    def reconstruct(self, ctx: ModelContext) -> DiffForm:
-        """Rebuild rho ^ alpha + xi dalpha + omega beta from the multipliers."""
-        alpha, dalpha, beta = structural_forms(ctx)
-        return wedge(self.rho, alpha) + dalpha * self.R5 + beta * self.R6
+        return self.remainder.is_zero()
 
     def to_json(self) -> dict:
-        out = {
-            "status": self.status,
+        return {
+            # a schema-1 key, kept although every solve decides
+            "status": "decided",
             "in_ideal": self.in_ideal,
             "multipliers": {
                 f"R{i}": str(getattr(self, f"R{i}")) for i in range(1, 7)
             },
             "remainder": str(self.remainder),
         }
-        if self.offending_slot is not None:
-            out["offending_slot"] = self.offending_slot
-        return out
 
 
 def ideal_membership(gamma: DiffForm, ctx: ModelContext) -> MembershipCertificate:
@@ -106,14 +89,7 @@ def ideal_membership(gamma: DiffForm, ctx: ModelContext) -> MembershipCertificat
     R3 = -c(_SLOT_PHIA)
     R1 = c(_SLOT_TPHI)
 
-    divisor = ctx.sigma2 / 2
-    if divisor == 0:  # unreachable: ModelContext enforces sigma2 > 0
-        zero = ExpPoly.zero()
-        return MembershipCertificate(
-            R1, R2, R3, R4, R5, zero, gamma, status="undecided",
-            offending_slot="dt^dA",
-        )
-    R6 = (B * R3 - c(_SLOT_TA)) * (1 / divisor)
+    R6 = (B * R3 - c(_SLOT_TA)) * (2 / ctx.sigma2)
 
     rem = {
         _SLOT_TX: c(_SLOT_TX) - (-A * R1 + B * R2 - R6 * eq),

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Tuple
 
-from .exppoly import VARS, ExpPoly
+from .exppoly import VARS, ExpPoly, _signed_sum
 from .forms import DiffForm, contract, lie_derivative, structural_forms
 from .ideal import MembershipCertificate, ideal_membership
 from .model import ModelContext
@@ -166,10 +166,6 @@ class Isovector:
                 out = out + comp * df
         return out
 
-    def apply(self, f: ExpPoly) -> ExpPoly:
-        """Act on a function as a derivation: sum of N^v * df/dv."""
-        return self._derive(tuple(f.diff(var) for var in VARS))
-
     @cached_property
     def _jacobian(self) -> tuple:
         """Row v holds the derivatives dN^v/dw, computed once per field."""
@@ -179,10 +175,6 @@ class Isovector:
 
     def __add__(self, other: "Isovector") -> "Isovector":
         comps = tuple(a + b for a, b in zip(self.components, other.components))
-        return Isovector(comps)
-
-    def __sub__(self, other: "Isovector") -> "Isovector":
-        comps = tuple(a - b for a, b in zip(self.components, other.components))
         return Isovector(comps)
 
     def __rmul__(self, scalar) -> "Isovector":
@@ -484,18 +476,7 @@ def decompose(N: Isovector, ctx: ModelContext):
 
 def pretty_combination(terms) -> str:
     """Render ((k, coeff), ...) as e.g. "1/2 · N5"; empty input is "0"."""
-    if not terms:
-        return "0"
-    chunks = []
-    for k, coeff in terms:
-        body = f"{coeff} · N{k}"
-        if not chunks:
-            chunks.append(body)
-        elif body.startswith("-"):
-            chunks.append("- " + body[1:])
-        else:
-            chunks.append("+ " + body)
-    return " ".join(chunks)
+    return _signed_sum(f"{coeff} · N{k}" for k, coeff in terms)
 
 
 def structure_constants(ctx: ModelContext) -> dict:

@@ -47,6 +47,10 @@ class ModelContext:
     rtilde: Fraction
     stilde: Fraction
 
+    def __post_init__(self):
+        if self.sigma2 <= 0:
+            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+
     @property
     def r_f(self) -> float:
         return float(self.r)
@@ -80,8 +84,6 @@ def make_context(r, sigma2) -> ModelContext:
     """Build a ModelContext from rationals; sigma2 must be positive."""
     r = Fraction(r)
     sigma2 = Fraction(sigma2)
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
     rtilde = r - sigma2 / 2
     stilde = r + sigma2 / 2
     return ModelContext(r=r, sigma2=sigma2, rtilde=rtilde, stilde=stilde)

@@ -256,6 +256,8 @@ def test_transform_requires_pipeline_and_out(tmp_path):
         ["transform", "--pipeline", "5:0.1", "--out", "FILE", *FAST],
         ["price", "--format", "xml"],
         ["price", "--nt", "100000", "--nx", "100000"],
+        # N5 has h = rtilde/sigma2 = 0 here, so the fault would change nothing
+        ["verify", "--debug-faulty-n5", "--r", "1", "--sigma2", "2"],
     ],
 )
 def test_degenerate_config_exits_two_cleanly(argv, tmp_path):
@@ -462,9 +464,6 @@ GOLDEN = [
      "d32b5869f865f4c107899ce2cb45f6d6c5b6185c7e7cf81fe865c9fed5a5a0cd"),
     (["verify", *ZERO_RTILDE], 0,
      "3af17a2b402b123951bd6f3ddbd89dc5c4cc56708b75a31ba04c8b91ef838ff5"),
-    # N5 has h = rtilde/sigma2 = 0 here, so forcing h to 0 changes nothing
-    (["verify", "--debug-faulty-n5", *ZERO_RTILDE], 0,
-     "52ac8f3fc0daca23e83a1341c2bc8288f213469551bbe89d56c552ca4c61ef49"),
     (["brackets", *ZERO_RTILDE], 0,
      "67b3b45234b3de90e4379c62116c20fda688268fd6645fd60a3b5142d2f163eb"),
     (["brackets", "--format", "csv", *ZERO_RTILDE], 0,

@@ -127,6 +127,9 @@ def test_string_rendering():
     assert str(ExpPoly.exp_factor(Fraction(1, 20), 0)) == "exp(1/20*t)"
     q = ExpPoly.term(Fraction(-1, 2), (0, 1, 0, 0, 0), 0, 2)
     assert str(q) == "-1/2*x*exp(2*x)"
+    r = ExpPoly.term(3, (1, 0, 0, 0, 0), Fraction(1, 2), -2)
+    assert str(r) == "3*t*exp(1/2*t - 2*x)"
+    assert str(ExpPoly.exp_factor(-1, 1) - ExpPoly.var("x")) == "-x + exp(-1*t + x)"
 
 
 def test_evaluate_exact_requires_vanishing_exponent():

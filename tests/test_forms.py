@@ -32,7 +32,7 @@ def functions(draw, max_terms=3):
 
 @st.composite
 def one_forms(draw):
-    form = DiffForm.zero(1)
+    form = DiffForm(1)
     for name in ("dt", "dx", "dphi", "dA", "dB"):
         form = form + DiffForm.covector(name) * draw(functions())
     return form
@@ -102,6 +102,10 @@ def test_contact_form_strings():
     assert str(alpha) == "-B*dt - A*dx + dphi"
     assert str(dalpha) == "-dA^dx - dB^dt"
     assert str(beta) == "(-1/20*phi + 3/100*A + B)*dx^dt + 1/50*dA^dt"
+    assert str(DiffForm(2)) == "0"
+    assert str(DiffForm(0)) == "0"
+    t, A = ExpPoly.var("t"), ExpPoly.var("A")
+    assert str(DiffForm(1, {(0,): t - 1, (1,): -A})) == "(t - 1)*dt - A*dx"
 
 
 @given(contexts)
@@ -152,7 +156,10 @@ def test_lie_derivative_on_functions_is_directional(f):
     N = basis_isovector(2, DEFAULT)
     form = DiffForm(0, {(): f})
     got = lie_derivative(N, form)
-    assert got.coeff(()) == N.apply(f)
+    want = ExpPoly.zero()
+    for comp, var in zip(N.components, VARS):
+        want = want + comp * f.diff(var)
+    assert got.coeff(()) == want
 
 
 @given(one_forms())

@@ -292,6 +292,10 @@ def test_pretty_combination():
         pretty_combination(((2, Fraction(-1)), (4, Fraction(3))))
         == "-1 · N2 + 3 · N4"
     )
+    assert (
+        pretty_combination(((2, 1), (4, -3), (6, Fraction(1, 2))))
+        == "1 · N2 - 3 · N4 + 1/2 · N6"
+    )
 
 
 @given(const_tuples, const_tuples)
@@ -442,10 +446,6 @@ def test_bracket_matches_the_derivation_rule(r, sigma2, cs1, c6m, modes1, cs2, c
     N = member_at(ctx, cs2, c6n, modes2)
     want = commutator_by_hand(M, N)
     assert bracket(M, N).components == want
-    via_apply = tuple(
-        M.apply(nc) - N.apply(mc) for mc, nc in zip(M.components, N.components)
-    )
-    assert via_apply == want
     # the derivative tables cached by the first bracket give the same answer
     assert bracket(M, N).components == want
     assert bracket(N, M).components == tuple(-c for c in want)

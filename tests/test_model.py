@@ -72,6 +72,12 @@ def test_sigma2_must_be_positive():
         make_context(Fraction(1, 20), Fraction(0))
     with pytest.raises(ValueError):
         make_context(Fraction(1, 20), Fraction(-1, 4))
+    # the type holds the invariant: the membership solve divides by sigma2/2
+    with pytest.raises(ValueError, match="sigma2 must be positive, got 0"):
+        ModelContext(
+            r=Fraction(1, 20), sigma2=Fraction(0),
+            rtilde=Fraction(1, 20), stilde=Fraction(1, 20),
+        )
 
 
 def test_context_accepts_strings():
