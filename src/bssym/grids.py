@@ -12,6 +12,7 @@ only where the three-point central stencil cannot be evaluated either.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -420,25 +421,33 @@ def write_csv(sol: GridSolution, path) -> None:
 
 
 def read_csv(path) -> GridSolution:
-    """Inverse of write_csv; the frame is recovered from the header."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header == ["t", "x", "value"]:
-            frame = "log"
-        elif header == ["t", "S", "value"]:
-            frame = "price"
-        else:
-            raise ValueError(f"unrecognized grid CSV header: {header}")
-        rows = [(float(a), float(b), float(c)) for a, b, c in reader]
-    if not rows:
+    """Inverse of write_csv; the frame is recovered from the header.
+
+    The rows must be a full rectangle in the order write_csv gives them:
+    row k sits at (t[k // nx], u[k % nx]) of the ascending axes.  Anything
+    else, a node out of order, duplicated or missing, is a ValueError.
+    """
+    with open(path, "rb") as fh:
+        header = next(csv.reader([fh.readline().decode()]))
+        body = fh.read()
+    if header == ["t", "x", "value"]:
+        frame = "log"
+    elif header == ["t", "S", "value"]:
+        frame = "price"
+    else:
+        raise ValueError(f"unrecognized grid CSV header: {header}")
+    if not body or body.isspace():
         raise ValueError("empty grid CSV")
-    t_vals = sorted({row[0] for row in rows})
-    u_vals = sorted({row[1] for row in rows})
-    nt, nx = len(t_vals), len(u_vals)
+    rows = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2)
+    if rows.shape[1] != 3:
+        raise ValueError(f"grid CSV rows must have 3 fields, got {rows.shape[1]}")
+    t_vals, u_vals = np.unique(rows[:, 0]), np.unique(rows[:, 1])
+    nt, nx = t_vals.size, u_vals.size
     if nt * nx != len(rows):
         raise ValueError("grid CSV is not a full rectangular grid")
-    values = np.array([row[2] for row in rows]).reshape(nt, nx)
-    x = np.log(u_vals) if frame == "price" else np.array(u_vals)
-    grid = Grid(np.array(t_vals), x)
-    return GridSolution(grid, values, frame=frame)
+    if not (np.array_equal(rows[:, 0], np.repeat(t_vals, nx))
+            and np.array_equal(rows[:, 1], np.tile(u_vals, nt))):
+        raise ValueError("grid CSV rows are not t-major with ascending u")
+    values = np.ascontiguousarray(rows[:, 2]).reshape(nt, nx)
+    x = np.log(u_vals) if frame == "price" else u_vals
+    return GridSolution(Grid(t_vals, x), values, frame=frame)

@@ -59,7 +59,6 @@ _LOG_FLOWS = {
 }
 FLOW_GENERATORS = tuple(_LOG_FLOWS)
 
-
 class TransformDomainError(ValueError):
     """The pulled-back solution is nowhere evaluable on the requested grid."""
 
@@ -184,7 +183,28 @@ class GridSurface:
 
     def value(self, t, u):
         x = np.log(u) if self.frame == "price" else u
-        return _masked(t, x, self._spline.ev, self._inside)
+        return _masked(t, x, self._rows, self._inside)
+
+    def _rows(self, t, x):
+        """The spline at the points (t, x), one grid call per run of equal t
+        with ascending x.
+
+        Every flow maps a grid row to points at one time, and FITPACK's grid
+        evaluator gives the same values as the pointwise `ev` at a fraction of
+        the cost.  FITPACK's grid call needs ascending x, so a point set
+        whose x descends within a run goes to `ev`.
+        """
+        tf, xf = t.ravel(), x.ravel()
+        starts = np.flatnonzero(tf[1:] != tf[:-1]) + 1
+        descends = np.diff(xf) < 0
+        descends[starts - 1] = False
+        if np.any(descends):
+            return self._spline.ev(t, x)
+        out = np.empty(tf.size)
+        bounds = [0, *starts.tolist(), tf.size]
+        for lo, hi in zip(bounds, bounds[1:]):
+            out[lo:hi] = self._spline(tf[lo], xf[lo:hi])[0]
+        return out.reshape(t.shape)
 
 
 class BoxRestrictedSurface:
@@ -270,7 +290,9 @@ def certify_transform(
 ) -> CertificationResult:
     """Apply a transform (or pipeline) and residual-check the result.
 
-    The verdict compares the max interior relative residual against tol.
+    The verdict compares the max interior relative residual against tol; a
+    surface that is zero on every evaluable node (scale 0) fails, since its
+    residual says nothing about the flow.
     The base solution is treated as known on the certification grid only,
     so pullbacks that leave the grid's bounding box mark their nodes as
     clipped; clipped nodes are excluded and counted, and if nothing remains
@@ -298,7 +320,7 @@ def certify_transform(
     return CertificationResult(
         report=report,
         tol=float(tol),
-        verdict=bool(report.rel_max <= tol),
+        verdict=bool(report.scale > 0 and report.rel_max <= tol),
         n_clipped_nodes=n_bad,
         used_interpolation=isinstance(base, GridSurface),
         samples=sampled,
@@ -332,27 +354,36 @@ class InfinitesimalAction:
             minus_nt=-N.Nt, minus_nx=-N.Nx, g=pair.g, h=pair.h
         )
 
-    def apply(self, t, x, phi, phi_t, phi_x):
-        """The action at points (t, x) where the solution is phi.  phi_t()
-        and phi_x() return its derivatives there; each is called only if
-        its coefficient, N^t or N^x, is not zero."""
+    @property
+    def needs_dt(self) -> bool:
+        return not self.minus_nt.is_zero()
+
+    @property
+    def needs_dx(self) -> bool:
+        return not self.minus_nx.is_zero()
+
+    def apply(self, t, x, phi, phi_t=None, phi_x=None):
+        """The action at points (t, x) where the solution is phi, with
+        derivatives phi_t and phi_x there; each is read only if its
+        coefficient, N^t or N^x, is not zero (`needs_dt`, `needs_dx`)."""
         out = self.g.eval_grid(t, x) + self.h.eval_grid(t, x) * phi
-        if not self.minus_nt.is_zero():
-            out = out + self.minus_nt.eval_grid(t, x) * phi_t()
-        if not self.minus_nx.is_zero():
-            out = out + self.minus_nx.eval_grid(t, x) * phi_x()
+        if self.needs_dt:
+            out = out + self.minus_nt.eval_grid(t, x) * phi_t
+        if self.needs_dx:
+            out = out + self.minus_nx.eval_grid(t, x) * phi_x
         return out
 
 
 class ActionSurface:
-    """Log-frame surface N~(phi) for a base solution with derivatives."""
+    """Log-frame surface N~(phi) for a base solution with derivatives, that
+    is, with a `value_and_derivatives` method as `LogClosedForm` has."""
 
     frame = "log"
 
     def __init__(self, action: InfinitesimalAction, base):
         if base.frame != "log":
             raise ValueError("infinitesimal actions act on log-frame solutions")
-        if not getattr(base, "has_derivatives", False):
+        if not hasattr(base, "value_and_derivatives"):
             raise ValueError(
                 "base solution does not expose derivatives; sample it on a "
                 "grid and use the stencil route instead"
@@ -361,10 +392,13 @@ class ActionSurface:
         self.base = base
 
     def value(self, t, x):
-        b = self.base
-        return _masked(t, x, lambda t, x: self.action.apply(
-            t, x, b.value(t, x), lambda: b.dt(t, x), lambda: b.dx(t, x)
-        ))
+        a = self.action
+
+        def acted(t, x):
+            jet = self.base.value_and_derivatives(t, x, a.needs_dt, a.needs_dx)
+            return a.apply(t, x, *jet)
+
+        return _masked(t, x, acted)
 
 
 def infinitesimal_action(N: Isovector, sol):
@@ -387,8 +421,8 @@ def infinitesimal_action(N: Isovector, sol):
         T, X = g.meshes()
         out = action.apply(
             T, X, v,
-            lambda: _first_derivative(v, g.dt, axis=0),
-            lambda: _first_derivative(v, g.dx, axis=1),
+            _first_derivative(v, g.dt, axis=0) if action.needs_dt else None,
+            _first_derivative(v, g.dx, axis=1) if action.needs_dx else None,
         )
         return GridSolution(g, out, frame="log")
     return ActionSurface(action, sol)

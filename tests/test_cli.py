@@ -397,6 +397,21 @@ def test_transform_out_of_domain_exits_one(tmp_path):
     assert obj["error"]["n_clipped"] == obj["error"]["n_total"] == 11 * 21
 
 
+def test_transform_of_a_zero_surface_fails(tmp_path):
+    # at r = -700 every call price on this grid underflows to 0, so the
+    # residual is 0 against a scale of 0 and proves nothing about the flow
+    code, out, _ = run_cli(
+        ["transform", "--r=-700", "--pipeline", "5:0.1", "--out", str(tmp_path / "o"), *FAST]
+    )
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["all_passed"] is False
+    (stage,) = obj["stages"]
+    assert stage["verdict"] == "fail"
+    assert stage["report"]["scale"] == 0.0
+    assert stage["rel_max_residual"] == 0.0
+
+
 def test_residual_report():
     code, out, _ = run_cli(["residual", *FAST])
     assert code == 0

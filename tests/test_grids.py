@@ -246,3 +246,44 @@ def test_csv_preserves_nan_gaps(tmp_path):
     assert np.array_equal(np.isnan(back.values), np.isnan(values))
     mask = ~np.isnan(values)
     assert np.array_equal(back.values[mask], values[mask])
+
+
+def test_csv_read_matches_float_per_field(tmp_path):
+    fields = ["nan", "inf", "-inf", "-0.0", "5e-324", "2.2250738585072014e-308",
+              "1e-310", "0.1", "-1.7976931348623157e+308"]
+    t_axis, x_axis = ["0.0", "0.5", "1.0"], ["-1.0", "0.0", "1.0"]
+    lines = ["t,x,value\n"]
+    for k, v in enumerate(fields):
+        lines.append(f"{t_axis[k // 3]},{x_axis[k % 3]},{v}\n")
+    path = tmp_path / "special.csv"
+    path.write_text("".join(lines))
+    back = read_csv(path)
+    want = np.asarray([float(v) for v in fields]).reshape(3, 3)
+    assert np.array_equal(back.values.view(np.uint64), want.view(np.uint64))
+    assert back.values.flags.c_contiguous
+    assert np.array_equal(back.grid.t_values, [float(t) for t in t_axis])
+    assert np.array_equal(back.grid.x_values, [float(x) for x in x_axis])
+
+
+@pytest.mark.parametrize("rows, message", [
+    # a full rectangle, but u descends within each t
+    ([(0, 1, 10), (0, 0, 20), (1, 1, 30), (1, 0, 40)], "not t-major"),
+    # (0, 0) twice and (1, 1) missing
+    ([(0, 0, 10), (0, 0, 20), (0, 1, 30), (1, 0, 40)], "not t-major"),
+    ([(0, 0), (0, 1)], "3 fields"),
+    # a full 1 x 2 rectangle with one field too many per row
+    ([(0, 0, 10, 99), (0, 1, 20, 99)], "3 fields"),
+], ids=["u-descends", "duplicate-and-missing", "two-fields", "four-fields"])
+def test_csv_rows_out_of_place_rejected(rows, message, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,x,value\n" + "".join(",".join(map(str, row)) + "\n" for row in rows))
+    with pytest.raises(ValueError, match=message):
+        read_csv(path)
+
+
+def test_csv_header_only_is_empty(tmp_path, recwarn):
+    path = tmp_path / "empty.csv"
+    path.write_text("t,S,value\n")
+    with pytest.raises(ValueError, match="empty grid CSV"):
+        read_csv(path)
+    assert not recwarn.list

@@ -167,7 +167,6 @@ def test_log_frame_surface_and_derivatives():
     log_surf = ClosedFormSolution(CALL, DEFAULT).to_log()
     assert isinstance(log_surf, LogClosedForm)
     assert log_surf.frame == "log"
-    assert log_surf.has_derivatives
     x = math.log(110.0)
     t = 0.4
     assert log_surf.value(t, x) == pytest.approx(
@@ -176,5 +175,80 @@ def test_log_frame_surface_and_derivatives():
     h = 1e-6
     dx_num = (log_surf.value(t, x + h) - log_surf.value(t, x - h)) / (2 * h)
     dt_num = (log_surf.value(t + h, x) - log_surf.value(t - h, x)) / (2 * h)
-    assert log_surf.dx(t, x) == pytest.approx(dx_num, rel=1e-7)
-    assert log_surf.dt(t, x) == pytest.approx(dt_num, rel=1e-7)
+    _, phi_t, phi_x = log_surf.value_and_derivatives(t, x, True, True)
+    assert float(phi_x) == pytest.approx(dx_num, rel=1e-7)
+    assert float(phi_t) == pytest.approx(dt_num, rel=1e-7)
+
+
+def _greeks_one_by_one(spec, ctx, t, S):
+    """C, C_t and S C_S at tau > 0, each written out in its own closed-form
+    pass, operation for operation as the one-pass kernel must reproduce."""
+    from scipy.special import ndtr
+
+    tau = spec.maturity - t
+    sig, sq = ctx.sigma_f, np.sqrt(tau)
+    d1 = (np.log(S / spec.strike) + ctx.stilde_f * tau) / (sig * sq)
+    d2 = d1 - sig * sq
+    disc = spec.strike * np.exp(-ctx.r_f * tau)
+    decay = -S * (np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)) * sig / (2.0 * np.sqrt(tau))
+    if spec.kind == "call":
+        return (S * ndtr(d1) - disc * ndtr(d2), decay - ctx.r_f * disc * ndtr(d2),
+                S * ndtr(d1))
+    return (disc * ndtr(-d2) - S * ndtr(-d1), decay + ctx.r_f * disc * ndtr(-d2),
+            S * (ndtr(d1) - 1.0))
+
+
+@pytest.mark.parametrize("spec", [CALL, PUT], ids=["call", "put"])
+@pytest.mark.parametrize("dt, dx", [(True, True), (True, False), (False, True)])
+def test_one_pass_derivatives_match_the_greeks_bit_for_bit(spec, dt, dx):
+    log_surf = LogClosedForm(spec, DEFAULT)
+    T, X = np.meshgrid(np.linspace(0.0, 0.99, 41), np.linspace(2.0, 6.5, 37), indexing="ij")
+    S = np.exp(X)
+    price, theta, s_delta = _greeks_one_by_one(spec, DEFAULT, T, S)
+    phi, phi_t, phi_x = log_surf.value_and_derivatives(T, X, dt, dx)
+    assert np.array_equal(phi, price)
+    assert np.array_equal(phi, bs_price(spec, DEFAULT, T, S))
+    assert np.array_equal(phi, log_surf.value(T, X))
+    assert np.array_equal(bs_theta(spec, DEFAULT, T, S), theta)
+    assert np.array_equal(S * bs_delta(spec, DEFAULT, T, S), s_delta)
+    assert (phi_t is None) if not dt else np.array_equal(phi_t, theta)
+    assert (phi_x is None) if not dx else np.array_equal(phi_x, s_delta)
+
+
+def test_one_pass_derivatives_need_t_before_maturity():
+    log_surf = LogClosedForm(CALL, DEFAULT)
+    t = np.asarray([0.5, 1.0])
+    x = np.asarray([4.6, 4.6])
+    for dt, dx in [(True, True), (True, False), (False, True)]:
+        with pytest.raises(ValueError, match="strictly before maturity"):
+            log_surf.value_and_derivatives(t, x, dt, dx)
+    # with no derivative asked for, phi is the surface's value, payoff included
+    phi, phi_t, phi_x = log_surf.value_and_derivatives(t, x, False, False)
+    assert np.array_equal(phi, log_surf.value(t, x))
+    assert phi[1] == max(math.exp(4.6) - 100.0, 0.0)
+    assert phi_t is None and phi_x is None
+
+
+def _masked_reference(surf, t, S):
+    """The surface's value by gathering and scattering every in-domain node,
+    which the all-inside fast path must reproduce."""
+    t, S = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(S, dtype=float))
+    ok = (S > 0) & (surf.spec.maturity - t >= 0)
+    out = np.full(t.shape, np.nan)
+    if np.any(ok):
+        out[ok] = bs_price(surf.spec, surf.ctx, t[ok], S[ok])
+    return out
+
+
+@pytest.mark.parametrize(
+    "t_lo, t_hi", [(0.6, 0.99), (0.6, 1.3), (1.1, 1.5)],
+    ids=["all-inside", "some-outside", "all-outside"],
+)
+def test_closed_form_mask_fast_path_is_bit_identical(t_lo, t_hi):
+    surf = ClosedFormSolution(CALL, DEFAULT)
+    T, S = np.meshgrid(np.linspace(t_lo, t_hi, 31), np.linspace(40.0, 250.0, 29),
+                       indexing="ij")
+    got = surf.value(T, S)
+    want = _masked_reference(surf, T, S)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(np.isnan(got), T > CALL.maturity)

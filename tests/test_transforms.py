@@ -310,6 +310,40 @@ def test_certify_bare_grid_surface_reports_interpolation():
     assert result.verdict
 
 
+def _pointwise_spline(surface, grid, t, x):
+    """A log-frame GridSurface's values by `ev`, one point at a time in
+    FITPACK, with NaN outside the grid's box: the reference of the row-wise
+    evaluation."""
+    t, x = np.broadcast_arrays(t, x)
+    ok = ((t >= grid.t_values[0]) & (t <= grid.t_values[-1])
+          & (x >= grid.x_values[0]) & (x <= grid.x_values[-1]))
+    out = np.full(t.shape, np.nan)
+    out[ok] = surface._spline.ev(t[ok], x[ok])
+    return out
+
+
+@pytest.mark.parametrize("case", ["boost", "clipped", "scattered", "descending"])
+def test_row_wise_spline_matches_pointwise_bit_for_bit(case):
+    sol = sample_surface(call_surface().to_log(), COARSE)
+    surface = GridSurface(sol)
+    T, X = COARSE.meshes()
+    if case == "boost":  # x shifted by kappa t on each row, all inside
+        inner = make_grid(0.0, 0.8, 161, X.min(), X.max() - 0.3, 121)
+        t, x = FiniteTransform(4, 0.3, frame="log").pullback(DEFAULT, *inner.meshes())
+    elif case == "clipped":  # rows partly outside: a gathered 1-D input
+        t, x = FiniteTransform(5, 0.8, frame="log").pullback(DEFAULT, T, X)
+    elif case == "scattered":
+        rng = np.random.default_rng(7)
+        t = rng.uniform(-0.1, 0.9, 3000)
+        x = rng.uniform(X.min() - 0.2, X.max() + 0.2, 3000)
+    else:
+        t, x = T, X[:, ::-1]
+    got = surface.value(t, x)
+    want = _pointwise_spline(surface, COARSE, t, x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.isnan(got).any() == (case in ("clipped", "scattered"))
+
+
 def test_infinitesimal_action_of_scaling_is_identity():
     surf = call_surface().to_log()
     act = infinitesimal_action(basis_isovector(6, DEFAULT), surf)
