@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from bssym import (
-    ClosedFormSolution,
+    LogClosedForm,
     OptionSpec,
     SolutionSpec,
     basis_isovector,
@@ -25,7 +25,7 @@ from bssym import (
 
 def main():
     ctx = make_context(Fraction(1, 20), Fraction(1, 25))
-    surf = ClosedFormSolution(OptionSpec(100.0, 1.0, "call"), ctx).to_log()
+    surf = LogClosedForm(OptionSpec(100.0, 1.0, "call"), ctx)
     grid = make_grid(0.0, 0.8, 321, math.log(0.5), math.log(200.0), 241)
 
     candidates = [(f"N{i}", basis_isovector(i, ctx)) for i in (1, 2, 4, 6)]

@@ -53,9 +53,7 @@ from .pricing import (
     ClosedFormSolution,
     LogClosedForm,
     OptionSpec,
-    bs_delta,
     bs_price,
-    bs_theta,
     normal_pdf,
 )
 from .grids import (
@@ -99,7 +97,7 @@ __all__ = [
     "bracket", "bracket_gh", "gh_of", "decompose", "structure_constants",
     "pretty_combination", "pde_defect", "in_solution_ideal",
     "OptionSpec", "ClosedFormSolution", "LogClosedForm",
-    "bs_price", "bs_delta", "bs_theta", "normal_pdf",
+    "bs_price", "normal_pdf",
     "Grid", "GridSolution", "ResidualReport", "make_grid", "fd_solve",
     "residual_e", "residual_e2", "read_csv", "write_csv",
     "FiniteTransform", "Pipeline", "TransformDomainError",

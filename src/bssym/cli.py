@@ -55,6 +55,7 @@ from .transforms import (
     TransformDomainError,
     certify_transform,
     compose,
+    sample_surface,
 )
 
 
@@ -440,9 +441,8 @@ def cmd_price(cfg: RunConfig) -> int:
     ctx = _context(cfg)
     spec = OptionSpec(cfg.strike, cfg.maturity, cfg.kind)
     grid = _priced_grid(cfg, spec)
-    T, X = grid.meshes()
-    values = _finite_prices(bs_price(spec, ctx, T, np.exp(X)))
-    sol = GridSolution(grid, values, frame="price")
+    sol = sample_surface(ClosedFormSolution(spec, ctx), grid)
+    values = _finite_prices(sol.values)
     if cfg.format == "csv":
         buf = io.StringIO()
         _write_csv_text(sol, buf)
@@ -473,9 +473,8 @@ def cmd_residual(cfg: RunConfig) -> int:
     ctx = _context(cfg)
     spec = OptionSpec(cfg.strike, cfg.maturity, cfg.kind)
     grid = _priced_grid(cfg, spec, stencils=True)
-    call = ClosedFormSolution(spec, ctx)
-    T, X = grid.meshes()
-    sol_price = GridSolution(grid, _finite_prices(call.value(T, np.exp(X))), frame="price")
+    sol_price = sample_surface(ClosedFormSolution(spec, ctx), grid)
+    _finite_prices(sol_price.values)
     # E(C)(t, e^x) = E2(phi)(t, x) on the same node values: one residual, two
     # names; on finite prices, a stencil that is nowhere finite has overflowed
     with _config_errors(f"{_OUT_OF_RANGE}: "):

@@ -1,9 +1,11 @@
 """Grids, grid solutions, discrete residual operators, and the FD solver.
 
-Grids are uniform in calendar time t and in log-price x; the price frame is
-a view of the same nodes at S = e^x.  Under that change of variable the
-price-frame operator E equals the log-frame operator E2, so one fourth-order
-residual operator on the uniform (t, x) nodes serves both frames.  It acts
+Grids are uniform in calendar time t and in log-price x, and every grid
+solution stores its values at those nodes.  Its `frame` is a label, "price"
+or "log", read only at the boundary: a CSV spells the nodes as S = e^x or
+as x, and a residual report names its operator E or E2.  Under S = e^x the
+price equation E is the log equation E2, so one fourth-order residual
+operator on the (t, x) nodes serves both labels.  It acts
 on every interior node; NaN marks a clipped node, a node near one takes an
 off-centred stencil that avoids it where one fits, and a node is excluded
 only where the three-point central stencil cannot be evaluated either.
@@ -29,6 +31,8 @@ _UNIFORM_RTOL = 1e-9
 def _check_axis(vals: np.ndarray, name: str) -> None:
     if vals.ndim != 1 or vals.size < 2:
         raise ValueError(f"{name} needs at least two nodes")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{name} must be finite")
     steps = np.diff(vals)
     if np.any(steps <= 0):
         raise ValueError(f"{name} must be strictly ascending")
@@ -80,7 +84,8 @@ def make_grid(t_lo, t_hi, nt, x_lo, x_hi, nx) -> Grid:
 
 @dataclass(eq=False)
 class GridSolution:
-    """Values on a grid; frame 'log' means phi(t,x), 'price' means C(t, e^x).
+    """Values at the (t, x) nodes of a grid, labelled 'price' (written out
+    at S = e^x) or 'log' (written out at x).
 
     NaN entries mark nodes where a transformed solution was not evaluable.
     """
@@ -421,11 +426,13 @@ def write_csv(sol: GridSolution, path) -> None:
 
 
 def read_csv(path) -> GridSolution:
-    """Inverse of write_csv; the frame is recovered from the header.
+    """Inverse of write_csv; the label is recovered from the header, and an
+    S column is read as x = log S.
 
     The rows must be a full rectangle in the order write_csv gives them:
     row k sits at (t[k // nx], u[k % nx]) of the ascending axes.  Anything
-    else, a node out of order, duplicated or missing, is a ValueError.
+    else, a node out of order, duplicated or missing, or an S that is not a
+    finite positive float, is a ValueError.
     """
     with open(path, "rb") as fh:
         header = next(csv.reader([fh.readline().decode()]))
@@ -449,5 +456,7 @@ def read_csv(path) -> GridSolution:
             and np.array_equal(rows[:, 1], np.tile(u_vals, nt))):
         raise ValueError("grid CSV rows are not t-major with ascending u")
     values = np.ascontiguousarray(rows[:, 2]).reshape(nt, nx)
-    x = np.log(u_vals) if frame == "price" else u_vals
-    return GridSolution(Grid(t_vals, x), values, frame=frame)
+    if frame == "price":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u_vals = np.log(u_vals)
+    return GridSolution(Grid(t_vals, u_vals), values, frame=frame)

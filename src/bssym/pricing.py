@@ -45,18 +45,9 @@ def normal_pdf(z):
     return out if out.ndim else float(out)
 
 
-def _d12(spec: OptionSpec, ctx: ModelContext, tau, S):
-    sig = ctx.sigma_f
-    sq = np.sqrt(tau)
-    d1 = (np.log(S / spec.strike) + ctx.stilde_f * tau) / (sig * sq)
-    d2 = d1 - sig * sq
-    return d1, d2
-
-
-def _closed_form(spec: OptionSpec, ctx: ModelContext, tau, S, price=True,
-                 theta=False, delta=False):
+def _closed_form(spec: OptionSpec, ctx: ModelContext, tau, S, theta=False, delta=False):
     """(C, C_t, C_S) at time to expiry tau > 0 and spot S, from one d1/d2,
-    one discount and one Phi pass; a part not asked for is None.
+    one discount and one Phi pass; a derivative not asked for is None.
 
     This is the one home of the Black-Scholes formulas.  A put takes
     Phi(-d) by its own calls, because 1 - Phi(d) would change bits.
@@ -64,16 +55,16 @@ def _closed_form(spec: OptionSpec, ctx: ModelContext, tau, S, price=True,
     from scipy.special import ndtr
 
     call = spec.kind == "call"
-    d1, d2 = _d12(spec, ctx, tau, S)
-    nd1 = ndtr(d1) if delta or (price and call) else None
-    if price or theta:
-        disc = spec.strike * np.exp(-ctx.r_f * tau)
-        nd2 = ndtr(d2) if call else ndtr(-d2)
-    c = c_t = c_s = None
-    if price:
-        c = S * nd1 - disc * nd2 if call else disc * nd2 - S * ndtr(-d1)
+    sig, sq = ctx.sigma_f, np.sqrt(tau)
+    d1 = (np.log(S / spec.strike) + ctx.stilde_f * tau) / (sig * sq)
+    d2 = d1 - sig * sq
+    nd1 = ndtr(d1) if delta or call else None
+    disc = spec.strike * np.exp(-ctx.r_f * tau)
+    nd2 = ndtr(d2) if call else ndtr(-d2)
+    c = S * nd1 - disc * nd2 if call else disc * nd2 - S * ndtr(-d1)
+    c_t = c_s = None
     if theta:
-        decay = -S * normal_pdf(d1) * ctx.sigma_f / (2.0 * np.sqrt(tau))
+        decay = -S * normal_pdf(d1) * sig / (2.0 * sq)
         c_t = decay - ctx.r_f * disc * nd2 if call else decay + ctx.r_f * disc * nd2
     if delta:
         c_s = nd1 if call else nd1 - 1.0
@@ -86,15 +77,12 @@ def bs_price(spec: OptionSpec, ctx: ModelContext, t, S):
     At t = maturity the payoff is returned exactly; t beyond maturity or a
     nonpositive spot is a domain error.
     """
-    t = np.asarray(t, dtype=float)
-    S = np.asarray(S, dtype=float)
+    t, S = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(S, dtype=float))
     if np.any(S <= 0):
         raise ValueError("spot must be positive")
     tau = spec.maturity - t
     if np.any(tau < 0):
         raise ValueError("t is beyond maturity")
-    t, S = np.broadcast_arrays(t, S)
-    tau = spec.maturity - t
     at_expiry = tau == 0
     if not np.any(at_expiry):
         out = np.asarray(_closed_form(spec, ctx, tau, S)[0])
@@ -103,30 +91,6 @@ def bs_price(spec: OptionSpec, ctx: ModelContext, t, S):
         live = ~at_expiry
         if np.any(live):
             out[live] = _closed_form(spec, ctx, tau[live], S[live])[0]
-    return out if out.ndim else float(out)
-
-
-def _before_maturity(spec: OptionSpec, t, what: str):
-    """Time to expiry at t, which must be strictly before maturity."""
-    tau = spec.maturity - np.asarray(t, dtype=float)
-    if np.any(tau <= 0):
-        raise ValueError(f"{what} needs t strictly before maturity")
-    return tau
-
-
-def bs_delta(spec: OptionSpec, ctx: ModelContext, t, S):
-    """dC/dS for t strictly before maturity."""
-    tau = _before_maturity(spec, t, "delta")
-    out = np.asarray(_closed_form(spec, ctx, tau, np.asarray(S, dtype=float),
-                                  price=False, delta=True)[2])
-    return out if out.ndim else float(out)
-
-
-def bs_theta(spec: OptionSpec, ctx: ModelContext, t, S):
-    """dC/dt (calendar time) for t strictly before maturity."""
-    tau = _before_maturity(spec, t, "theta")
-    out = np.asarray(_closed_form(spec, ctx, tau, np.asarray(S, dtype=float),
-                                  price=False, theta=True)[1])
     return out if out.ndim else float(out)
 
 
@@ -158,10 +122,29 @@ def _box(t_lo, t_hi, u_lo, u_hi):
     return lambda t, u: (t >= t_lo) & (t <= t_hi) & (u >= u_lo) & (u <= u_hi)
 
 
-class ClosedFormSolution:
-    """Price-frame solution surface backed by the closed form.
+class Surface:
+    """A solution surface: `at(t, x)` evaluates it in the log frame x = log S,
+    vectorized, with NaN outside its domain.
 
-    Points past maturity or at nonpositive spot evaluate to NaN.
+    Every surface computes in (t, x) and evaluates another one through `at`.
+    Its `frame`, "price" or "log", is only a label: it says how `value`
+    spells the space argument and how a grid sampled from it is written.
+    """
+
+    def value(self, t, u):
+        """The surface at (t, u): u is the spot S under the "price" label and
+        x = log S under the "log" label."""
+        if self.frame == "price":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u = np.log(u)
+        return self.at(t, u)
+
+
+class ClosedFormSolution(Surface):
+    """Solution surface backed by the closed form, labelled "price".
+
+    It evaluates at S = e^x; points past maturity, or where e^x is not a
+    positive spot, evaluate to NaN.
     """
 
     frame = "price"
@@ -170,39 +153,42 @@ class ClosedFormSolution:
         self.spec = spec
         self.ctx = ctx
 
-    def value(self, t, S):
-        return _masked(
-            t, S, lambda t, S: bs_price(self.spec, self.ctx, t, S), self._inside
-        )
+    def value(self, t, u):
+        # under the "price" label, bs_price reads S itself: no log, then exp
+        if self.frame == "log":
+            return self.at(t, u)
+        return _masked(t, u, self._price, self._inside)
+
+    def at(self, t, x):
+        return _masked(t, np.exp(x), self._price, self._inside)
+
+    def _price(self, t, S):
+        return bs_price(self.spec, self.ctx, t, S)
 
     def _inside(self, t, S):
         return (S > 0) & (self.spec.maturity - t >= 0)
-
-    def to_log(self) -> "LogClosedForm":
-        return LogClosedForm(self.spec, self.ctx)
-
-
-class LogClosedForm(ClosedFormSolution):
-    """Log-frame view phi(t, x) = C(t, e^x), with analytic derivatives."""
-
-    frame = "log"
-
-    def value(self, t, x):
-        return super().value(t, np.exp(x))
 
     def value_and_derivatives(self, t, x, dt, dx):
         """(phi, phi_t, phi_x) at the points (t, x), broadcast together, from
         one closed-form pass; phi_t = C_t and phi_x = S C_S at S = e^x.
 
         A derivative not asked for is None.  Asking for one needs t strictly
-        before maturity everywhere; phi is what `value` gives.
+        before maturity everywhere; phi is what `at` gives.
         """
         if not (dt or dx):
-            return self.value(t, x), None, None
+            return self.at(t, x), None, None
         t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-        tau = _before_maturity(self.spec, t, "theta" if dt else "delta")
+        tau = self.spec.maturity - t
+        if np.any(tau <= 0):
+            raise ValueError("derivatives need t strictly before maturity")
         S = np.exp(x)
         phi, phi_t, delta = _closed_form(self.spec, self.ctx, tau, S, theta=dt, delta=dx)
         with np.errstate(invalid="ignore"):
             phi = np.where(self._inside(t, S), phi, np.nan)
         return phi, phi_t, (S * delta if dx else None)
+
+
+class LogClosedForm(ClosedFormSolution):
+    """The closed form labelled "log": `value(t, x)` reads x = log S."""
+
+    frame = "log"

@@ -11,17 +11,18 @@ with
                            b = -kappa/sigma2
     5: space translation   dx = kappa,   a = kappa rtilde/sigma2
     6: scaling             a = kappa
-and every other part zero.  The price frame is the log frame under S = e^x,
-so the same table gives it by conjugation: the spot moves to e^dx S and the
-prefactor is e^a S^b.  Each flow maps solutions to solutions;
-`certify_transform` machine-checks that claim with the discrete residual
-operators.
+and every other part zero: under S = e^x the Black-Scholes equation is this
+constant-coefficient one, so the table is each flow's only formula.  Each
+flow maps solutions to solutions; `certify_transform` machine-checks that
+claim with the discrete residual operator.
 
-Solutions are "surfaces": objects with a `frame` attribute and a vectorized
-`value(t, u)` method that returns NaN outside their domain.  Closed forms
-evaluate exactly at pulled-back points; grid solutions are interpolated with
-a cubic spline, and the certificate records that interpolation took place so
-a failed verdict can be attributed.
+Solutions are "surfaces" (`pricing.Surface`): a vectorized `at(t, x)` that
+returns NaN outside the domain, and a `frame` label, "price" or "log", that
+changes no number.  It says how the public `value(t, u)` spells u (S or x)
+and how sampled grids are written, and a transform's label must match its
+surface's.  Closed forms evaluate exactly at pulled-back points; grid
+solutions are interpolated with a cubic spline, and the certificate records
+that interpolation took place so a failed verdict can be attributed.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ from .grids import (
 )
 from .isovectors import Isovector, gh_of
 from .model import ModelContext
-from .pricing import _box, _masked
+from .pricing import Surface, _box, _masked
 
-# (dt, dx, a, b) of exp(kappa N_i) in the log frame, as functions of
+# (dt, dx, a, b) of exp(kappa N_i), as functions of
 # (kappa, ctx, t); None marks a part that is the identity, so it costs nothing.
 _LOG_FLOWS = {
     3: lambda k, c, t: (k, None, -k * c.stilde_f**2 / (2.0 * c.sigma2_f), None),
@@ -70,7 +71,8 @@ class TransformDomainError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteTransform:
-    """Finite flow exp(kappa * N_i) for i in {3, 4, 5, 6}."""
+    """Finite flow exp(kappa * N_i) for i in {3, 4, 5, 6}, labelled for the
+    surfaces it acts on."""
 
     generator: int
     kappa: float
@@ -85,22 +87,18 @@ class FiniteTransform:
         if self.frame not in ("price", "log"):
             raise ValueError(f"frame must be 'price' or 'log', got {self.frame!r}")
 
-    def pullback(self, ctx: ModelContext, t, u):
-        """Map evaluation points to base-solution points."""
+    def pullback(self, ctx: ModelContext, t, x):
+        """Map evaluation points (t, x) to base-solution points."""
         dt, dx, _, _ = _LOG_FLOWS[self.generator](self.kappa, ctx, t)
         if dt is not None:
             t = t + dt
         if dx is not None:
-            u = u + dx if self.frame == "log" else np.exp(dx) * u
-        return t, u
+            x = x + dx
+        return t, x
 
-    def prefactor(self, ctx: ModelContext, t, u):
+    def prefactor(self, ctx: ModelContext, t, x):
         _, _, a, b = _LOG_FLOWS[self.generator](self.kappa, ctx, t)
-        if b is None:
-            return np.exp(a)
-        if self.frame == "log":
-            return np.exp(a + b * u)
-        return np.exp(a) * np.asarray(u, dtype=float) ** b
+        return np.exp(a) if b is None else np.exp(a + b * x)
 
     def to_json(self) -> dict:
         return {"generator": self.generator, "kappa": self.kappa, "frame": self.frame}
@@ -115,13 +113,6 @@ class Pipeline:
     def __post_init__(self):
         if not self.transforms:
             raise ValueError("empty transform pipeline")
-        frames = {tr.frame for tr in self.transforms}
-        if len(frames) != 1:
-            raise ValueError(f"pipeline mixes frames: {sorted(frames)}")
-
-    @property
-    def frame(self) -> str:
-        return self.transforms[0].frame
 
     def to_json(self) -> list:
         return [tr.to_json() for tr in self.transforms]
@@ -131,42 +122,44 @@ def compose(*transforms: FiniteTransform) -> Pipeline:
     return Pipeline(tuple(transforms))
 
 
-class TransformedSurface:
+class TransformedSurface(Surface):
     """Lazy application of a pipeline to a base surface.
 
     The pipeline acts left to right, so a point is pulled back through its
     last stage first.  The base is evaluated once, at the fully pulled-back
     points; then each stage's prefactor multiplies in at the point that
     stage saw, innermost first: the stage-by-stage product, in the same
-    order and so bit for bit, in one masked call.
+    order and so bit for bit, in one masked call.  Every stage's label must
+    be the base's, which the result carries.
     """
 
     def __init__(self, base, pipeline: Pipeline, ctx: ModelContext):
-        if base.frame != pipeline.frame:
+        labels = [tr.frame for tr in pipeline.transforms]
+        if set(labels) != {base.frame}:
             raise ValueError(
-                f"frame mismatch: surface is {base.frame!r}, "
-                f"transform acts on {pipeline.frame!r}"
+                f"frame labels differ: surface is {base.frame!r}, "
+                f"transforms are {labels}"
             )
         self.base = base
         self.pipeline = pipeline
         self.ctx = ctx
-        self.frame = pipeline.frame
+        self.frame = base.frame
 
-    def value(self, t, u):
-        def flowed(t, u):
+    def at(self, t, x):
+        def flowed(t, x):
             seen = []
             for tr in reversed(self.pipeline.transforms):
-                seen.append((tr, t, u))
-                t, u = tr.pullback(self.ctx, t, u)
-            out = self.base.value(t, u)
-            for tr, t, u in reversed(seen):
-                out = tr.prefactor(self.ctx, t, u) * out
+                seen.append((tr, t, x))
+                t, x = tr.pullback(self.ctx, t, x)
+            out = self.base.at(t, x)
+            for tr, t, x in reversed(seen):
+                out = tr.prefactor(self.ctx, t, x) * out
             return out
 
-        return _masked(t, u, flowed)
+        return _masked(t, x, flowed)
 
 
-class GridSurface:
+class GridSurface(Surface):
     """Cubic-spline interpolant over a fully evaluable grid solution."""
 
     def __init__(self, sol: GridSolution):
@@ -181,9 +174,12 @@ class GridSurface:
         self.frame = sol.frame
         self._inside = _box(g.t_values[0], g.t_values[-1], g.x_values[0], g.x_values[-1])
 
-    def value(self, t, u):
-        x = np.log(u) if self.frame == "price" else u
+    def at(self, t, x):
         return _masked(t, x, self._rows, self._inside)
+
+    # bound here, not only inherited: perfbench's tracer wraps `value` from
+    # this class's own namespace
+    value = Surface.value
 
     def _rows(self, t, x):
         """The spline at the points (t, x), one grid call per run of equal t
@@ -207,9 +203,9 @@ class GridSurface:
         return out.reshape(t.shape)
 
 
-class BoxRestrictedSurface:
-    """A surface clipped to the bounding box of a grid, taken in the
-    surface's own frame; outside it evaluates to NaN.
+class BoxRestrictedSurface(Surface):
+    """A surface clipped to the (t, x) bounding box of a grid; outside it
+    evaluates to NaN.
 
     Certification treats the base solution as known on the certification
     grid only, so pulled-back points must stay inside the grid's bounding
@@ -222,25 +218,38 @@ class BoxRestrictedSurface:
         self.base = base
         self.frame = base.frame
         t_lo, t_hi = float(grid.t_values[0]), float(grid.t_values[-1])
-        u_lo, u_hi = grid.x_values[0], grid.x_values[-1]
-        if self.frame == "price":
-            u_lo, u_hi = np.exp(u_lo), np.exp(u_hi)
-        u_lo, u_hi = float(u_lo), float(u_hi)
+        x_lo, x_hi = float(grid.x_values[0]), float(grid.x_values[-1])
         eps_t = 1e-12 * max(abs(t_lo), abs(t_hi), 1.0)
-        eps_u = 1e-12 * max(abs(u_lo), abs(u_hi), 1.0)
-        self._inside = _box(t_lo - eps_t, t_hi + eps_t, u_lo - eps_u, u_hi + eps_u)
+        eps_x = 1e-12 * max(abs(x_lo), abs(x_hi), 1.0)
+        self._inside = _box(t_lo - eps_t, t_hi + eps_t, x_lo - eps_x, x_hi + eps_x)
 
-    def value(self, t, u):
-        return _masked(t, u, self.base.value, self._inside)
+    def at(self, t, x):
+        return _masked(t, x, self.base.at, self._inside)
+
+
+class _ForeignSurface(Surface):
+    """A surface from outside bssym, which has only `value(t, u)` in the
+    spelling of its label: read at S = e^x when it is labelled "price"."""
+
+    def __init__(self, sol):
+        self.sol = sol
+        self.frame = sol.frame
+
+    def at(self, t, x):
+        return self.sol.value(t, np.exp(x) if self.frame == "price" else x)
 
 
 def as_surface(sol):
-    """Wrap a GridSolution as an interpolating surface; pass others through."""
+    """Wrap a GridSolution as an interpolating surface and a foreign surface
+    (one with `frame` and `value` only) as one evaluated in x; pass bssym
+    surfaces through."""
     if isinstance(sol, GridSolution):
         return GridSurface(sol)
+    if isinstance(sol, Surface):
+        return sol
     if not hasattr(sol, "value") or not hasattr(sol, "frame"):
         raise TypeError(f"not a solution surface: {sol!r}")
-    return sol
+    return _ForeignSurface(sol)
 
 
 def apply_transform(transform: Union[FiniteTransform, Pipeline], sol, ctx: ModelContext):
@@ -252,11 +261,10 @@ def apply_transform(transform: Union[FiniteTransform, Pipeline], sol, ctx: Model
 
 
 def sample_surface(surface, grid: Grid) -> GridSolution:
-    """Evaluate a surface at all grid nodes (price frame samples at S = e^x)."""
+    """Evaluate a bssym surface at all grid nodes (t, x); the samples keep
+    its label.  Others go through `as_surface` first."""
     T, X = grid.meshes()
-    u = np.exp(X) if surface.frame == "price" else X
-    values = surface.value(T, u)
-    return GridSolution(grid, values, frame=surface.frame)
+    return GridSolution(grid, surface.at(T, X), frame=surface.frame)
 
 
 @dataclass(frozen=True)
@@ -305,11 +313,10 @@ def certify_transform(
     surface = apply_transform(transform, base, ctx)
     sampled = sample_surface(surface, grid)
     n_bad = int(np.sum(~np.isfinite(sampled.values)))
+    # one operator on the node values; the label names it E (price) or E2 (log)
+    residual = residual_e if sampled.frame == "price" else residual_e2
     try:
-        if surface.frame == "price":
-            report = residual_e(sampled, ctx)
-        else:
-            report = residual_e2(sampled, ctx)
+        report = residual(sampled, ctx)
     except ValueError as exc:
         raise TransformDomainError(
             f"transformed solution is not evaluable on the grid interior "
@@ -332,7 +339,7 @@ def certify_transform(
 
 @dataclass(frozen=True)
 class InfinitesimalAction:
-    """First-order action of an isovector on log-frame solutions:
+    """First-order action of an isovector on solutions phi(t, x):
 
         (N~ phi)(t, x) = -N^t phi_t - N^x phi_x + g + h phi
     """
@@ -374,15 +381,12 @@ class InfinitesimalAction:
         return out
 
 
-class ActionSurface:
-    """Log-frame surface N~(phi) for a base solution with derivatives, that
-    is, with a `value_and_derivatives` method as `LogClosedForm` has."""
-
-    frame = "log"
+class ActionSurface(Surface):
+    """Surface N~(phi) for a base solution with derivatives in x, that is,
+    with a `value_and_derivatives(t, x, dt, dx)` method as the closed form
+    has; it carries the base's label."""
 
     def __init__(self, action: InfinitesimalAction, base):
-        if base.frame != "log":
-            raise ValueError("infinitesimal actions act on log-frame solutions")
         if not hasattr(base, "value_and_derivatives"):
             raise ValueError(
                 "base solution does not expose derivatives; sample it on a "
@@ -390,8 +394,9 @@ class ActionSurface:
             )
         self.action = action
         self.base = base
+        self.frame = base.frame
 
-    def value(self, t, x):
+    def at(self, t, x):
         a = self.action
 
         def acted(t, x):
@@ -400,9 +405,13 @@ class ActionSurface:
 
         return _masked(t, x, acted)
 
+    # bound here, not only inherited: perfbench's tracer wraps `value` from
+    # this class's own namespace
+    value = Surface.value
+
 
 def infinitesimal_action(N: Isovector, sol):
-    """Build N~(phi) for a log-frame solution.
+    """Build N~(phi) for a solution, in x; the result keeps its label.
 
     Closed-form solutions use their analytic derivatives and return a
     surface; grid solutions use the fourth-order stencils of the residual
@@ -412,8 +421,6 @@ def infinitesimal_action(N: Isovector, sol):
     """
     action = InfinitesimalAction.from_isovector(N)
     if isinstance(sol, GridSolution):
-        if sol.frame != "log":
-            raise ValueError("infinitesimal actions act on log-frame solutions")
         g = sol.grid
         if g.nt < 3 or g.nx < 3:
             raise ValueError("grid too coarse for derivative stencils")
@@ -424,5 +431,5 @@ def infinitesimal_action(N: Isovector, sol):
             _first_derivative(v, g.dt, axis=0) if action.needs_dt else None,
             _first_derivative(v, g.dx, axis=1) if action.needs_dx else None,
         )
-        return GridSolution(g, out, frame="log")
+        return GridSolution(g, out, frame=sol.frame)
     return ActionSurface(action, sol)

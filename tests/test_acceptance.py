@@ -39,7 +39,7 @@ from bssym.isovectors import (
     verify_isovector,
 )
 from bssym.model import make_context
-from bssym.pricing import ClosedFormSolution, OptionSpec, bs_price
+from bssym.pricing import ClosedFormSolution, LogClosedForm, OptionSpec, bs_price
 from bssym.transforms import (
     FiniteTransform,
     apply_transform,
@@ -108,7 +108,7 @@ def action_candidates():
 
 @pytest.fixture(scope="module")
 def action_residuals(acceptance_grid, call_surface):
-    log_surf = call_surface.to_log()
+    log_surf = LogClosedForm(CALL, DEFAULT)
     rels = {}
     for name, N in action_candidates():
         acted = infinitesimal_action(N, log_surf)

