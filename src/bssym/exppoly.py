@@ -317,7 +317,7 @@ class ExpPoly:
         shape = np.broadcast_shapes(*(a.shape for a in arrays.values()))
         total = np.zeros(shape)
         for (exps, sig), coeff in self._items():
-            factor = np.full(shape, float(coeff))
+            factor = float(coeff)
             for i, e in enumerate(exps):
                 if e:
                     name = VARS[i]

@@ -261,11 +261,15 @@ def _log_frame_residual(
             inner += w * v[2 + k:nt - 2 + k, 2:-2]
         for k, w in x_tiers[0].items():
             inner += w * v[2:-2, 2 + k:nx - 2 + k]
-    # the border ring and nodes near clipped ones, node by node
+    # the border ring and nodes near clipped ones, node by node; a node
+    # whose own value is NaN is skipped: that value enters its x stencil and
+    # its -r phi term, so its residual is NaN whatever stencil it takes
     flat = res.ravel()
     bad = np.flatnonzero(~np.isfinite(flat))
     i = bad // (nx - 2) + 1
     j = bad % (nx - 2) + 1
+    live = ~np.isnan(v[i, j])
+    bad, i, j = bad[live], i[live], j[live]
     t_term, t_three = _first_finite(v, i, j, 0, t_tiers)
     x_term, x_three = _first_finite(v, i, j, 1, x_tiers)
     flat[bad] = t_term + x_term - ctx.r_f * v[i, j]

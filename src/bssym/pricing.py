@@ -72,23 +72,27 @@ def _closed_form(spec: OptionSpec, ctx: ModelContext, tau, S, theta=False, delta
 
 
 def bs_price(spec: OptionSpec, ctx: ModelContext, t, S):
-    """Closed-form price at calendar time t and spot S (scalar or array).
+    """Closed-form price at calendar time t and spot S (scalar or array,
+    broadcast together).
 
     At t = maturity the payoff is returned exactly; t beyond maturity or a
-    nonpositive spot is a domain error.
+    nonpositive spot is a domain error.  The checks and the work of t alone
+    (tau, its square root, the discount) run on t as given, and log(S/K) on
+    S as given: against an S row, a t column pays per point only for d1,
+    d2, the two Phi and their combination.
     """
-    t, S = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(S, dtype=float))
+    t, S = np.asarray(t, dtype=float), np.asarray(S, dtype=float)
     if np.any(S <= 0):
         raise ValueError("spot must be positive")
     tau = spec.maturity - t
     if np.any(tau < 0):
         raise ValueError("t is beyond maturity")
-    at_expiry = tau == 0
-    if not np.any(at_expiry):
+    if not np.any(tau == 0):
         out = np.asarray(_closed_form(spec, ctx, tau, S)[0])
     else:
+        tau, S = np.broadcast_arrays(tau, S)
         out = np.asarray(spec.payoff(S), dtype=float)
-        live = ~at_expiry
+        live = tau != 0
         if np.any(live):
             out[live] = _closed_form(spec, ctx, tau[live], S[live])[0]
     return out if out.ndim else float(out)
@@ -96,25 +100,51 @@ def bs_price(spec: OptionSpec, ctx: ModelContext, t, S):
 
 def _masked(t, u, fn, inside=None):
     """fn at the points (t, u), broadcast together, and NaN wherever
-    `inside(t, u)` is false; a float for scalar input.
+    `inside(t, u)` is false; a float for scalar input.  fn must return the
+    broadcast shape of the points it is given.
 
     This is how every solution surface evaluates: points outside its domain
     read NaN instead of raising, so pulled-back sampling can count clipped
-    nodes.  Where every point is inside (or there is no `inside`), fn sees
-    the points as given, with no gather and scatter.
+    nodes.  fn sees the points as given (a t column and an x row stay axes)
+    where all are inside; the block's slices where the inside points of a
+    2-D input form one block, as a box clips a translated grid; and the
+    inside points gathered otherwise (a sheared clip, a 1-D point set).
     """
-    t, u = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(u, dtype=float))
+    t, u = np.asarray(t, dtype=float), np.asarray(u, dtype=float)
+    shape = np.broadcast_shapes(t.shape, u.shape)
     ok = True
     if inside is not None:
         with np.errstate(invalid="ignore"):
-            ok = inside(t, u)
+            ok = np.broadcast_to(inside(t, u), shape)
     if np.all(ok):
         out = np.asarray(fn(t, u), dtype=float)
-    else:
-        out = np.full(t.shape, np.nan)
-        if np.any(ok):
-            out[ok] = fn(t[ok], u[ok])
+        return out if out.ndim else float(out)
+    out = np.full(shape, np.nan)
+    block = _block(ok)
+    if block is not None:
+        out[block] = fn(_cut(t, block), _cut(u, block))
+    elif np.any(ok):
+        t, u = np.broadcast_arrays(t, u)
+        out[ok] = fn(t[ok], u[ok])
     return out if out.ndim else float(out)
+
+
+def _block(ok):
+    """The slices of the one rows-by-columns block a 2-D mask is true on,
+    or None if it is not 2-D, is nowhere true or is true on another shape."""
+    if ok.ndim != 2 or not ok.any():
+        return None
+    rows, cols = np.flatnonzero(ok.any(axis=1)), np.flatnonzero(ok.any(axis=0))
+    block = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    return block if ok[block].all() else None
+
+
+def _cut(a, block):
+    """The part of a (at most 2-D) that broadcasts onto `block`, contiguous,
+    so transcendental ufuncs run the same loop as on a whole axis."""
+    a = a.reshape((1,) * (2 - a.ndim) + a.shape)
+    part = tuple(s if n > 1 else slice(None) for s, n in zip(block, a.shape))
+    return np.ascontiguousarray(a[part])
 
 
 def _box(t_lo, t_hi, u_lo, u_hi):
@@ -123,8 +153,12 @@ def _box(t_lo, t_hi, u_lo, u_hi):
 
 
 class Surface:
-    """A solution surface: `at(t, x)` evaluates it in the log frame x = log S,
-    vectorized, with NaN outside its domain.
+    """A solution surface: `at(t, x)` evaluates it in the log frame x = log S
+    at any broadcastable t and x, with NaN outside its domain; the result
+    has their broadcast shape.  A grid is best passed as a t column and an
+    x row, as `transforms.sample_surface` does: work that needs one
+    coordinate alone then runs once per row or column, not once per node,
+    and the values are the same bits as at the grid's full meshes.
 
     Every surface computes in (t, x) and evaluates another one through `at`.
     Its `frame`, "price" or "log", is only a label: it says how `value`
@@ -143,8 +177,9 @@ class Surface:
 class ClosedFormSolution(Surface):
     """Solution surface backed by the closed form, labelled "price".
 
-    It evaluates at S = e^x; points past maturity, or where e^x is not a
-    positive spot, evaluate to NaN.
+    It evaluates at S = e^x, on the one domain 0 < e^x < inf and t at or
+    before maturity; outside it every value and derivative is NaN, with no
+    floating-point warning.
     """
 
     frame = "price"
@@ -160,32 +195,43 @@ class ClosedFormSolution(Surface):
         return _masked(t, u, self._price, self._inside)
 
     def at(self, t, x):
-        return _masked(t, np.exp(x), self._price, self._inside)
+        return _masked(t, _spot(x), self._price, self._inside)
 
     def _price(self, t, S):
         return bs_price(self.spec, self.ctx, t, S)
 
     def _inside(self, t, S):
-        return (S > 0) & (self.spec.maturity - t >= 0)
+        return (S > 0) & (S < np.inf) & (self.spec.maturity - t >= 0)
 
     def value_and_derivatives(self, t, x, dt, dx):
         """(phi, phi_t, phi_x) at the points (t, x), broadcast together, from
         one closed-form pass; phi_t = C_t and phi_x = S C_S at S = e^x.
 
         A derivative not asked for is None.  Asking for one needs t strictly
-        before maturity everywhere; phi is what `at` gives.
+        before maturity everywhere; phi is what `at` gives.  As in
+        `bs_price`, work of t alone runs on t as given, e^x on x as given.
         """
         if not (dt or dx):
             return self.at(t, x), None, None
-        t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+        t, S = np.asarray(t, dtype=float), _spot(x)
         tau = self.spec.maturity - t
         if np.any(tau <= 0):
             raise ValueError("derivatives need t strictly before maturity")
-        S = np.exp(x)
-        phi, phi_t, delta = _closed_form(self.spec, self.ctx, tau, S, theta=dt, delta=dx)
-        with np.errstate(invalid="ignore"):
-            phi = np.where(self._inside(t, S), phi, np.nan)
-        return phi, phi_t, (S * delta if dx else None)
+        # a spot of 0 or inf divides by zero or makes inf * 0 before it is masked
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi, phi_t, delta = _closed_form(self.spec, self.ctx, tau, S, theta=dt, delta=dx)
+            jet = (phi, phi_t, S * delta if dx else None)
+        ok = self._inside(t, S)
+        if np.all(ok):
+            return jet
+        return tuple(None if v is None else np.where(ok, v, np.nan) for v in jet)
+
+
+def _spot(x):
+    """S = e^x; an x past the float range reads as S = 0 or inf, outside
+    every surface's domain, without an overflow warning."""
+    with np.errstate(over="ignore"):
+        return np.exp(np.asarray(x, dtype=float))
 
 
 class LogClosedForm(ClosedFormSolution):

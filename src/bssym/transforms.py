@@ -182,19 +182,25 @@ class GridSurface(Surface):
     value = Surface.value
 
     def _rows(self, t, x):
-        """The spline at the points (t, x), one grid call per run of equal t
-        with ascending x.
+        """The spline at the points (t, x), broadcast together.
 
-        Every flow maps a grid row to points at one time, and FITPACK's grid
-        evaluator gives the same values as the pointwise `ev` at a fraction of
-        the cost.  FITPACK's grid call needs ascending x, so a point set
-        whose x descends within a run goes to `ev`.
+        FITPACK's grid evaluator gives the same values as the pointwise `ev`
+        at a fraction of the cost, and needs ascending axes.  A t column
+        against an x row, both ascending, is one grid call.  Otherwise each
+        run of equal t with ascending x is one grid call, since every flow
+        maps a grid row to points at one time; a point set with no run of
+        two points, or whose x descends within a run, goes to one `ev` call.
         """
+        if t.ndim == x.ndim == 2 and t.shape[1] == x.shape[0] == 1:
+            tf, xf = t[:, 0], x[0]
+            if np.all(np.diff(tf) >= 0) and np.all(np.diff(xf) >= 0):
+                return self._spline(tf, xf)
+        t, x = np.broadcast_arrays(t, x)
         tf, xf = t.ravel(), x.ravel()
         starts = np.flatnonzero(tf[1:] != tf[:-1]) + 1
         descends = np.diff(xf) < 0
         descends[starts - 1] = False
-        if np.any(descends):
+        if starts.size == tf.size - 1 or np.any(descends):
             return self._spline.ev(t, x)
         out = np.empty(tf.size)
         bounds = [0, *starts.tolist(), tf.size]
@@ -236,7 +242,9 @@ class _ForeignSurface(Surface):
         self.frame = sol.frame
 
     def at(self, t, x):
-        return self.sol.value(t, np.exp(x) if self.frame == "price" else x)
+        u = np.exp(x) if self.frame == "price" else x
+        # foreign code gets whole (t, u) arrays of one shape, as from meshes
+        return self.sol.value(*(np.array(a) for a in np.broadcast_arrays(t, u)))
 
 
 def as_surface(sol):
@@ -261,10 +269,11 @@ def apply_transform(transform: Union[FiniteTransform, Pipeline], sol, ctx: Model
 
 
 def sample_surface(surface, grid: Grid) -> GridSolution:
-    """Evaluate a bssym surface at all grid nodes (t, x); the samples keep
-    its label.  Others go through `as_surface` first."""
-    T, X = grid.meshes()
-    return GridSolution(grid, surface.at(T, X), frame=surface.frame)
+    """Evaluate a bssym surface at all grid nodes (t, x), passed as a t
+    column and an x row; the samples keep its label.  Others go through
+    `as_surface` first."""
+    values = surface.at(grid.t_values[:, None], grid.x_values[None, :])
+    return GridSolution(grid, values, frame=surface.frame)
 
 
 @dataclass(frozen=True)
@@ -425,9 +434,8 @@ def infinitesimal_action(N: Isovector, sol):
         if g.nt < 3 or g.nx < 3:
             raise ValueError("grid too coarse for derivative stencils")
         v = sol.values
-        T, X = g.meshes()
         out = action.apply(
-            T, X, v,
+            g.t_values[:, None], g.x_values[None, :], v,
             _first_derivative(v, g.dt, axis=0) if action.needs_dt else None,
             _first_derivative(v, g.dx, axis=1) if action.needs_dx else None,
         )

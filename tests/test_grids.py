@@ -156,6 +156,19 @@ def test_residual_stays_fourth_order_beside_clipped_rows():
     assert rep.n_interior == (79 - 6) * 99
 
 
+def test_nan_node_takes_no_stencil():
+    # rows 40 and 42 clipped: rows 39 to 43 are excluded, and the only
+    # three-point t stencils that fit are those of the NaN nodes themselves,
+    # whose residual is NaN whatever stencil they take; those nodes are
+    # skipped, so the report names no fallback that no reported node used
+    g = make_grid(0.0, 0.8, 81, -0.5, 1.5, 101)
+    vals = exact_mode_values(g, Fraction(2), DEFAULT)
+    vals[[40, 42]] = np.nan
+    rep = residual_e2(GridSolution(g, vals, frame="log"), DEFAULT)
+    assert rep.stencil == "4th-order-uniform"
+    assert rep.n_interior == (79 - 5) * 99
+
+
 def _node_by_node_derivative(v, h, axis):
     """Every node through `_first_finite`, the derivative's reference route."""
     tiers = [{k: w / (12.0 * h) for k, w in d1.items()} for d1 in _D1_TIERS]

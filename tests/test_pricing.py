@@ -5,6 +5,7 @@ derived constants are frozen into the assertions.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bssym.isovectors import basis_isovector
 from bssym.model import make_context
 from bssym.pricing import (
     ClosedFormSolution,
@@ -21,6 +23,7 @@ from bssym.pricing import (
     bs_price,
     normal_pdf,
 )
+from bssym.transforms import infinitesimal_action
 
 DEFAULT = make_context(Fraction(1, 20), Fraction(1, 25))
 ZERO_RATE = make_context(Fraction(0), Fraction(1, 25))
@@ -258,3 +261,26 @@ def test_closed_form_mask_fast_path_is_bit_identical(t_lo, t_hi):
                       (surf.at(T, X), _masked_reference(surf, T, np.exp(X)))):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(np.isnan(got), T > CALL.maturity)
+
+
+@pytest.mark.parametrize("spec", [CALL, PUT], ids=["call", "put"])
+@pytest.mark.parametrize("x", [-800.0, 800.0, math.inf, -math.inf])
+def test_reads_where_e_to_the_x_is_no_spot_are_nan_and_quiet(spec, x):
+    # e^x is 0 or inf there, outside the one domain 0 < e^x < inf: every
+    # read is NaN, derivatives included, and no floating-point warning leaks
+    surf, log_surf = ClosedFormSolution(spec, DEFAULT), LogClosedForm(spec, DEFAULT)
+    spot = 0.0 if x < 0 else math.inf
+    x_pair = np.asarray([x, math.log(110.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reads = [surf.at(0.5, x), surf.value(0.5, spot), log_surf.value(0.5, x)]
+        for dt, dx in [(True, True), (True, False), (False, True)]:
+            jet = log_surf.value_and_derivatives(0.5, x, dt, dx)
+            reads += [v for v in jet if v is not None]
+            pair = log_surf.value_and_derivatives(np.full(2, 0.5), x_pair, dt, dx)
+            reads += [v[0] for v in pair if v is not None]
+            assert all(np.isfinite(v[1]) for v in pair if v is not None)
+        if math.isfinite(x):
+            action = infinitesimal_action(basis_isovector(1, DEFAULT), log_surf)
+            reads.append(action.at(0.5, x))
+    assert np.isnan(reads).all()

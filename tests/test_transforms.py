@@ -6,8 +6,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bssym.grids import GridSolution, make_grid, residual_e2
+from bssym import pricing
+from bssym.grids import (
+    _D1_TIERS,
+    _D2_TIERS,
+    _STENCIL_4TH,
+    _STENCIL_FALLBACK,
+    GridSolution,
+    _combine,
+    _finish_report,
+    _first_finite,
+    make_grid,
+    residual_e,
+    residual_e2,
+)
 from bssym.isovectors import (
     SolutionSpec,
     basis_isovector,
@@ -17,6 +32,8 @@ from bssym.isovectors import (
 from bssym.model import make_context
 from bssym.pricing import ClosedFormSolution, LogClosedForm, OptionSpec, bs_price
 from bssym.transforms import (
+    BoxRestrictedSurface,
+    FLOW_GENERATORS,
     FiniteTransform,
     GridSurface,
     TransformDomainError,
@@ -30,6 +47,7 @@ from bssym.transforms import (
 
 DEFAULT = make_context(Fraction(1, 20), Fraction(1, 25))
 CALL = OptionSpec(100.0, 1.0, "call")
+PUT = OptionSpec(90.0, 1.0, "put")
 
 # coarse but adequate certification grid for unit-level checks
 COARSE = make_grid(0.0, 0.8, 161, math.log(0.5), math.log(200.0), 121)
@@ -394,6 +412,192 @@ def test_row_wise_spline_matches_pointwise_bit_for_bit(case):
     want = _pointwise_spline(surface, COARSE, t, x)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.isnan(got).any() == (case in ("clipped", "scattered"))
+
+
+class _CountingSpline:
+    """A spline that counts its FITPACK calls, grid and pointwise."""
+
+    def __init__(self, spline):
+        self.spline, self.calls = spline, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.spline(*args, **kwargs)
+
+    def ev(self, *args, **kwargs):
+        self.calls += 1
+        return self.spline.ev(*args, **kwargs)
+
+
+def test_scattered_spline_points_are_one_ev_call():
+    # no two points at one time: one pointwise call, not one grid call each
+    surface = GridSurface(sample_surface(log_call_surface(), COARSE))
+    rng = np.random.default_rng(11)
+    t = rng.uniform(-0.1, 0.9, 200)
+    x = rng.uniform(math.log(0.4), math.log(250.0), 200)
+    want = _pointwise_spline(surface, COARSE, t, x)
+    surface._spline = counting = _CountingSpline(surface._spline)
+    got = surface.value(t, x)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.isnan(got).any() and not np.isnan(got).all()
+    assert counting.calls <= 1
+
+
+@pytest.mark.parametrize("i, kappa", [(3, 0.3), (5, -0.25), (6, 0.1)])
+def test_spline_on_a_translated_grid_is_one_grid_call(i, kappa):
+    # a translation maps the grid's axes to shifted axes, and a box clips
+    # them to a block: one FITPACK grid call for the whole sample
+    surface = GridSurface(sample_surface(log_call_surface(), COARSE))
+    T, X = COARSE.meshes()
+    flowed = apply_transform(FiniteTransform(i, kappa, frame="log"), surface, DEFAULT)
+    want = flowed.at(T, X)
+    surface._spline = counting = _CountingSpline(surface._spline)
+    got = sample_surface(flowed, COARSE).values
+    assert counting.calls == 1
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class _ForeignCall:
+    """A price-labelled call from outside bssym: `value(t, S)` only, which
+    must be handed whole arrays of one shape."""
+
+    frame = "price"
+
+    def value(self, t, S):
+        assert isinstance(t, np.ndarray) and t.shape == np.shape(S)
+        return bs_price(CALL, DEFAULT, t, S)
+
+
+def _tensor_cases(i, kappa):
+    """One surface of each class, flowed by exp(kappa N_i) where a flow
+    applies; the bases are box-restricted to COARSE, as certification has
+    them, except the bare closed forms."""
+    boxed = BoxRestrictedSurface(call_surface(), COARSE)
+    spline = GridSurface(sample_surface(log_call_surface(), COARSE))
+    flow = FiniteTransform(i, kappa)
+    log_flow = FiniteTransform(i, kappa, frame="log")
+    return {
+        "call": call_surface(),
+        "put": ClosedFormSolution(PUT, DEFAULT),
+        "boxed call": boxed,
+        "flowed call": apply_transform(flow, boxed, DEFAULT),
+        "flowed put": apply_transform(
+            flow, BoxRestrictedSurface(ClosedFormSolution(PUT, DEFAULT), COARSE), DEFAULT),
+        "pipeline": apply_transform(
+            compose(flow, FiniteTransform(5, -kappa / 2)), boxed, DEFAULT),
+        "flowed spline": apply_transform(log_flow, spline, DEFAULT),
+        "boosted spline": apply_transform(
+            FiniteTransform(4, kappa, frame="log"), spline, DEFAULT),
+        "foreign": apply_transform(
+            flow, BoxRestrictedSurface(as_surface(_ForeignCall()), COARSE), DEFAULT),
+    }
+
+
+def _assert_tensor_is_mesh_bit_for_bit(surface, grid):
+    """The surface at the grid's t column and x row, at its meshes and at
+    its nodes as one flat point set: the same bits, NaN masks included."""
+    T, X = grid.meshes()
+    tensor = surface.at(grid.t_values[:, None], grid.x_values[None, :])
+    mesh = surface.at(T, X)
+    flat = surface.at(T.ravel(), X.ravel()).reshape(T.shape)
+    for other in (mesh, flat):
+        assert tensor.shape == other.shape
+        assert np.array_equal(np.isnan(tensor), np.isnan(other))
+        assert np.array_equal(tensor.view(np.uint64), other.view(np.uint64))
+    return tensor
+
+
+@given(
+    i=st.sampled_from(FLOW_GENERATORS),
+    kappa=st.floats(-0.4, 0.4),
+    t_lo=st.floats(0.0, 1.1),
+    t_len=st.floats(0.05, 0.6),
+    x_lo=st.floats(math.log(0.3), math.log(150.0)),
+    x_len=st.floats(0.3, 4.0),
+)
+@settings(max_examples=25)
+def test_tensor_evaluation_equals_mesh_evaluation_bit_for_bit(i, kappa, t_lo, t_len, x_lo, x_len):
+    grid = make_grid(t_lo, t_lo + t_len, 17, x_lo, x_lo + x_len, 13)
+    for surface in _tensor_cases(i, kappa).values():
+        _assert_tensor_is_mesh_bit_for_bit(surface, grid)
+    if t_lo + t_len < CALL.maturity:  # derivatives need t before maturity
+        for n in (1, i):
+            action = infinitesimal_action(basis_isovector(n, DEFAULT), log_call_surface())
+            _assert_tensor_is_mesh_bit_for_bit(action, grid)
+
+
+@pytest.mark.parametrize("case, surface, window, routes", [
+    ("all inside", "call", (0.1, 0.7, math.log(50.0), math.log(200.0)), []),
+    ("block past maturity", "call", (0.5, 1.5, math.log(50.0), math.log(200.0)), ["block"]),
+    ("block clip", "flowed call", (0.0, 0.8, math.log(0.5), math.log(200.0)), ["block"]),
+    ("sheared clip", "boosted spline", (0.0, 0.8, math.log(0.5), math.log(200.0)),
+     ["gather"]),
+    ("none inside", "put", (1.1, 1.5, math.log(50.0), math.log(200.0)), ["none"]),
+])
+def test_each_masked_route_keeps_the_bits(monkeypatch, case, surface, window, routes):
+    seen = []
+    block_of = pricing._block
+
+    def spy(ok):
+        block = block_of(ok)
+        seen.append("none" if not ok.any() else "gather" if block is None else "block")
+        return block
+
+    monkeypatch.setattr(pricing, "_block", spy)
+    t_lo, t_hi, x_lo, x_hi = window
+    grid = make_grid(t_lo, t_hi, 11, x_lo, x_hi, 9)
+    surface = _tensor_cases(3, 0.3)[surface]
+    surface.at(grid.t_values[:, None], grid.x_values[None, :])
+    assert seen == routes
+    _assert_tensor_is_mesh_bit_for_bit(surface, grid)
+
+
+def test_bs_price_on_axes_with_nodes_at_expiry_keeps_the_bits():
+    t = np.linspace(0.5, 1.0, 11)
+    S = np.linspace(60.0, 150.0, 9)
+    T, SS = np.meshgrid(t, S, indexing="ij")
+    for spec in (CALL, PUT):
+        tensor = bs_price(spec, DEFAULT, t[:, None], S[None, :])
+        mesh = bs_price(spec, DEFAULT, T, SS)
+        flat = bs_price(spec, DEFAULT, T.ravel(), SS.ravel()).reshape(T.shape)
+        assert np.array_equal(tensor[-1], spec.payoff(S))
+        for other in (mesh, flat):
+            assert np.array_equal(tensor.view(np.uint64), other.view(np.uint64))
+
+
+def _residual_without_skip(sol, ctx):
+    """The residual operator with every node the bulk leaves non-finite,
+    NaN-valued ones included, sent through `_first_finite`."""
+    g, v = sol.grid, sol.values
+    nt, nx = v.shape
+    t_tiers = [{k: w / (12.0 * g.dt) for k, w in d1.items()} for d1 in _D1_TIERS]
+    diffusion = 0.5 * ctx.sigma2_f / (12.0 * g.dx * g.dx)
+    drift = ctx.rtilde_f / (12.0 * g.dx)
+    x_tiers = [_combine((drift, d1), (diffusion, d2)) for d1, d2 in zip(_D1_TIERS, _D2_TIERS)]
+    res = np.full((nt - 2, nx - 2), np.nan)
+    inner = res[1:-1, 1:-1]
+    np.multiply(v[2:-2, 2:-2], -ctx.r_f, out=inner)
+    for k, w in t_tiers[0].items():
+        inner += w * v[2 + k:nt - 2 + k, 2:-2]
+    for k, w in x_tiers[0].items():
+        inner += w * v[2:-2, 2 + k:nx - 2 + k]
+    i, j = np.nonzero(~np.isfinite(res))
+    t_term, t_three = _first_finite(v, i + 1, j + 1, 0, t_tiers)
+    x_term, x_three = _first_finite(v, i + 1, j + 1, 1, x_tiers)
+    res[i, j] = t_term + x_term - ctx.r_f * v[i + 1, j + 1]
+    stencil = _STENCIL_FALLBACK if np.any(t_three | x_three) else _STENCIL_4TH
+    return _finish_report("E" if sol.frame == "price" else "E2", res, v, stencil)
+
+
+@pytest.mark.parametrize("transform", [
+    FiniteTransform(3, 0.3), FiniteTransform(3, -0.3), FiniteTransform(4, 0.3),
+    FiniteTransform(5, 0.25), compose(FiniteTransform(3, 0.2), FiniteTransform(5, 0.25)),
+], ids=["N3+", "N3-", "N4", "N5", "pipeline"])
+def test_residual_skip_of_nan_nodes_changes_no_report(transform):
+    result = certify_transform(transform, call_surface(), COARSE, DEFAULT, 5e-4)
+    assert result.n_clipped_nodes > 0
+    assert result.report == _residual_without_skip(result.samples, DEFAULT)
+    assert residual_e(result.samples, DEFAULT) == result.report
 
 
 def test_infinitesimal_action_of_scaling_is_identity():
