@@ -71,7 +71,6 @@ from .transforms import (
     ActionSurface,
     CertificationResult,
     FiniteTransform,
-    InfinitesimalAction,
     Pipeline,
     TransformDomainError,
     apply_transform,
@@ -103,6 +102,6 @@ __all__ = [
     "FiniteTransform", "Pipeline", "TransformDomainError",
     "apply_transform", "compose", "as_surface", "sample_surface",
     "certify_transform", "CertificationResult",
-    "InfinitesimalAction", "ActionSurface", "infinitesimal_action",
+    "ActionSurface", "infinitesimal_action",
     "__version__",
 ]

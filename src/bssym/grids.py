@@ -357,7 +357,7 @@ def fd_solve(spec: OptionSpec, ctx: ModelContext, grid: Grid) -> GridSolution:
 
     n_in = nx - 2
 
-    def _step(v_old, lo_new, hi_new, lo_old, hi_old, dt, theta):
+    def _step(v_old, lo_new, hi_new, dt, theta):
         """One theta-step of size dt backward in time."""
         ab = np.zeros((3, n_in))
         ab[0, 1:] = -theta * dt * upper
@@ -383,19 +383,10 @@ def fd_solve(spec: OptionSpec, ctx: ModelContext, grid: Grid) -> GridSolution:
             lo_mid, hi_mid = _fd_boundaries(
                 spec, ctx, np.asarray([t_mid]), grid
             )
-            v_mid = _step(
-                v_old, float(lo_mid[0]), float(hi_mid[0]),
-                lo_all[n + 1], hi_all[n + 1], 0.5 * dt, 1.0,
-            )
-            values[n] = _step(
-                v_mid, lo_all[n], hi_all[n], float(lo_mid[0]), float(hi_mid[0]),
-                0.5 * dt, 1.0,
-            )
+            v_mid = _step(v_old, float(lo_mid[0]), float(hi_mid[0]), 0.5 * dt, 1.0)
+            values[n] = _step(v_mid, lo_all[n], hi_all[n], 0.5 * dt, 1.0)
         else:
-            values[n] = _step(
-                v_old, lo_all[n], hi_all[n], lo_all[n + 1], hi_all[n + 1],
-                dt, 0.5,
-            )
+            values[n] = _step(v_old, lo_all[n], hi_all[n], dt, 0.5)
     return GridSolution(grid, values, frame="log")
 
 

@@ -203,6 +203,10 @@ class ClosedFormSolution(Surface):
     def _inside(self, t, S):
         return (S > 0) & (S < np.inf) & (self.spec.maturity - t >= 0)
 
+    def inside(self, t, x):
+        """Whether (t, x) is in the domain, broadcast together."""
+        return self._inside(t, _spot(x))
+
     def value_and_derivatives(self, t, x, dt, dx):
         """(phi, phi_t, phi_x) at the points (t, x), broadcast together, from
         one closed-form pass; phi_t = C_t and phi_x = S C_S at S = e^x.

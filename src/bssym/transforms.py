@@ -3,18 +3,19 @@
 Four of the basis isovectors integrate to closed-form flows; index them by
 their basis number.  In the log frame each flow reads
 
-    psi(t, x) = e^(a + b x) phi(t + dt, x + dx)
+    psi(t, x) = e^(p(t, x)) phi(t', x')
 
-with
-    3: time translation    dt = kappa,   a = -kappa stilde^2/(2 sigma2)
-    4: boost               dx = kappa t, a = kappa t (2 rtilde - kappa)/(2 sigma2),
-                           b = -kappa/sigma2
-    5: space translation   dx = kappa,   a = kappa rtilde/sigma2
-    6: scaling             a = kappa
-and every other part zero: under S = e^x the Black-Scholes equation is this
-constant-coefficient one, so the table is each flow's only formula.  Each
-flow maps solutions to solutions; `certify_transform` machine-checks that
-claim with the discrete residual operator.
+for a point map (t, x) -> (t', x') and a log prefactor p, which are one row
+of `_LOG_FLOWS`:
+    3: time translation    (t + kappa, x),   p = -kappa stilde^2/(2 sigma2)
+    4: boost               (t, x + kappa t), p = kappa t (2 rtilde - kappa)/(2 sigma2)
+                                                 - (kappa/sigma2) x
+    5: space translation   (t, x + kappa),   p = kappa rtilde/sigma2
+    6: scaling             (t, x),           p = kappa
+Under S = e^x the Black-Scholes equation is this constant-coefficient one,
+so the row is each flow's only formula.  Each flow maps solutions to
+solutions; `certify_transform` machine-checks that claim with the discrete
+residual operator.
 
 Solutions are "surfaces" (`pricing.Surface`): a vectorized `at(t, x)` that
 returns NaN outside the domain, and a `frame` label, "price" or "log", that
@@ -27,6 +28,7 @@ that interpolation took place so a failed verdict can be attributed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -35,7 +37,6 @@ import numpy as np
 # scipy is imported inside the code that calls it, so that importing
 # bssym (and the exact CLI subcommands) costs about an `import numpy`.
 
-from .exppoly import ExpPoly
 from .grids import (
     Grid,
     GridSolution,
@@ -48,15 +49,19 @@ from .isovectors import Isovector, gh_of
 from .model import ModelContext
 from .pricing import Surface, _box, _masked
 
-# (dt, dx, a, b) of exp(kappa N_i), as functions of
-# (kappa, ctx, t); None marks a part that is the identity, so it costs nothing.
+# exp(kappa N_i) as its point map (t, x) -> (t', x') and the log of its
+# prefactor, both functions of (kappa, ctx, t, x); a coordinate the flow
+# leaves alone is returned as given.
 _LOG_FLOWS = {
-    3: lambda k, c, t: (k, None, -k * c.stilde_f**2 / (2.0 * c.sigma2_f), None),
-    4: lambda k, c, t: (
-        None, k * t, k * t * (2.0 * c.rtilde_f - k) / (2.0 * c.sigma2_f), -k / c.sigma2_f
-    ),
-    5: lambda k, c, t: (None, k, k * c.rtilde_f / c.sigma2_f, None),
-    6: lambda k, c, t: (None, None, k, None),
+    3: (lambda k, c, t, x: (t + k, x),
+        lambda k, c, t, x: -k * c.stilde_f**2 / (2.0 * c.sigma2_f)),
+    4: (lambda k, c, t, x: (t, x + k * t),
+        lambda k, c, t, x: k * t * (2.0 * c.rtilde_f - k) / (2.0 * c.sigma2_f)
+        + (-k / c.sigma2_f) * x),
+    5: (lambda k, c, t, x: (t, x + k),
+        lambda k, c, t, x: k * c.rtilde_f / c.sigma2_f),
+    6: (lambda k, c, t, x: (t, x),
+        lambda k, c, t, x: k),
 }
 FLOW_GENERATORS = tuple(_LOG_FLOWS)
 
@@ -86,19 +91,15 @@ class FiniteTransform:
             )
         if self.frame not in ("price", "log"):
             raise ValueError(f"frame must be 'price' or 'log', got {self.frame!r}")
+        if not math.isfinite(self.kappa):
+            raise ValueError(f"kappa must be finite, got {self.kappa!r}")
 
     def pullback(self, ctx: ModelContext, t, x):
         """Map evaluation points (t, x) to base-solution points."""
-        dt, dx, _, _ = _LOG_FLOWS[self.generator](self.kappa, ctx, t)
-        if dt is not None:
-            t = t + dt
-        if dx is not None:
-            x = x + dx
-        return t, x
+        return _LOG_FLOWS[self.generator][0](self.kappa, ctx, t, x)
 
     def prefactor(self, ctx: ModelContext, t, x):
-        _, _, a, b = _LOG_FLOWS[self.generator](self.kappa, ctx, t)
-        return np.exp(a) if b is None else np.exp(a + b * x)
+        return np.exp(_LOG_FLOWS[self.generator][1](self.kappa, ctx, t, x))
 
     def to_json(self) -> dict:
         return {"generator": self.generator, "kappa": self.kappa, "frame": self.frame}
@@ -346,73 +347,56 @@ def certify_transform(
 # -- infinitesimal actions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InfinitesimalAction:
-    """First-order action of an isovector on solutions phi(t, x):
+def _action_of(N: Isovector) -> tuple:
+    """(-N^t, -N^x, g, h) of an isovector, the coefficients of its first-order
+    action on solutions phi(t, x):
 
         (N~ phi)(t, x) = -N^t phi_t - N^x phi_x + g + h phi
     """
+    for var in ("phi", "A", "B"):
+        if N.Nt.depends_on(var) or N.Nx.depends_on(var):
+            raise ValueError(f"N^t and N^x must depend only on (t, x); found {var}")
+    pair = gh_of(N)
+    return -N.Nt, -N.Nx, pair.g, pair.h
 
-    minus_nt: ExpPoly
-    minus_nx: ExpPoly
-    g: ExpPoly
-    h: ExpPoly
 
-    @staticmethod
-    def from_isovector(N: Isovector) -> "InfinitesimalAction":
-        for var in ("phi", "A", "B"):
-            if N.Nt.depends_on(var) or N.Nx.depends_on(var):
-                raise ValueError(
-                    f"N^t and N^x must depend only on (t, x); found {var}"
-                )
-        pair = gh_of(N)
-        return InfinitesimalAction(
-            minus_nt=-N.Nt, minus_nx=-N.Nx, g=pair.g, h=pair.h
-        )
-
-    @property
-    def needs_dt(self) -> bool:
-        return not self.minus_nt.is_zero()
-
-    @property
-    def needs_dx(self) -> bool:
-        return not self.minus_nx.is_zero()
-
-    def apply(self, t, x, phi, phi_t=None, phi_x=None):
-        """The action at points (t, x) where the solution is phi, with
-        derivatives phi_t and phi_x there; each is read only if its
-        coefficient, N^t or N^x, is not zero (`needs_dt`, `needs_dx`)."""
-        out = self.g.eval_grid(t, x) + self.h.eval_grid(t, x) * phi
-        if self.needs_dt:
-            out = out + self.minus_nt.eval_grid(t, x) * phi_t
-        if self.needs_dx:
-            out = out + self.minus_nx.eval_grid(t, x) * phi_x
-        return out
+def _act(action: tuple, t, x, phi, phi_t, phi_x):
+    """The action at points (t, x) where the solution is phi, with
+    derivatives phi_t and phi_x there; pass None for a derivative whose
+    coefficient, N^t or N^x, is zero."""
+    minus_nt, minus_nx, g, h = action
+    out = g.eval_grid(t, x) + h.eval_grid(t, x) * phi
+    if phi_t is not None:
+        out = out + minus_nt.eval_grid(t, x) * phi_t
+    if phi_x is not None:
+        out = out + minus_nx.eval_grid(t, x) * phi_x
+    return out
 
 
 class ActionSurface(Surface):
-    """Surface N~(phi) for a base solution with derivatives in x, that is,
-    with a `value_and_derivatives(t, x, dt, dx)` method as the closed form
-    has; it carries the base's label."""
+    """Surface N~(phi) of an isovector N on a base solution with derivatives
+    in x, that is, with a `value_and_derivatives(t, x, dt, dx)` method and an
+    `inside(t, x)` domain predicate, as the closed form has.  It is NaN
+    outside the base's domain and carries the base's label."""
 
-    def __init__(self, action: InfinitesimalAction, base):
+    def __init__(self, N: Isovector, base):
         if not hasattr(base, "value_and_derivatives"):
             raise ValueError(
                 "base solution does not expose derivatives; sample it on a "
                 "grid and use the stencil route instead"
             )
-        self.action = action
+        self.action = _action_of(N)
         self.base = base
         self.frame = base.frame
 
     def at(self, t, x):
-        a = self.action
+        needs = [not c.is_zero() for c in self.action[:2]]
 
         def acted(t, x):
-            jet = self.base.value_and_derivatives(t, x, a.needs_dt, a.needs_dx)
-            return a.apply(t, x, *jet)
+            jet = self.base.value_and_derivatives(t, x, *needs)
+            return _act(self.action, t, x, *jet)
 
-        return _masked(t, x, acted)
+        return _masked(t, x, acted, self.base.inside)
 
     # bound here, not only inherited: perfbench's tracer wraps `value` from
     # this class's own namespace
@@ -428,16 +412,16 @@ def infinitesimal_action(N: Isovector, sol):
     stencil is one-sided, so where N^t (or N^x) is not zero the first and
     last time rows (or space columns) are NaN.
     """
-    action = InfinitesimalAction.from_isovector(N)
-    if isinstance(sol, GridSolution):
-        g = sol.grid
-        if g.nt < 3 or g.nx < 3:
-            raise ValueError("grid too coarse for derivative stencils")
-        v = sol.values
-        out = action.apply(
-            g.t_values[:, None], g.x_values[None, :], v,
-            _first_derivative(v, g.dt, axis=0) if action.needs_dt else None,
-            _first_derivative(v, g.dx, axis=1) if action.needs_dx else None,
-        )
-        return GridSolution(g, out, frame=sol.frame)
-    return ActionSurface(action, sol)
+    if not isinstance(sol, GridSolution):
+        return ActionSurface(N, sol)
+    action = _action_of(N)
+    g = sol.grid
+    if g.nt < 3 or g.nx < 3:
+        raise ValueError("grid too coarse for derivative stencils")
+    v = sol.values
+    out = _act(
+        action, g.t_values[:, None], g.x_values[None, :], v,
+        None if action[0].is_zero() else _first_derivative(v, g.dt, axis=0),
+        None if action[1].is_zero() else _first_derivative(v, g.dx, axis=1),
+    )
+    return GridSolution(g, out, frame=sol.frame)

@@ -1,6 +1,7 @@
 """Finite flows, pipelines, residual certification and infinitesimal actions."""
 
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -68,6 +69,13 @@ def test_flow_indices_validated():
         FiniteTransform(7, 0.1)
     with pytest.raises(ValueError):
         FiniteTransform(4, 0.1, frame="spot")
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("i", FLOW_GENERATORS)
+def test_non_finite_kappa_rejected(i, kappa):
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        FiniteTransform(i, kappa)
 
 
 def test_time_shift_pullback_and_prefactor():
@@ -668,6 +676,35 @@ def test_action_of_solution_direction_is_inhomogeneous_shift():
     ((coeff, a, b),) = mode.modes
     want = math.exp(float(a) * t + float(b) * x)
     assert act.value(t, x) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("surface", [call_surface, log_call_surface])
+@pytest.mark.parametrize("i", FLOW_GENERATORS)
+def test_every_flow_is_tangent_to_its_action(i, surface):
+    # the central difference (exp(h N) phi - exp(-h N) phi)/(2h) is the
+    # action up to O(h^2); a sign or factor slip in a flow's row gives a
+    # gap of order 1
+    surf, h = surface(), 1e-5
+    act = infinitesimal_action(basis_isovector(i, DEFAULT), surf)
+    fwd, bwd = (
+        apply_transform(FiniteTransform(i, k, frame=surf.frame), surf, DEFAULT)
+        for k in (h, -h)
+    )
+    for t, x in ((0.1, math.log(90.0)), (0.4, math.log(100.0)), (0.7, math.log(115.0))):
+        want = act.at(t, x)
+        assert abs((fwd.at(t, x) - bwd.at(t, x)) / (2.0 * h) - want) < 1e-6 * abs(want)
+
+
+@pytest.mark.parametrize("surface", [call_surface, log_call_surface])
+def test_action_is_nan_outside_the_base_domain_without_warning(surface):
+    surf = surface()
+    xs = np.array([np.inf, -np.inf, 800.0, -800.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(1, 7):
+            act = infinitesimal_action(basis_isovector(i, DEFAULT), surf)
+            assert all(math.isnan(act.at(0.5, x)) for x in xs), i
+            assert np.isnan(act.at(0.5, xs)).all(), i
 
 
 def test_richardson_limit_toward_action():
