@@ -27,6 +27,17 @@ from .pricing import OptionSpec
 
 _UNIFORM_RTOL = 1e-9
 
+# Whole-grid work runs in strips of whole time rows of about this many nodes,
+# 256 KB per float64 array, so a strip's temporaries stay in cache.
+_STRIP_NODES = 1 << 15
+
+
+def _row_strips(n_rows: int, row_len: int):
+    """The (lo, hi) bounds of consecutive strips of whole rows that cover
+    n_rows rows of row_len nodes: _STRIP_NODES nodes each, or one row."""
+    step = max(1, _STRIP_NODES // max(1, row_len))
+    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
 
 def _check_axis(vals: np.ndarray, name: str) -> None:
     if vals.ndim != 1 or vals.size < 2:
@@ -139,23 +150,33 @@ class ResidualReport:
 
 
 def _finish_report(op: str, res: np.ndarray, values: np.ndarray, stencil: str) -> ResidualReport:
+    """The report of the residual `res` of `values`; res is overwritten."""
     mask = np.isfinite(res)
     n_interior = int(mask.sum())
     if n_interior == 0:
         raise ValueError("no evaluable interior nodes for the residual stencil")
     finite = np.isfinite(values)
     finite_vals = values if finite.all() else values[finite]
-    scale = float(np.max(np.abs(finite_vals))) if finite_vals.size else 0.0
+    scale = _max_abs(finite_vals) if finite_vals.size else 0.0
     picked = res if n_interior == res.size else res[mask]
+    max_abs = _max_abs(picked)
+    # squared in place: no second full-size array, and the same mean
+    np.multiply(picked, picked, out=picked)
     return ResidualReport(
         op=op,
-        max_abs_residual=float(np.max(np.abs(picked))),
-        interior_norm=float(np.sqrt(np.mean(picked * picked))),
+        max_abs_residual=max_abs,
+        interior_norm=float(np.sqrt(np.mean(picked))),
         stencil=stencil,
         scale=scale,
         n_interior=n_interior,
         n_clipped=int(res.size - n_interior),
     )
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| of a nonempty array with no NaN, with no |a| temporary; 0.0,
+    never -0.0, for an array of zeros."""
+    return float(abs(max(a.max(), -a.min())))
 
 
 # Difference weights on unit spacing, times 12, keyed by node offset
@@ -254,13 +275,17 @@ def _log_frame_residual(
     ]
     res = np.full((nt - 2, nx - 2), np.nan)
     if nt >= 5 and nx >= 5:
-        # the bulk: central five-point stencils on whole blocks
+        # the bulk: central five-point stencils, one strip of rows at a time,
+        # each term summed in the same order as on the whole block
         inner = res[1:-1, 1:-1]
-        np.multiply(v[2:-2, 2:-2], -ctx.r_f, out=inner)
-        for k, w in t_tiers[0].items():
-            inner += w * v[2 + k:nt - 2 + k, 2:-2]
-        for k, w in x_tiers[0].items():
-            inner += w * v[2:-2, 2 + k:nx - 2 + k]
+        for lo, hi in _row_strips(nt - 4, nx - 4):
+            rows = slice(2 + lo, 2 + hi)
+            strip = inner[lo:hi]
+            np.multiply(v[rows, 2:-2], -ctx.r_f, out=strip)
+            for k, w in t_tiers[0].items():
+                strip += w * v[2 + lo + k:2 + hi + k, 2:-2]
+            for k, w in x_tiers[0].items():
+                strip += w * v[rows, 2 + k:nx - 2 + k]
     # the border ring and nodes near clipped ones, node by node; a node
     # whose own value is NaN is skipped: that value enters its x stencil and
     # its -r phi term, so its residual is NaN whatever stencil it takes

@@ -156,9 +156,11 @@ class Surface:
     """A solution surface: `at(t, x)` evaluates it in the log frame x = log S
     at any broadcastable t and x, with NaN outside its domain; the result
     has their broadcast shape.  A grid is best passed as a t column and an
-    x row, as `transforms.sample_surface` does: work that needs one
-    coordinate alone then runs once per row or column, not once per node,
-    and the values are the same bits as at the grid's full meshes.
+    x row, as `transforms.sample_surface` does, one strip of time rows at a
+    time: work that needs one coordinate alone then runs once per row or
+    column, not once per node, a strip's temporaries stay in cache, and the
+    values are the same bits as at the grid's full meshes.  So `at` must
+    compute each point from that point alone.
 
     Every surface computes in (t, x) and evaluates another one through `at`.
     Its `frame`, "price" or "log", is only a label: it says how `value`
@@ -211,24 +213,26 @@ class ClosedFormSolution(Surface):
         """(phi, phi_t, phi_x) at the points (t, x), broadcast together, from
         one closed-form pass; phi_t = C_t and phi_x = S C_S at S = e^x.
 
-        A derivative not asked for is None.  Asking for one needs t strictly
-        before maturity everywhere; phi is what `at` gives.  As in
-        `bs_price`, work of t alone runs on t as given, e^x on x as given.
+        A derivative not asked for is None.  phi is what `at` gives, the
+        payoff at maturity included; the derivatives are NaN at maturity,
+        where the payoff's kink has none.  As in `bs_price`, work of t alone
+        runs on t as given, e^x on x as given.
         """
         if not (dt or dx):
             return self.at(t, x), None, None
         t, S = np.asarray(t, dtype=float), _spot(x)
         tau = self.spec.maturity - t
-        if np.any(tau <= 0):
-            raise ValueError("derivatives need t strictly before maturity")
-        # a spot of 0 or inf divides by zero or makes inf * 0 before it is masked
+        # a spot of 0 or inf, or a tau of 0 or below, divides by zero, makes
+        # inf * 0 or takes a negative root before it is masked
         with np.errstate(divide="ignore", invalid="ignore"):
             phi, phi_t, delta = _closed_form(self.spec, self.ctx, tau, S, theta=dt, delta=dx)
             jet = (phi, phi_t, S * delta if dx else None)
         ok = self._inside(t, S)
-        if np.all(ok):
+        live = ok & (tau > 0)
+        if np.all(live):
             return jet
-        return tuple(None if v is None else np.where(ok, v, np.nan) for v in jet)
+        phi = np.where(live, phi, np.where(ok, self.spec.payoff(S), np.nan))
+        return (phi, *(None if v is None else np.where(live, v, np.nan) for v in jet[1:]))
 
 
 def _spot(x):

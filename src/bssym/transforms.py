@@ -42,6 +42,7 @@ from .grids import (
     GridSolution,
     ResidualReport,
     _first_derivative,
+    _row_strips,
     residual_e,
     residual_e2,
 )
@@ -270,10 +271,25 @@ def apply_transform(transform: Union[FiniteTransform, Pipeline], sol, ctx: Model
 
 
 def sample_surface(surface, grid: Grid) -> GridSolution:
-    """Evaluate a bssym surface at all grid nodes (t, x), passed as a t
-    column and an x row; the samples keep its label.  Others go through
-    `as_surface` first."""
-    values = surface.at(grid.t_values[:, None], grid.x_values[None, :])
+    """Evaluate a bssym surface at all grid nodes (t, x); the samples keep
+    its label.  Others go through `as_surface` first.
+
+    The grid goes in as strips of whole time rows, each a t column against
+    the x row and small enough that its temporaries stay in cache.  Every
+    surface computes node by node, so the values are the same bits as from
+    one call on the whole grid.
+    """
+    t, x = grid.t_values[:, None], grid.x_values[None, :]
+    values = np.empty((grid.nt, grid.nx))
+    for lo, hi in _row_strips(grid.nt, grid.nx):
+        strip = surface.at(t[lo:hi], x)
+        # checked, not broadcast: a foreign surface's value could be any shape
+        if np.shape(strip) != (hi - lo, grid.nx):
+            raise ValueError(
+                f"surface values of shape {np.shape(strip)} for a strip of "
+                f"{hi - lo} x {grid.nx} nodes"
+            )
+        values[lo:hi] = strip
     return GridSolution(grid, values, frame=surface.frame)
 
 

@@ -223,17 +223,33 @@ def test_one_pass_derivatives_match_the_greeks_bit_for_bit(spec, dt, dx):
 
 
 def test_one_pass_derivatives_need_t_before_maturity():
-    log_surf = LogClosedForm(CALL, DEFAULT)
-    t = np.asarray([0.5, 1.0])
-    x = np.asarray([4.6, 4.6])
-    for dt, dx in [(True, True), (True, False), (False, True)]:
-        with pytest.raises(ValueError, match="strictly before maturity"):
-            log_surf.value_and_derivatives(t, x, dt, dx)
-    # with no derivative asked for, phi is the surface's value, payoff included
-    phi, phi_t, phi_x = log_surf.value_and_derivatives(t, x, False, False)
-    assert np.array_equal(phi, log_surf.value(t, x))
-    assert phi[1] == max(math.exp(4.6) - 100.0, 0.0)
-    assert phi_t is None and phi_x is None
+    """At maturity phi is the payoff and phi_t, phi_x are NaN, with no
+    warning; the nodes before it keep the bits they have without it, and a
+    node past maturity or at S = inf is NaN throughout.  The last strike
+    is e^4.6 to the bit, where d1 is 0/0 at maturity."""
+    t = np.asarray([0.5, 1.0, 1.0, 1.5])[:, None]
+    x = np.asarray([4.0, math.log(100.0), 4.6, 800.0])[None, :]
+    for spec in (CALL, PUT, OptionSpec(float(np.exp(4.6)), 1.0, "put")):
+        log_surf = LogClosedForm(spec, DEFAULT)
+        for dt, dx in [(True, True), (True, False), (False, True)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                phi, phi_t, phi_x = log_surf.value_and_derivatives(t, x, dt, dx)
+                before = log_surf.value_and_derivatives(t[:1], x, dt, dx)
+            assert np.array_equal(phi, log_surf.value(t, x), equal_nan=True)
+            assert np.array_equal(phi[1:3, :3], np.tile(spec.payoff(np.exp(x[:, :3])), (2, 1)))
+            assert np.isnan(phi[3]).all() and np.isnan(phi[:, 3]).all()
+            for d, d_before, asked in [(phi_t, before[1], dt), (phi_x, before[2], dx)]:
+                if not asked:
+                    assert d is None and d_before is None
+                    continue
+                assert np.array_equal(d[:1].view(np.uint64), d_before.view(np.uint64))
+                assert np.isfinite(d[0, :3]).all()
+                assert np.isnan(d[1:]).all() and np.isnan(d[:, 3]).all()
+        # with no derivative asked for, phi is the surface's value, payoff included
+        phi, phi_t, phi_x = log_surf.value_and_derivatives(t, x, False, False)
+        assert np.array_equal(phi, log_surf.value(t, x), equal_nan=True)
+        assert phi_t is None and phi_x is None
 
 
 def _masked_reference(surf, t, S):

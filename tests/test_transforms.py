@@ -16,10 +16,13 @@ from bssym.grids import (
     _D2_TIERS,
     _STENCIL_4TH,
     _STENCIL_FALLBACK,
+    _STRIP_NODES,
+    Grid,
     GridSolution,
+    ResidualReport,
     _combine,
-    _finish_report,
     _first_finite,
+    _row_strips,
     make_grid,
     residual_e,
     residual_e2,
@@ -528,10 +531,9 @@ def test_tensor_evaluation_equals_mesh_evaluation_bit_for_bit(i, kappa, t_lo, t_
     grid = make_grid(t_lo, t_lo + t_len, 17, x_lo, x_lo + x_len, 13)
     for surface in _tensor_cases(i, kappa).values():
         _assert_tensor_is_mesh_bit_for_bit(surface, grid)
-    if t_lo + t_len < CALL.maturity:  # derivatives need t before maturity
-        for n in (1, i):
-            action = infinitesimal_action(basis_isovector(n, DEFAULT), log_call_surface())
-            _assert_tensor_is_mesh_bit_for_bit(action, grid)
+    for n in (1, i):
+        action = infinitesimal_action(basis_isovector(n, DEFAULT), log_call_surface())
+        _assert_tensor_is_mesh_bit_for_bit(action, grid)
 
 
 @pytest.mark.parametrize("case, surface, window, routes", [
@@ -573,9 +575,12 @@ def test_bs_price_on_axes_with_nodes_at_expiry_keeps_the_bits():
             assert np.array_equal(tensor.view(np.uint64), other.view(np.uint64))
 
 
-def _residual_without_skip(sol, ctx):
-    """The residual operator with every node the bulk leaves non-finite,
-    NaN-valued ones included, sent through `_first_finite`."""
+def _whole_block_residual(sol, ctx, skip_nan=True):
+    """The residual operator with its bulk on one whole block and its report
+    taken through full-size |res| and |values| arrays, which the strip-wise
+    bulk and the report's max/min must reproduce bit for bit.  With
+    skip_nan false, every node the bulk leaves non-finite, NaN-valued ones
+    included, goes through `_first_finite`."""
     g, v = sol.grid, sol.values
     nt, nx = v.shape
     t_tiers = [{k: w / (12.0 * g.dt) for k, w in d1.items()} for d1 in _D1_TIERS]
@@ -583,18 +588,32 @@ def _residual_without_skip(sol, ctx):
     drift = ctx.rtilde_f / (12.0 * g.dx)
     x_tiers = [_combine((drift, d1), (diffusion, d2)) for d1, d2 in zip(_D1_TIERS, _D2_TIERS)]
     res = np.full((nt - 2, nx - 2), np.nan)
-    inner = res[1:-1, 1:-1]
-    np.multiply(v[2:-2, 2:-2], -ctx.r_f, out=inner)
-    for k, w in t_tiers[0].items():
-        inner += w * v[2 + k:nt - 2 + k, 2:-2]
-    for k, w in x_tiers[0].items():
-        inner += w * v[2:-2, 2 + k:nx - 2 + k]
+    if nt >= 5 and nx >= 5:
+        inner = res[1:-1, 1:-1]
+        np.multiply(v[2:-2, 2:-2], -ctx.r_f, out=inner)
+        for k, w in t_tiers[0].items():
+            inner += w * v[2 + k:nt - 2 + k, 2:-2]
+        for k, w in x_tiers[0].items():
+            inner += w * v[2:-2, 2 + k:nx - 2 + k]
     i, j = np.nonzero(~np.isfinite(res))
+    if skip_nan:
+        live = ~np.isnan(v[i + 1, j + 1])
+        i, j = i[live], j[live]
     t_term, t_three = _first_finite(v, i + 1, j + 1, 0, t_tiers)
     x_term, x_three = _first_finite(v, i + 1, j + 1, 1, x_tiers)
     res[i, j] = t_term + x_term - ctx.r_f * v[i + 1, j + 1]
-    stencil = _STENCIL_FALLBACK if np.any(t_three | x_three) else _STENCIL_4TH
-    return _finish_report("E" if sol.frame == "price" else "E2", res, v, stencil)
+    mask, finite = np.isfinite(res), np.isfinite(v)
+    finite_vals = v if finite.all() else v[finite]
+    picked = res if mask.all() else res[mask]
+    return ResidualReport(
+        op="E" if sol.frame == "price" else "E2",
+        max_abs_residual=float(np.max(np.abs(picked))),
+        interior_norm=float(np.sqrt(np.mean(picked * picked))),
+        stencil=_STENCIL_FALLBACK if np.any(t_three | x_three) else _STENCIL_4TH,
+        scale=float(np.max(np.abs(finite_vals))) if finite_vals.size else 0.0,
+        n_interior=int(mask.sum()),
+        n_clipped=int(res.size - mask.sum()),
+    )
 
 
 @pytest.mark.parametrize("transform", [
@@ -604,8 +623,114 @@ def _residual_without_skip(sol, ctx):
 def test_residual_skip_of_nan_nodes_changes_no_report(transform):
     result = certify_transform(transform, call_surface(), COARSE, DEFAULT, 5e-4)
     assert result.n_clipped_nodes > 0
-    assert result.report == _residual_without_skip(result.samples, DEFAULT)
+    assert result.report == _whole_block_residual(result.samples, DEFAULT, skip_nan=False)
     assert residual_e(result.samples, DEFAULT) == result.report
+
+
+# strips of whole time rows for a 61-node row: 537 rows each
+_STRIP_ROWS = _STRIP_NODES // 61
+
+
+def _strip_cases():
+    """Surfaces of every class on the window t in [0.1, 1.2], past the
+    maturity 1.0, and log S in [log 20, log 300]: the closed forms, flows
+    clipped to that box (N3 at -0.6 clips the whole first strip of the
+    tallest grid, the boost clips on a shear), a pipeline, a spline, the
+    actions N1..N6 and a foreign surface, which is clipped to COARSE since
+    it raises past maturity."""
+    box = make_grid(0.1, 1.2, 12, math.log(20.0), math.log(300.0), 9)
+    boxed = BoxRestrictedSurface(call_surface(), box)
+    spline = GridSurface(sample_surface(log_call_surface(), COARSE))
+    cases = {"call": call_surface(), "log call": log_call_surface(),
+             "spline": spline,
+             "pipeline": apply_transform(
+                 compose(FiniteTransform(3, 0.2), FiniteTransform(4, -0.25)), boxed, DEFAULT),
+             "foreign": apply_transform(
+                 FiniteTransform(5, 0.2),
+                 BoxRestrictedSurface(as_surface(_ForeignCall()), COARSE), DEFAULT)}
+    for i, kappa in [(3, 0.3), (3, -0.6), (4, 0.3), (5, -0.25), (6, 0.1)]:
+        cases[f"N{i} at {kappa}"] = apply_transform(FiniteTransform(i, kappa), boxed, DEFAULT)
+        cases[f"log N{i} at {kappa}"] = apply_transform(
+            FiniteTransform(i, kappa, frame="log"),
+            BoxRestrictedSurface(log_call_surface(), box), DEFAULT)
+    for n in range(1, 7):
+        cases[f"action N{n}"] = infinitesimal_action(
+            basis_isovector(n, DEFAULT), log_call_surface())
+    return cases
+
+
+@pytest.mark.parametrize("nt, nx, n_strips", [
+    (2, 61, 1), (_STRIP_ROWS - 1, 61, 1), (_STRIP_ROWS, 61, 1),
+    (2 * _STRIP_ROWS + 5, 61, 3), (3, _STRIP_NODES + 7, 3),
+], ids=["nt=2", "below one strip", "one strip", "not a multiple", "one row per strip"])
+def test_sampling_in_strips_keeps_the_bits(nt, nx, n_strips):
+    grid = make_grid(0.1, 1.2, nt, math.log(20.0), math.log(300.0), nx)
+    assert len(_row_strips(nt, nx)) == n_strips
+    meshes = grid.meshes()
+    for name, surface in _strip_cases().items():
+        sampled = sample_surface(surface, grid).values
+        whole = surface.at(*meshes)
+        assert np.array_equal(np.isnan(sampled), np.isnan(whole)), name
+        assert np.array_equal(sampled.view(np.uint64), whole.view(np.uint64)), name
+
+
+class _OneRowSurface:
+    """A foreign surface that answers every point set with one row."""
+
+    frame = "log"
+
+    def value(self, t, x):
+        return np.zeros(np.shape(x)[-1])
+
+
+@pytest.mark.parametrize("nt", [3, 2 * (_STRIP_NODES // 121) + 1], ids=["one strip", "three"])
+def test_sampling_rejects_values_of_the_wrong_shape(nt):
+    grid = make_grid(0.0, 0.8, nt, 0.0, 1.0, 121)
+    with pytest.raises(ValueError, match="shape"):
+        sample_surface(as_surface(_OneRowSurface()), grid)
+
+
+def test_action_at_maturity_is_nan_on_the_maturity_row_only():
+    action = infinitesimal_action(
+        basis_isovector(4, DEFAULT), LogClosedForm(OptionSpec(100.0, 1.0), DEFAULT))
+    grid = make_grid(0.0, 1.0, 11, 4.0, 5.0, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = sample_surface(action, grid).values
+        before = sample_surface(action, Grid(grid.t_values[:-1], grid.x_values)).values
+    assert np.isfinite(values[:-1]).all()
+    assert np.isnan(values[-1]).all()
+    assert np.array_equal(values[:-1].view(np.uint64), before.view(np.uint64))
+
+
+# strips of whole rows of the residual's bulk, 97 nodes wide on a 101-node row
+_BULK_ROWS = _STRIP_NODES // 97
+
+
+@pytest.mark.parametrize("nt", [5, 6, _BULK_ROWS + 3, _BULK_ROWS + 5, 2 * _BULK_ROWS + 7],
+                         ids=["5", "6", "one strip - 1", "one strip + 1", "two strips + 3"])
+def test_residual_in_strips_keeps_every_report_field(nt):
+    grid = make_grid(0.0, 0.8, nt, math.log(20.0), math.log(300.0), 101)
+    samples = [
+        sample_surface(call_surface(), grid),
+        sample_surface(log_call_surface(), grid),
+        sample_surface(
+            infinitesimal_action(basis_isovector(4, DEFAULT), log_call_surface()), grid),
+        # a NaN-clipped block: the time shift pulls the last rows off the grid
+        sample_surface(apply_transform(
+            FiniteTransform(3, 0.3), BoxRestrictedSurface(call_surface(), grid), DEFAULT), grid),
+        GridSolution(grid, np.zeros((nt, 101)), frame="log"),
+        GridSolution(grid, -np.zeros((nt, 101)), frame="price"),
+    ]
+    assert np.isnan(samples[3].values).any()
+    for sol in samples:
+        report = (residual_e if sol.frame == "price" else residual_e2)(sol, DEFAULT)
+        # dataclass equality: every field, interior_norm included
+        assert report == _whole_block_residual(sol, DEFAULT)
+    for zero in samples[4:]:
+        report = (residual_e if zero.frame == "price" else residual_e2)(zero, DEFAULT)
+        assert math.copysign(1.0, report.scale) == 1.0
+        assert math.copysign(1.0, report.max_abs_residual) == 1.0
 
 
 def test_infinitesimal_action_of_scaling_is_identity():
