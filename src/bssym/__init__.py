@@ -16,7 +16,7 @@ Layers:
 - batch: :mod:`bssym.cli`.
 """
 
-from .model import ModelContext, format_rational, make_context, parse_rational
+from .model import ModelContext, make_context, parse_rational
 from .exppoly import ExpPoly
 from .forms import (
     DiffForm,
@@ -54,7 +54,6 @@ from .pricing import (
     LogClosedForm,
     OptionSpec,
     bs_price,
-    normal_pdf,
 )
 from .grids import (
     Grid,
@@ -84,7 +83,7 @@ from .transforms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelContext", "make_context", "parse_rational", "format_rational",
+    "ModelContext", "make_context", "parse_rational",
     "ExpPoly",
     "DiffForm", "wedge", "contract", "lie_derivative",
     "structural_forms",
@@ -96,7 +95,7 @@ __all__ = [
     "bracket", "bracket_gh", "gh_of", "decompose", "structure_constants",
     "pretty_combination", "pde_defect", "in_solution_ideal",
     "OptionSpec", "ClosedFormSolution", "LogClosedForm",
-    "bs_price", "normal_pdf",
+    "bs_price",
     "Grid", "GridSolution", "ResidualReport", "make_grid", "fd_solve",
     "residual_e", "residual_e2", "read_csv", "write_csv",
     "FiniteTransform", "Pipeline", "TransformDomainError",

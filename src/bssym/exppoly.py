@@ -285,49 +285,21 @@ class ExpPoly:
                 terms[sid] = out
         return _wrap(terms)
 
-    def evaluate_exact(self, **values) -> Fraction:
-        """Exact evaluation at rational points.
-
-        Exponential factors are only accepted when their exponent evaluates
-        to exactly zero (so the factor is exactly 1).
-        """
-        total = Fraction(0)
+    def eval_grid(self, t, x) -> np.ndarray:
+        """Float evaluation at arrays t and x, broadcast together.  A term in
+        phi, A or B is a ValueError: the numeric layer's coefficients are
+        functions of (t, x) alone."""
+        t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+        total = np.zeros(np.broadcast_shapes(t.shape, x.shape))
         for (exps, sig), coeff in self._items():
-            factor = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    factor *= _as_fraction(values[VARS[i]]) ** e
-            if sig[0] != 0 or sig[1] != 0:
-                arg = sig[0] * _as_fraction(values["t"]) + sig[1] * _as_fraction(
-                    values["x"]
-                )
-                if arg != 0:
-                    raise ValueError(
-                        "exact evaluation with a nonzero exponential argument"
-                    )
-            total += factor
-        return total
-
-    def eval_grid(self, t, x, phi=None, A=None, B=None) -> np.ndarray:
-        """Vectorized evaluation on numpy arrays (broadcast together)."""
-        arrays = {"t": np.asarray(t, dtype=float), "x": np.asarray(x, dtype=float)}
-        for name, arr in (("phi", phi), ("A", A), ("B", B)):
-            if arr is not None:
-                arrays[name] = np.asarray(arr, dtype=float)
-        shape = np.broadcast_shapes(*(a.shape for a in arrays.values()))
-        total = np.zeros(shape)
-        for (exps, sig), coeff in self._items():
+            if any(exps[2:]):
+                raise ValueError(f"eval_grid takes no term in phi, A or B: {self}")
             factor = float(coeff)
-            for i, e in enumerate(exps):
+            for arr, e in zip((t, x), exps):
                 if e:
-                    name = VARS[i]
-                    if name not in arrays:
-                        raise ValueError(f"eval_grid needs an array for {name!r}")
-                    factor = factor * arrays[name] ** e
-            if sig[0] != 0 or sig[1] != 0:
-                factor = factor * np.exp(
-                    float(sig[0]) * arrays["t"] + float(sig[1]) * arrays["x"]
-                )
+                    factor = factor * arr ** e
+            if any(sig):
+                factor = factor * np.exp(float(sig[0]) * t + float(sig[1]) * x)
             total = total + factor
         return total
 

@@ -33,11 +33,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
-def format_rational(q: Fraction) -> str:
-    """Render a rational as "p/q" ("p" when the denominator is 1)."""
-    return str(Fraction(q))
-
-
 @dataclass(frozen=True)
 class ModelContext:
     """Exact model parameters plus derived constants."""
@@ -72,12 +67,7 @@ class ModelContext:
         return float(self.stilde)
 
     def to_json(self) -> dict:
-        return {
-            "r": format_rational(self.r),
-            "sigma2": format_rational(self.sigma2),
-            "rtilde": format_rational(self.rtilde),
-            "stilde": format_rational(self.stilde),
-        }
+        return {k: str(getattr(self, k)) for k in ("r", "sigma2", "rtilde", "stilde")}
 
 
 def make_context(r, sigma2) -> ModelContext:

@@ -23,10 +23,12 @@ class OptionSpec:
     kind: str = "call"
 
     def __post_init__(self):
-        if not self.strike > 0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
-        if not self.maturity > 0:
-            raise ValueError(f"maturity must be positive, got {self.maturity}")
+        for name in ("strike", "maturity"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            if not value < np.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.kind not in ("call", "put"):
             raise ValueError(f"kind must be 'call' or 'put', got {self.kind!r}")
 
@@ -39,62 +41,73 @@ class OptionSpec:
         return out if out.ndim else float(out)
 
 
-def normal_pdf(z):
-    z = np.asarray(z, dtype=float)
-    out = np.exp(-0.5 * z * z) / _SQRT_2PI
-    return out if out.ndim else float(out)
+def _normal_pdf(z):
+    return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
-def _closed_form(spec: OptionSpec, ctx: ModelContext, tau, S, theta=False, delta=False):
-    """(C, C_t, C_S) at time to expiry tau > 0 and spot S, from one d1/d2,
-    one discount and one Phi pass; a derivative not asked for is None.
+def _in_domain(spec: OptionSpec, t, S):
+    """The closed form's one domain, broadcast: 0 < S < inf and t at or
+    before maturity.  NaN is outside it."""
+    return (S > 0) & (S < np.inf) & (spec.maturity - t >= 0)
 
-    This is the one home of the Black-Scholes formulas.  A put takes
-    Phi(-d) by its own calls, because 1 - Phi(d) would change bits.
+
+def _closed_form(spec: OptionSpec, ctx: ModelContext, t, S, theta=False, delta=False):
+    """(C, C_t, C_S) at calendar time t and spot S, broadcast together, from
+    one d1/d2, one discount and one Phi pass; a derivative not asked for is
+    None.
+
+    This is the one home of the Black-Scholes formulas.  At maturity C is
+    the payoff and C_t, C_S are NaN, where the payoff's kink has none;
+    outside `_in_domain` all three are NaN, and no floating-point warning
+    leaks.  The work of t alone (tau, its square root, the discount) runs on
+    t as given and log(S/K) on S as given: against an S row, a t column
+    pays per point only for d1, d2, the two Phi and their combination.  A
+    put takes Phi(-d) by its own calls, because 1 - Phi(d) would change bits.
     """
     from scipy.special import ndtr
 
     call = spec.kind == "call"
-    sig, sq = ctx.sigma_f, np.sqrt(tau)
-    d1 = (np.log(S / spec.strike) + ctx.stilde_f * tau) / (sig * sq)
-    d2 = d1 - sig * sq
-    nd1 = ndtr(d1) if delta or call else None
-    disc = spec.strike * np.exp(-ctx.r_f * tau)
-    nd2 = ndtr(d2) if call else ndtr(-d2)
-    c = S * nd1 - disc * nd2 if call else disc * nd2 - S * ndtr(-d1)
-    c_t = c_s = None
-    if theta:
-        decay = -S * normal_pdf(d1) * sig / (2.0 * sq)
-        c_t = decay - ctx.r_f * disc * nd2 if call else decay + ctx.r_f * disc * nd2
-    if delta:
-        c_s = nd1 if call else nd1 - 1.0
-    return c, c_t, c_s
+    tau = spec.maturity - t
+    # a spot of 0 or inf, or a tau of 0 or below, divides by zero, makes
+    # inf * 0 or takes a negative root before it is masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sig, sq = ctx.sigma_f, np.sqrt(tau)
+        d1 = (np.log(S / spec.strike) + ctx.stilde_f * tau) / (sig * sq)
+        d2 = d1 - sig * sq
+        nd1 = ndtr(d1) if delta or call else None
+        disc = spec.strike * np.exp(-ctx.r_f * tau)
+        nd2 = ndtr(d2) if call else ndtr(-d2)
+        c = S * nd1 - disc * nd2 if call else disc * nd2 - S * ndtr(-d1)
+        c_t = c_s = None
+        if theta:
+            decay = -S * _normal_pdf(d1) * sig / (2.0 * sq)
+            c_t = decay - ctx.r_f * disc * nd2 if call else decay + ctx.r_f * disc * nd2
+        if delta:
+            c_s = nd1 if call else nd1 - 1.0
+    ok = _in_domain(spec, t, S)
+    live = ok & (tau > 0)
+    if np.all(live):
+        return c, c_t, c_s
+    c = np.where(live, c, np.where(ok, spec.payoff(S), np.nan))
+    return (c, *(None if v is None else np.where(live, v, np.nan) for v in (c_t, c_s)))
 
 
 def bs_price(spec: OptionSpec, ctx: ModelContext, t, S):
     """Closed-form price at calendar time t and spot S (scalar or array,
     broadcast together).
 
-    At t = maturity the payoff is returned exactly; t beyond maturity or a
-    nonpositive spot is a domain error.  The checks and the work of t alone
-    (tau, its square root, the discount) run on t as given, and log(S/K) on
-    S as given: against an S row, a t column pays per point only for d1,
-    d2, the two Phi and their combination.
+    At t = maturity the payoff is returned exactly; t beyond maturity, a
+    nonpositive spot, or a t or spot that is not a finite number is a
+    domain error.
     """
     t, S = np.asarray(t, dtype=float), np.asarray(S, dtype=float)
     if np.any(S <= 0):
         raise ValueError("spot must be positive")
-    tau = spec.maturity - t
-    if np.any(tau < 0):
+    if np.any(t > spec.maturity):
         raise ValueError("t is beyond maturity")
-    if not np.any(tau == 0):
-        out = np.asarray(_closed_form(spec, ctx, tau, S)[0])
-    else:
-        tau, S = np.broadcast_arrays(tau, S)
-        out = np.asarray(spec.payoff(S), dtype=float)
-        live = tau != 0
-        if np.any(live):
-            out[live] = _closed_form(spec, ctx, tau[live], S[live])[0]
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(S))):
+        raise ValueError("t and spot must be finite numbers")
+    out = np.asarray(_closed_form(spec, ctx, t, S)[0])
     return out if out.ndim else float(out)
 
 
@@ -203,7 +216,7 @@ class ClosedFormSolution(Surface):
         return bs_price(self.spec, self.ctx, t, S)
 
     def _inside(self, t, S):
-        return (S > 0) & (S < np.inf) & (self.spec.maturity - t >= 0)
+        return _in_domain(self.spec, t, S)
 
     def inside(self, t, x):
         """Whether (t, x) is in the domain, broadcast together."""
@@ -215,24 +228,13 @@ class ClosedFormSolution(Surface):
 
         A derivative not asked for is None.  phi is what `at` gives, the
         payoff at maturity included; the derivatives are NaN at maturity,
-        where the payoff's kink has none.  As in `bs_price`, work of t alone
-        runs on t as given, e^x on x as given.
+        where the payoff's kink has none.
         """
         if not (dt or dx):
             return self.at(t, x), None, None
         t, S = np.asarray(t, dtype=float), _spot(x)
-        tau = self.spec.maturity - t
-        # a spot of 0 or inf, or a tau of 0 or below, divides by zero, makes
-        # inf * 0 or takes a negative root before it is masked
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi, phi_t, delta = _closed_form(self.spec, self.ctx, tau, S, theta=dt, delta=dx)
-            jet = (phi, phi_t, S * delta if dx else None)
-        ok = self._inside(t, S)
-        live = ok & (tau > 0)
-        if np.all(live):
-            return jet
-        phi = np.where(live, phi, np.where(ok, self.spec.payoff(S), np.nan))
-        return (phi, *(None if v is None else np.where(live, v, np.nan) for v in jet[1:]))
+        phi, phi_t, delta = _closed_form(self.spec, self.ctx, t, S, theta=dt, delta=dx)
+        return phi, phi_t, S * delta if dx else None
 
 
 def _spot(x):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,16 +20,20 @@ exp_sigs = st.tuples(
 
 
 @st.composite
-def exppolys(draw, max_terms=4, with_exp=True):
+def exppolys(draw, max_terms=4):
     p = ExpPoly.zero()
     for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
-        sig = draw(exp_sigs) if with_exp else (0, 0)
-        p = p + ExpPoly.term(draw(coeffs), draw(small_exps), *sig)
+        p = p + ExpPoly.term(draw(coeffs), draw(small_exps), *draw(exp_sigs))
     return p
 
 
 polys = exppolys()
-pure_polys = exppolys(with_exp=False)
+# terms c * t^i x^j * exp(a*t + b*x), as (c, i, j, (a, b))
+tx_terms = st.lists(
+    st.tuples(coeffs, st.integers(min_value=0, max_value=2),
+              st.integers(min_value=0, max_value=2), exp_sigs),
+    max_size=4,
+)
 
 
 def test_constructors_and_predicates():
@@ -90,18 +95,31 @@ def test_exp_factors_multiply_by_adding_signatures():
     assert e1.diff("x") == e1
 
 
-@given(pure_polys)
-def test_evaluate_agrees_with_exact(p):
-    point = {"t": Fraction(1, 3), "x": Fraction(-2, 5), "phi": Fraction(7, 2),
-             "A": Fraction(0), "B": Fraction(5, 4)}
-    exact = p.evaluate_exact(**point)
-    approx = float(p.eval_grid(**{k: float(v) for k, v in point.items()}))
-    assert approx == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
+@given(tx_terms)
+def test_evaluate_agrees_with_exact(terms):
+    # eval_grid against each term written out in floats, on a t column and
+    # an x row; merged terms round differently, so the bound scales with
+    # the sum of the terms' sizes
+    t, x = np.asarray([[1 / 3], [-1.5]]), np.asarray([[-0.4, 0.0, 1.25]])
+    p = ExpPoly.zero()
+    want, size = np.zeros((2, 3)), np.zeros((2, 3))
+    for c, i, j, (a, b) in terms:
+        p = p + ExpPoly.term(c, (i, j, 0, 0, 0), a, b)
+        part = float(c) * t**i * x**j * np.exp(float(a) * t + float(b) * x)
+        want, size = want + part, size + abs(part)
+    got = p.eval_grid(t, x)
+    assert got.shape == (2, 3)
+    assert np.all(abs(got - want) <= 1e-12 * size)
+
+
+@pytest.mark.parametrize("name", ["phi", "A", "B"])
+def test_eval_grid_rejects_a_term_in_the_jet_variables(name):
+    p = ExpPoly.exp_factor(1, 0) + ExpPoly.var(name) * ExpPoly.var("x")
+    with pytest.raises(ValueError, match="no term in phi, A or B"):
+        p.eval_grid(0.5, np.asarray([1.0, 2.0]))
 
 
 def test_eval_grid_broadcasts():
-    import numpy as np
-
     p = ExpPoly.term(Fraction(2), (1, 1, 0, 0, 0)) + ExpPoly.exp_factor(0, 1)
     t = np.asarray([[0.0], [1.0]])
     x = np.asarray([[1.0, 2.0]])
@@ -130,14 +148,6 @@ def test_string_rendering():
     r = ExpPoly.term(3, (1, 0, 0, 0, 0), Fraction(1, 2), -2)
     assert str(r) == "3*t*exp(1/2*t - 2*x)"
     assert str(ExpPoly.exp_factor(-1, 1) - ExpPoly.var("x")) == "-x + exp(-1*t + x)"
-
-
-def test_evaluate_exact_requires_vanishing_exponent():
-    p = ExpPoly.exp_factor(1, -1)
-    # exponent t - x vanishes on the diagonal, exact evaluation is rational
-    assert p.evaluate_exact(t=Fraction(2), x=Fraction(2), phi=0, A=0, B=0) == 1
-    with pytest.raises(ValueError):
-        p.evaluate_exact(t=Fraction(1), x=Fraction(0), phi=0, A=0, B=0)
 
 
 # -- term storage ----------------------------------------------------------------

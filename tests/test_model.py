@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bssym.model import ModelContext, format_rational, make_context, parse_rational
+from bssym.model import ModelContext, make_context, parse_rational
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=1000
@@ -32,13 +32,7 @@ def test_parse_rational_rejects(bad):
 
 @given(rationals)
 def test_format_parse_round_trip(q):
-    assert parse_rational(format_rational(q)) == q
-
-
-def test_format_rational_style():
-    assert format_rational(Fraction(1, 20)) == "1/20"
-    assert format_rational(Fraction(5)) == "5"
-    assert format_rational(Fraction(-49, 800)) == "-49/800"
+    assert parse_rational(str(q)) == q
 
 
 @given(rationals, positive_rationals)
@@ -91,3 +85,7 @@ def test_context_json_uses_rational_strings():
     assert obj["r"] == "1/20"
     assert obj["sigma2"] == "1/25"
     assert obj["rtilde"] == "3/100"
+    # "p" when the denominator is 1, and a sign on a negative rational
+    assert make_context(-5, "49/400").to_json() == {
+        "r": "-5", "sigma2": "49/400", "rtilde": "-4049/800", "stilde": "-3951/800",
+    }

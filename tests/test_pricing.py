@@ -20,8 +20,8 @@ from bssym.pricing import (
     ClosedFormSolution,
     LogClosedForm,
     OptionSpec,
+    _normal_pdf,
     bs_price,
-    normal_pdf,
 )
 from bssym.transforms import infinitesimal_action
 
@@ -55,7 +55,7 @@ def test_normal_pdf_is_derivative_of_cdf():
     h = 1e-6
     for z in (-1.3, 0.0, 0.7, 2.5):
         num = float((mpmath.ncdf(z + h) - mpmath.ncdf(z - h)) / (2 * h))
-        assert normal_pdf(z) == pytest.approx(num, rel=1e-8)
+        assert _normal_pdf(z) == pytest.approx(num, rel=1e-8)
 
 
 def test_atm_zero_rate_frozen_value():
@@ -128,6 +128,35 @@ def test_domain_validation():
         OptionSpec(100.0, 1.0, "straddle")
     with pytest.raises(ValueError):
         OptionSpec(-5.0, 1.0, "call")
+
+
+@pytest.mark.parametrize("strike, maturity, message", [
+    (math.inf, 1.0, "strike must be finite"),
+    (100.0, math.inf, "maturity must be finite"),
+    (math.nan, 1.0, "strike must be positive"),
+    (100.0, 0.0, "maturity must be positive"),
+])
+def test_option_spec_takes_only_finite_positive_terms(strike, maturity, message):
+    with pytest.raises(ValueError, match=message):
+        OptionSpec(strike, maturity, "put")
+
+
+@pytest.mark.parametrize("spec", [CALL, PUT], ids=["call", "put"])
+@pytest.mark.parametrize("t, S, message", [
+    (0.5, math.inf, "must be finite"),
+    (0.5, math.nan, "must be finite"),
+    (math.nan, 100.0, "must be finite"),
+    (-math.inf, 100.0, "must be finite"),
+    (0.5, 0.0, "spot must be positive"),
+    (1.5, 100.0, "t is beyond maturity"),
+])
+def test_bs_price_rejects_points_off_its_domain_without_a_warning(spec, t, S, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            bs_price(spec, DEFAULT, t, S)
+        with pytest.raises(ValueError, match=message):
+            bs_price(spec, DEFAULT, np.asarray([0.2, t]), np.asarray([S, 100.0]))
 
 
 def _phi_x(spec, t, S):
