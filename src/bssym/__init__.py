@@ -13,8 +13,13 @@ Layers:
   throughout, no floats).
 - numeric: :mod:`bssym.pricing`, :mod:`bssym.grids`, :mod:`bssym.transforms`
   (closed forms, finite differences, finite flows, residual certification).
+  This layer, and numpy with it, loads on first use: ``import bssym`` loads
+  only the exact layer, and a numeric name such as ``bssym.bs_price`` imports
+  its submodule when it is first looked up.
 - batch: :mod:`bssym.cli`.
 """
+
+import importlib
 
 from .model import ModelContext, make_context, parse_rational
 from .exppoly import ExpPoly
@@ -49,36 +54,42 @@ from .isovectors import (
     structure_constants,
     verify_isovector,
 )
-from .pricing import (
-    ClosedFormSolution,
-    LogClosedForm,
-    OptionSpec,
-    bs_price,
-)
-from .grids import (
-    Grid,
-    GridSolution,
-    ResidualReport,
-    fd_solve,
-    make_grid,
-    read_csv,
-    residual_e,
-    residual_e2,
-    write_csv,
-)
-from .transforms import (
-    ActionSurface,
-    CertificationResult,
-    FiniteTransform,
-    Pipeline,
-    TransformDomainError,
-    apply_transform,
-    as_surface,
-    certify_transform,
-    compose,
-    infinitesimal_action,
-    sample_surface,
-)
+
+# the numeric layer loads on first use (PEP 562): each of its public names,
+# by the submodule that defines it
+_NUMERIC = {
+    **dict.fromkeys(
+        ("ClosedFormSolution", "LogClosedForm", "OptionSpec", "bs_price"),
+        "pricing",
+    ),
+    **dict.fromkeys(
+        ("Grid", "GridSolution", "ResidualReport", "fd_solve", "make_grid",
+         "read_csv", "residual_e", "residual_e2", "write_csv"),
+        "grids",
+    ),
+    **dict.fromkeys(
+        ("ActionSurface", "CertificationResult", "FiniteTransform", "Pipeline",
+         "TransformDomainError", "apply_transform", "as_surface",
+         "certify_transform", "compose", "infinitesimal_action",
+         "sample_surface"),
+        "transforms",
+    ),
+}
+
+
+def __getattr__(name):
+    if name in _NUMERIC.values():  # a numeric submodule not imported yet
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # read from the submodule on every lookup, never cached here, so a
+    # rebinding of the submodule's attribute is what callers see
+    return getattr(importlib.import_module(f"{__name__}.{_NUMERIC[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_NUMERIC, *_NUMERIC.values()})
+
 
 __version__ = "0.1.0"
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -22,18 +23,13 @@ import re
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .grids import (
-    GridSolution,
-    csv_chunks,
-    fd_solve,
-    make_grid,
-    residual_e,
-    residual_e2,
-    write_csv,
-)
+# Only the exact layer is imported here.  The numeric commands import numpy
+# and the numeric modules inside the functions that use them, so that
+# `import bssym.cli`, `verify` and `brackets` load no numpy.  Each call reads
+# the name from its module, so a rebinding there (a profiler's wrapper, a
+# test's stand-in) is what the command calls.
 from .isovectors import (
     Isovector,
     SolutionSpec,
@@ -49,14 +45,12 @@ from .isovectors import (
 )
 from .exppoly import ExpPoly
 from .model import make_context, parse_rational
-from .pricing import ClosedFormSolution, OptionSpec, bs_price
-from .transforms import (
-    FiniteTransform,
-    TransformDomainError,
-    certify_transform,
-    compose,
-    sample_surface,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .grids import GridSolution
+    from .pricing import OptionSpec
 
 
 class ConfigError(Exception):
@@ -219,6 +213,8 @@ def _json_bytes(obj) -> bytes:
 
 
 def _finite_prices(values: np.ndarray, what: str = "closed-form") -> np.ndarray:
+    import numpy as np
+
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"{_OUT_OF_RANGE}: {what} prices are not finite")
     return values
@@ -243,6 +239,10 @@ def _context(cfg: RunConfig):
 
 
 def _grid(cfg: RunConfig):
+    import numpy as np
+
+    from .grids import make_grid
+
     if cfg.nt * cfg.nx > MAX_GRID_NODES:
         raise ConfigError(
             f"bad grid: {cfg.nt}x{cfg.nx} is {cfg.nt * cfg.nx} nodes, "
@@ -370,7 +370,32 @@ def cmd_brackets(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
+def _numeric_command(cmd):
+    """A numeric subcommand, run with numpy's floating-point warnings off:
+    the commands check for non-finite results themselves and report them as
+    config errors, so numpy's warnings would only add stderr lines."""
+
+    @functools.wraps(cmd)
+    def run(cfg: RunConfig) -> int:
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            return cmd(cfg)
+
+    return run
+
+
+@_numeric_command
 def cmd_transform(cfg: RunConfig) -> int:
+    from .grids import write_csv
+    from .pricing import ClosedFormSolution, OptionSpec
+    from .transforms import (
+        FiniteTransform,
+        TransformDomainError,
+        certify_transform,
+        compose,
+    )
+
     if not cfg.pipeline:
         raise ConfigError("transform needs a nonempty pipeline ('i:kappa,...')")
     if not cfg.out:
@@ -437,7 +462,11 @@ def cmd_transform(cfg: RunConfig) -> int:
     return 0 if obj.get("all_passed") else 1
 
 
+@_numeric_command
 def cmd_price(cfg: RunConfig) -> int:
+    from .pricing import ClosedFormSolution, OptionSpec
+    from .transforms import sample_surface
+
     ctx = _context(cfg)
     spec = OptionSpec(cfg.strike, cfg.maturity, cfg.kind)
     grid = _priced_grid(cfg, spec)
@@ -463,13 +492,22 @@ def cmd_price(cfg: RunConfig) -> int:
 
 
 def _write_csv_text(sol: GridSolution, buf) -> None:
+    from .grids import csv_chunks
+
     buf.writelines(csv_chunks(sol))
 
 
 _FD_LEVELS = ((301, 101), (601, 201), (1201, 401))
 
 
+@_numeric_command
 def cmd_residual(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .grids import fd_solve, make_grid, residual_e, residual_e2
+    from .pricing import ClosedFormSolution, OptionSpec, bs_price
+    from .transforms import sample_surface
+
     ctx = _context(cfg)
     spec = OptionSpec(cfg.strike, cfg.maturity, cfg.kind)
     grid = _priced_grid(cfg, spec, stencils=True)
@@ -601,10 +639,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         cfg = build_config(args)
-        # the commands check for non-finite results themselves and report
-        # them as config errors; numpy's warnings would only add stderr lines
-        with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,9 +24,10 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from operator import add as _add
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 VARS = ("t", "x", "phi", "A", "B")
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
@@ -289,6 +290,10 @@ class ExpPoly:
         """Float evaluation at arrays t and x, broadcast together.  A term in
         phi, A or B is a ValueError: the numeric layer's coefficients are
         functions of (t, x) alone."""
+        # the exact layer's only numpy user: imported here, so that the exact
+        # layer and the exact CLI subcommands load no numpy
+        import numpy as np
+
         t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
         total = np.zeros(np.broadcast_shapes(t.shape, x.shape))
         for (exps, sig), coeff in self._items():

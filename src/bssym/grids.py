@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy is imported inside the code that calls it, so that importing
-# bssym (and the exact CLI subcommands) costs about an `import numpy`.
+# scipy is imported inside the code that calls it.  This module, and numpy
+# with it, loads when a numeric name is first used: `import bssym` and the
+# exact CLI subcommands load neither.
 
 from .model import ModelContext
 from .pricing import OptionSpec
@@ -355,8 +356,15 @@ def fd_solve(spec: OptionSpec, ctx: ModelContext, grid: Grid) -> GridSolution:
     The grid must end at the option maturity (the terminal slice is the
     payoff exactly).  The first step from the payoff is split into two
     backward-Euler half steps to damp the kink at the strike.
+
+    Each step's tridiagonal system is solved by LAPACK's elimination with
+    partial pivoting, as `scipy.linalg.solve_banded` solves it (its ?gtsv is
+    ?gttrf then ?gttrs), but each step matrix, keyed by the exact (dt,
+    theta) of the step, is factored once.  A non-finite matrix or right-hand
+    side is a ValueError, and a singular matrix a LinAlgError, as there.
     """
-    from scipy.linalg import solve_banded
+    from scipy.linalg import LinAlgError
+    from scipy.linalg.lapack import dgttrf, dgttrs
 
     T = spec.maturity
     t = grid.t_values
@@ -381,20 +389,39 @@ def fd_solve(spec: OptionSpec, ctx: ModelContext, grid: Grid) -> GridSolution:
     values[-1, -1] = hi_all[-1]
 
     n_in = nx - 2
+    # the LAPACK wrappers take at least 3 unknowns: the rows past n_in are
+    # identity rows with a zero right-hand side, coupled to no other row
+    n_sys = max(n_in, 3)
+    factors = {}  # (dt, theta) -> the LU factors of that step's matrix
+
+    def _solve(rhs, dt, theta):
+        if (dt, theta) not in factors:
+            weights = (
+                -theta * dt * lower, 1.0 - theta * dt * diag, -theta * dt * upper
+            )
+            if not np.isfinite(weights).all():
+                raise ValueError("array must not contain infs or NaNs")
+            dl, d, du = np.zeros(n_sys - 1), np.ones(n_sys), np.zeros(n_sys - 1)
+            dl[:n_in - 1], d[:n_in], du[:n_in - 1] = weights
+            factors[dt, theta] = dgttrf(dl, d, du)
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        *lu, info = factors[dt, theta]
+        if info > 0:
+            raise LinAlgError("singular matrix")
+        b = np.zeros(n_sys)
+        b[:n_in] = rhs
+        return dgttrs(*lu, b)[0][:n_in]
 
     def _step(v_old, lo_new, hi_new, dt, theta):
         """One theta-step of size dt backward in time."""
-        ab = np.zeros((3, n_in))
-        ab[0, 1:] = -theta * dt * upper
-        ab[1, :] = 1.0 - theta * dt * diag
-        ab[2, :-1] = -theta * dt * lower
         rhs = v_old[1:-1] + (1.0 - theta) * dt * (
             lower * v_old[:-2] + diag * v_old[1:-1] + upper * v_old[2:]
         )
         rhs[0] += theta * dt * lower * lo_new
         rhs[-1] += theta * dt * upper * hi_new
         v_new = np.empty(nx)
-        v_new[1:-1] = solve_banded((1, 1), ab, rhs)
+        v_new[1:-1] = _solve(rhs, dt, theta)
         v_new[0] = lo_new
         v_new[-1] = hi_new
         return v_new

@@ -34,8 +34,9 @@ from typing import Union
 
 import numpy as np
 
-# scipy is imported inside the code that calls it, so that importing
-# bssym (and the exact CLI subcommands) costs about an `import numpy`.
+# scipy is imported inside the code that calls it.  This module, and numpy
+# with it, loads when a numeric name is first used: `import bssym` and the
+# exact CLI subcommands load neither.
 
 from .grids import (
     Grid,

@@ -283,7 +283,8 @@ def test_node_cap_is_checked_before_any_grid(monkeypatch):
     def make_grid(*args):
         raise GridBuilt(args)
 
-    monkeypatch.setattr(cli, "make_grid", make_grid)
+    # the CLI reads make_grid from bssym.grids when it builds a grid
+    monkeypatch.setattr("bssym.grids.make_grid", make_grid)
     code, out, err = run_in_process(["price", "--nt", "100000", "--nx", "100000"])
     assert (code, out) == (2, b"")
     assert err == (
@@ -583,36 +584,78 @@ def test_transform_stage_csv_matches_reference_bytes(tmp_path):
     assert (out_dir / "stage_1.csv").read_bytes() == reference_csv(samples)
 
 
-_LOADED_SCIPY = """
+_LOADED_NUMERIC = """
 import json, sys
+import bssym
+assert not any(m.split(".")[0] in ("numpy", "scipy") for m in sys.modules)
 from bssym.cli import main
 argv = json.loads(sys.argv[1])
 if argv:
     assert main(argv) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
 """
 
 
 @pytest.mark.parametrize(
     "argv,loaded,absent",
     [
-        ([], [], ["scipy"]),
-        (["verify"], [], ["scipy"]),
-        (["brackets"], [], ["scipy"]),
-        (["price", *FAST], ["scipy.special"], ["scipy.interpolate"]),
+        ([], [], ["numpy", "scipy"]),
+        (["verify"], [], ["numpy", "scipy"]),
+        (["brackets"], [], ["numpy", "scipy"]),
+        (["price", *FAST], ["numpy", "scipy.special"], ["scipy.interpolate"]),
+        (["residual", *FAST], ["numpy", "scipy.special", "scipy.linalg"],
+         ["scipy.interpolate"]),
     ],
 )
 def test_scipy_loads_only_where_called(argv, loaded, absent, tmp_path):
+    # `import bssym` and `import bssym.cli` load neither numpy nor scipy, and
+    # each subcommand loads only what it calls
     if argv:
         argv = [*argv, "--out", str(tmp_path / "out")]
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_SCIPY, json.dumps(argv)],
+        [sys.executable, "-c", _LOADED_NUMERIC, json.dumps(argv)],
         capture_output=True, check=True,
     )
     modules = set(json.loads(proc.stdout))
     assert all(name in modules for name in loaded)
     for name in absent:
         assert not any(m == name or m.startswith(name + ".") for m in modules)
+
+
+def test_every_public_name_resolves():
+    import bssym
+
+    namespace = {}
+    exec("from bssym import *", namespace)
+    assert len(bssym.__all__) == 57
+    assert all(namespace[name] is getattr(bssym, name) for name in bssym.__all__)
+    # a numeric name is the submodule's own object, read on each lookup
+    assert bssym.fd_solve is bssym.grids.fd_solve
+    assert bssym.sample_surface is bssym.transforms.sample_surface
+
+
+_WITHOUT_NUMPY = """
+import hashlib, io, json, sys
+sys.modules["numpy"] = None  # every import of numpy now fails
+from bssym.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    sys.stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    code = main(argv)
+    sys.stdout.flush()
+    results.append((code, hashlib.sha256(sys.stdout.buffer.getvalue()).hexdigest()))
+sys.stdout = sys.__stdout__
+print(json.dumps(results))
+"""
+
+
+def test_exact_subcommands_run_without_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps([g[0] for g in GOLDEN])],
+        capture_output=True, check=True,
+    )
+    assert proc.stderr == b""
+    assert json.loads(proc.stdout) == [[code, digest] for _, code, digest in GOLDEN]
 
 
 # -- the CLI contract under generated configs -------------------------------------

@@ -15,6 +15,7 @@ from bssym.grids import (
     Grid,
     GridSolution,
     _first_derivative,
+    _fd_boundaries,
     _first_finite,
     fd_solve,
     make_grid,
@@ -234,6 +235,89 @@ def test_fd_put_boundaries():
     want_lo = 100.0 * math.exp(-DEFAULT.r_f * tau) - 40.0
     assert fd.values[0, 0] == pytest.approx(want_lo, rel=1e-12)
     assert fd.values[0, -1] == 0.0
+
+
+def _fd_solve_banded(spec, ctx, grid):
+    """fd_solve's scheme with one `solve_banded` call per step: each step
+    matrix is built and factored anew."""
+    from scipy.linalg import solve_banded
+
+    t, nx, dx = grid.t_values, grid.nx, grid.dx
+    a = 0.5 * ctx.sigma2_f / (dx * dx)
+    b = ctx.rtilde_f / (2.0 * dx)
+    lower, diag, upper = a - b, -2.0 * a - ctx.r_f, a + b
+
+    def step(v, lo, hi, dt, theta):
+        ab = np.zeros((3, nx - 2))
+        ab[0, 1:] = -theta * dt * upper
+        ab[1, :] = 1.0 - theta * dt * diag
+        ab[2, :-1] = -theta * dt * lower
+        rhs = v[1:-1] + (1.0 - theta) * dt * (
+            lower * v[:-2] + diag * v[1:-1] + upper * v[2:]
+        )
+        rhs[0] += theta * dt * lower * lo
+        rhs[-1] += theta * dt * upper * hi
+        return np.concatenate(([lo], solve_banded((1, 1), ab, rhs), [hi]))
+
+    lo_all, hi_all = _fd_boundaries(spec, ctx, t, grid)
+    v = spec.payoff(grid.s_values)
+    v[0], v[-1] = lo_all[-1], hi_all[-1]
+    rows = [v]
+    for n in range(grid.nt - 2, -1, -1):
+        dt = float(t[n + 1] - t[n])
+        if n == grid.nt - 2:
+            lo_mid, hi_mid = _fd_boundaries(
+                spec, ctx, np.asarray([t[n] + 0.5 * dt]), grid
+            )
+            v = step(v, float(lo_mid[0]), float(hi_mid[0]), 0.5 * dt, 1.0)
+            v = step(v, lo_all[n], hi_all[n], 0.5 * dt, 1.0)
+        else:
+            v = step(v, lo_all[n], hi_all[n], dt, 0.5)
+        rows.append(v)
+    return np.array(rows[::-1])
+
+
+@pytest.mark.parametrize("kind", ["call", "put"])
+@pytest.mark.parametrize(
+    "r,sigma2",
+    [(Fraction(1, 20), Fraction(1, 25)), (Fraction(3, 7), Fraction(5, 11)),
+     (Fraction(-1, 3), Fraction(1, 50))],
+)
+def test_fd_solve_matches_per_step_solve_banded(kind, r, sigma2):
+    # linspace grids have several distinct float steps (8 at nt = 101), and
+    # nx = 3 and 4 leave the one- and two-unknown systems
+    ctx = make_context(r, sigma2)
+    spec = OptionSpec(100.0, 1.0, kind)
+    x_mid = math.log(100.0)
+    for nx, nt in ((301, 101), (601, 201), (101, 61), (3, 11), (4, 11), (5, 2)):
+        g = make_grid(0.0, 1.0, nt, x_mid - 3.0, x_mid + 3.0, nx)
+        got = fd_solve(spec, ctx, g).values
+        want = _fd_solve_banded(spec, ctx, g)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_fd_solve_failures_match_solve_banded():
+    from scipy.linalg import LinAlgError
+
+    # a singular step: 1 - (dt/2) (sigma2/dx^2 + r) = 0 zeroes the diagonal
+    # of the 3x3 Rannacher system, and an odd tridiagonal with zero diagonal
+    # is singular
+    call = OptionSpec(1.0, 1.0, "call")
+    singular = (call, make_context(-3, 1), make_grid(0.0, 1.0, 2, -2.0, 2.0, 5))
+    # dx^2 underflows: an infinite matrix
+    inf_matrix = (call, DEFAULT, make_grid(0.0, 1.0, 5, -1e-160, 1e-160, 5))
+    # S = e^x overflows: an infinite right-hand side
+    inf_rhs = (call, DEFAULT, make_grid(0.0, 1.0, 5, 700.0, 720.0, 5))
+    finite = "array must not contain infs or NaNs"
+    for case, error, message in (
+        (singular, LinAlgError, "singular matrix"),
+        (inf_matrix, ValueError, finite),
+        (inf_rhs, ValueError, finite),
+    ):
+        for solve in (fd_solve, _fd_solve_banded):
+            with np.errstate(all="ignore"), pytest.raises(error) as info:
+                solve(*case)
+            assert str(info.value) == message
 
 
 def test_fd_requires_grid_ending_at_maturity():
