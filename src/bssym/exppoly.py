@@ -10,20 +10,33 @@ under addition, multiplication and differentiation in all five jet variables
 isovector algebra need.  Exponentials only ever involve t and x: they enter
 through solution modes of the constant-coefficient equation.
 
-All arithmetic is exact (fractions.Fraction); floats are rejected so that a
-zero really is a zero.
+All arithmetic is exact; floats are rejected so that a zero really is a
+zero.
 
-Terms are grouped by exponential signature: `_terms` maps the small int id
-of an interned (a, b) pair (id 0 is exp(0)) to a dict {exps: coeff}, so no
-lookup hashes the Fractions a and b.  Zero coefficients and empty groups are
-never stored, so equal expressions have equal `_terms`.
+Storage is integers.  An ExpPoly holds integer numerators over one positive
+denominator `_den`.  `_terms` maps the small int id of an interned
+signature (a, b) (id 0 is exp(0)) to a dict {key: numerator}, where a key
+packs the five exponents into one int of six bits per variable, t in the
+top field, so that every key fits in 30 bits.  A product of two monomials
+adds their keys, and a derivative subtracts one unit from a field.  The top
+bit of every field is a guard: an exponent is at most `_EXP_MAX` (31), so
+the sum of two never carries into the next field, and a product whose
+exponent would pass `_EXP_MAX` raises instead of aliasing another monomial.
+
+The storage is canonical: no zero numerator and no empty group is stored,
+and gcd(_den, *numerators) is 1, with the zero stored as {} over 1.  Equal
+expressions have equal storage and equal hashes.  Fractions appear only at
+the boundary: scalar operands, `constant_value`, `sorted_terms` and
+rendering.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from operator import add as _add
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 from typing import TYPE_CHECKING, Sequence, Union
 
 if TYPE_CHECKING:
@@ -37,6 +50,12 @@ Scalar = Union[int, Fraction]
 _ZERO_EXPS = (0, 0, 0, 0, 0)
 _ZERO = Fraction(0)
 _ZERO_SIG = (_ZERO, _ZERO)
+
+# packed exponent keys: field i holds the exponent of VARS[i], t on top
+_FIELD_BITS = 6
+_EXP_MAX = (1 << (_FIELD_BITS - 1)) - 1
+_SHIFTS = tuple(_FIELD_BITS * (4 - i) for i in range(5))
+_GUARD = sum(1 << (shift + _FIELD_BITS - 1) for shift in _SHIFTS)
 
 # interned signatures: _SIGS[sid] is the (a, b) pair named by sid
 _SIGS = [_ZERO_SIG]
@@ -60,24 +79,80 @@ def _sig_sum(s1: int, s2: int) -> int:
     return _sig_id((a1 + a2, b1 + b2))
 
 
-def _acc(mono: dict, exps: tuple, coeff: Fraction) -> None:
-    """Add a nonzero coeff to the exps entry of one signature group."""
-    acc = mono.get(exps)
-    if acc is None:
-        mono[exps] = coeff
-        return
-    acc += coeff
-    if acc:
-        mono[exps] = acc
+def _pack(exps) -> int:
+    return sum(e << shift for e, shift in zip(exps, _SHIFTS))
+
+
+def _unpack(key: int) -> tuple:
+    return tuple(key >> shift & _EXP_MAX for shift in _SHIFTS)
+
+
+def _acc(mono: dict, key: int, num: int) -> None:
+    """Add a nonzero num to the key entry of one signature group."""
+    num += mono.get(key, 0)
+    if num:
+        mono[key] = num
     else:
-        del mono[exps]
+        del mono[key]
 
 
-def _wrap(terms: dict) -> "ExpPoly":
-    """An ExpPoly around clean grouped terms; groups are shared, never changed."""
+def _wrap(terms: dict, den: int) -> "ExpPoly":
+    """An ExpPoly around canonical terms; groups are shared, never changed."""
     out = object.__new__(ExpPoly)
     out._terms = terms
+    out._den = den
     return out
+
+
+def _reduce(terms: dict, den: int) -> "ExpPoly":
+    """An ExpPoly around clean terms over den, with gcd(den, *numerators)
+    divided out; with no terms that leaves den = 1."""
+    if den != 1:
+        g = den
+        for mono in terms.values():
+            g = gcd(g, *mono.values())
+            if g == 1:
+                break
+        if g != 1:
+            den //= g
+            terms = {sid: {key: num // g for key, num in mono.items()}
+                     for sid, mono in terms.items()}
+    return _wrap(terms, den)
+
+
+def _sum_of_products(plus, minus=()) -> "ExpPoly":
+    """Sum of p*q over the pairs (p, q) in plus, minus the same over minus.
+
+    One pass: every product adds its terms straight into one term dict over
+    one common denominator, with no partial sum copied or negated.
+    """
+    pairs = [(p, q, 1) for p, q in plus if p._terms and q._terms]
+    pairs += [(p, q, -1) for p, q in minus if p._terms and q._terms]
+    den = lcm(*[p._den * q._den for p, q, _ in pairs])
+    terms: dict = {}
+    for p, q, sign in pairs:
+        scale = sign * (den // (p._den * q._den))
+        for s1, m1 in p._terms.items():
+            for s2, m2 in q._terms.items():
+                sid = _sig_sum(s1, s2)
+                mono = terms.get(sid)
+                if mono is None:
+                    mono = terms[sid] = {}
+                get = mono.get
+                for k1, n1 in m1.items():
+                    n1 *= scale
+                    for k2, n2 in m2.items():
+                        key = k1 + k2
+                        mono[key] = get(key, 0) + n1 * n2
+    out = {}
+    for sid, mono in terms.items():
+        if 0 in mono.values():
+            mono = {key: num for key, num in mono.items() if num}
+        if mono:
+            if reduce(or_, mono) & _GUARD:
+                raise ValueError(f"a product has an exponent above {_EXP_MAX}")
+            out[sid] = mono
+    return _reduce(out, den)
 
 
 def _as_fraction(value) -> Fraction:
@@ -113,11 +188,12 @@ def var_index(name: str) -> int:
 class ExpPoly:
     """Immutable exact polynomial-exponential expression in (t, x, phi, A, B)."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self):
         """The zero polynomial; the constructors below build the others."""
         self._terms = {}
+        self._den = 1
 
     # -- constructors ------------------------------------------------------
 
@@ -146,17 +222,21 @@ class ExpPoly:
 
     @staticmethod
     def term(coeff, exps: Sequence[int] = _ZERO_EXPS, a=_ZERO, b=_ZERO) -> "ExpPoly":
-        """The single term coeff * t^i x^j phi^k A^l B^m * exp(a*t + b*x)."""
+        """The single term coeff * t^i x^j phi^k A^l B^m * exp(a*t + b*x).
+
+        Each exponent must lie in 0.._EXP_MAX (31)."""
         coeff = _as_fraction(coeff)
         exps = tuple(map(int, exps))
         if len(exps) != 5 or min(exps) < 0:
             raise ValueError(f"bad exponent tuple {exps}")
+        if max(exps) > _EXP_MAX:
+            raise ValueError(f"exponent above {_EXP_MAX} in {exps}")
         a, b = _as_fraction(a), _as_fraction(b)
         if not coeff:
             return ExpPoly()
         # exp(0) is id 0 without a trip through the interning lock
         sid = _sig_id((a, b)) if a or b else 0
-        return _wrap({sid: {exps: coeff}})
+        return _wrap({sid: {_pack(exps): coeff.numerator}}, coeff.denominator)
 
     # -- predicates --------------------------------------------------------
 
@@ -165,28 +245,30 @@ class ExpPoly:
 
     def is_constant(self) -> bool:
         terms = self._terms
-        return not terms or terms.keys() == {0} and terms[0].keys() == {_ZERO_EXPS}
+        return not terms or terms.keys() == {0} and terms[0].keys() == {0}
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self._terms[0][_ZERO_EXPS]
+        return Fraction(self._terms[0][0], self._den)
 
     def depends_on(self, name: str) -> bool:
         i = var_index(name)
+        field = _EXP_MAX << _SHIFTS[i]
         for sid, mono in self._terms.items():
             if i < 2 and _SIGS[sid][i] != 0:
                 return True
-            if any(exps[i] > 0 for exps in mono):
+            if any(key & field for key in mono):
                 return True
         return False
 
     def degree_in(self, name: str) -> int:
         """Largest power of the variable (exponential content not counted)."""
-        i = var_index(name)
-        return max((e[i] for mono in self._terms.values() for e in mono), default=0)
+        shift = _SHIFTS[var_index(name)]
+        return max((key >> shift & _EXP_MAX
+                    for mono in self._terms.values() for key in mono), default=0)
 
     def is_polynomial(self) -> bool:
         """True when no term carries an exponential factor."""
@@ -194,38 +276,56 @@ class ExpPoly:
 
     # -- arithmetic --------------------------------------------------------
 
+    def _plus(self, other: "ExpPoly", sign: int) -> "ExpPoly":
+        """self + sign*other over the lcm of the two denominators."""
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other if sign == 1 else -other
+        den = self._den
+        if den == other._den:
+            terms = dict(self._terms)
+            scale = sign
+        else:
+            den = lcm(den, other._den)
+            rescale = den // self._den
+            terms = {sid: {key: num * rescale for key, num in mono.items()}
+                     for sid, mono in self._terms.items()}
+            scale = sign * (den // other._den)
+        for sid, mono in other._terms.items():
+            group = terms.get(sid)
+            if group is None:
+                terms[sid] = mono if scale == 1 else {
+                    key: num * scale for key, num in mono.items()}
+                continue
+            group = dict(group)
+            for key, num in mono.items():
+                _acc(group, key, num * scale)
+            if group:
+                terms[sid] = group
+            else:
+                del terms[sid]
+        return _reduce(terms, den)
+
     def __add__(self, other):
         if not isinstance(other, ExpPoly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = ExpPoly.constant(other)
-        terms = dict(self._terms)
-        for sid, mono in other._terms.items():
-            mine = terms.get(sid)
-            if mine is None:
-                terms[sid] = mono
-                continue
-            mine = dict(mine)
-            for exps, coeff in mono.items():
-                _acc(mine, exps, coeff)
-            if mine:
-                terms[sid] = mine
-            else:
-                del terms[sid]
-        return _wrap(terms)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _wrap({sid: {e: -c for e, c in mono.items()}
-                      for sid, mono in self._terms.items()})
+        return _wrap({sid: {key: -num for key, num in mono.items()}
+                      for sid, mono in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, ExpPoly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = ExpPoly.constant(other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -234,19 +334,13 @@ class ExpPoly:
         if not isinstance(other, ExpPoly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = _as_fraction(other)
-            if other == 0:
+            num = other.numerator
+            if not num:
                 return ExpPoly()
-            return _wrap({sid: {e: c * other for e, c in mono.items()}
-                          for sid, mono in self._terms.items()})
-        terms: dict = {}
-        for s1, m1 in self._terms.items():
-            for s2, m2 in other._terms.items():
-                mono = terms.setdefault(_sig_sum(s1, s2), {})
-                for e1, c1 in m1.items():
-                    for e2, c2 in m2.items():
-                        _acc(mono, tuple(map(_add, e1, e2)), c1 * c2)
-        return _wrap({sid: mono for sid, mono in terms.items() if mono})
+            return _reduce({sid: {key: n * num for key, n in mono.items()}
+                            for sid, mono in self._terms.items()},
+                           self._den * other.denominator)
+        return _sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -255,36 +349,53 @@ class ExpPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = ExpPoly.constant(other)
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._items()))
+        return hash((self._den, frozenset(
+            (sid, frozenset(mono.items())) for sid, mono in self._terms.items())))
 
     def _items(self):
-        """The terms as ((exps, (a, b)), coeff) pairs."""
+        """The terms as ((exps, (a, b)), coeff) pairs, with Fraction coeff."""
+        den = self._den
         for sid, mono in self._terms.items():
             sig = _SIGS[sid]
-            for exps, coeff in mono.items():
-                yield (exps, sig), coeff
+            for key, num in mono.items():
+                yield (_unpack(key), sig), Fraction(num, den)
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, name: str) -> "ExpPoly":
         """Exact partial derivative in one of the five variables."""
         i = var_index(name)
+        shift = _SHIFTS[i]
+        unit = 1 << shift
+        # a group exp(a*t + b*x) also yields its rate a (or b) times itself;
+        # the result is over den times the lcm of those rates' denominators
+        rates = {} if i > 1 else {
+            sid: rate for sid in self._terms if (rate := _SIGS[sid][i])}
+        scale = lcm(*[rate.denominator for rate in rates.values()])
         terms: dict = {}
         for sid, mono in self._terms.items():
-            rate = _SIGS[sid][i] if i < 2 else 0
-            out: dict = {}
-            for exps, coeff in mono.items():
-                if exps[i] > 0:
-                    lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-                    _acc(out, lowered, coeff * exps[i])
-                if rate != 0:
-                    _acc(out, exps, coeff * rate)
+            rate = rates.get(sid)
+            if rate is None:
+                # lowering one field is one-to-one, so no two terms meet
+                out = {}
+                for key, num in mono.items():
+                    e = key >> shift & _EXP_MAX
+                    if e:
+                        out[key - unit] = num * e * scale
+            else:
+                mult = rate.numerator * (scale // rate.denominator)
+                out = {}
+                for key, num in mono.items():
+                    e = key >> shift & _EXP_MAX
+                    if e:
+                        _acc(out, key - unit, num * e * scale)
+                    _acc(out, key, num * mult)
             if out:
                 terms[sid] = out
-        return _wrap(terms)
+        return _reduce(terms, self._den * scale)
 
     def eval_grid(self, t, x) -> np.ndarray:
         """Float evaluation at arrays t and x, broadcast together.  A term in
@@ -313,20 +424,19 @@ class ExpPoly:
     def coeff_of(self, name: str, power: int) -> "ExpPoly":
         """Collect the coefficient of var^power (the variable is stripped)."""
         i = var_index(name)
+        shift = _SHIFTS[i]
+        strip = power << shift
         terms = {}
         for sid, mono in self._terms.items():
-            group = {}
-            for exps, coeff in mono.items():
-                if exps[i] != power:
-                    continue
+            group = {key - strip: num for key, num in mono.items()
+                     if (key >> shift & _EXP_MAX) == power}
+            if group:
                 if i < 2 and _SIGS[sid][i] != 0:
                     raise ValueError(
                         f"coefficient extraction in {name}: exponential dependence"
                     )
-                group[exps[:i] + (0,) + exps[i + 1:]] = coeff
-            if group:
                 terms[sid] = group
-        return _wrap(terms)
+        return _reduce(terms, self._den)
 
     def sorted_terms(self):
         """Terms in descending graded-lexicographic order (deterministic)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .exppoly import VARS, ExpPoly, _signed_sum, var_index
+from .exppoly import VARS, ExpPoly, _signed_sum, _sum_of_products, var_index
 from .model import ModelContext
 
 COVARS = ("dt", "dx", "dphi", "dA", "dB")
@@ -236,17 +236,14 @@ def contract(N, u: DiffForm) -> DiffForm:
     if u.degree == 0:
         raise ValueError("cannot contract a 0-form with a vector field")
     comps = _components_of(N)
-    coeffs: dict = {}
+    # rest -> (pairs entering with +, pairs entering with -)
+    pairs: dict = {}
     for key, poly in u._coeffs.items():
         for pos, idx in enumerate(key):
-            comp = comps[idx]
-            if comp.is_zero():
-                continue
             rest = key[:pos] + key[pos + 1 :]
-            term = comp * poly
-            if pos % 2 == 1:
-                term = -term
-            coeffs[rest] = coeffs.get(rest, ExpPoly.zero()) + term
+            signed = pairs.setdefault(rest, ([], []))
+            signed[pos % 2].append((comps[idx], poly))
+    coeffs = {rest: _sum_of_products(*signed) for rest, signed in pairs.items()}
     return DiffForm(u.degree - 1, coeffs)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Tuple
 
-from .exppoly import VARS, ExpPoly, _signed_sum
+from .exppoly import VARS, ExpPoly, _signed_sum, _sum_of_products
 from .forms import DiffForm, contract, lie_derivative, structural_forms
 from .ideal import MembershipCertificate, ideal_membership
 from .model import ModelContext
@@ -157,14 +157,6 @@ class Isovector:
     @property
     def NB(self) -> ExpPoly:
         return self.components[4]
-
-    def _derive(self, grad) -> ExpPoly:
-        """Sum of N^w * grad[w]: the derivation rule, given the derivatives."""
-        out = ExpPoly.zero()
-        for comp, df in zip(self.components, grad):
-            if not comp.is_zero():
-                out = out + comp * df
-        return out
 
     @cached_property
     def _jacobian(self) -> tuple:
@@ -356,9 +348,14 @@ def verify_isovector(N: Isovector, ctx: ModelContext) -> VerificationReport:
 
 
 def bracket(M: Isovector, N: Isovector) -> Isovector:
-    """Commutator [M, N] acting componentwise: M(N^v) - N(M^v)."""
+    """Commutator [M, N] acting componentwise:
+
+        [M, N]^v = sum_w M^w d_w N^v - N^w d_w M^v,
+
+    read off the two cached derivative tables, each component summed in one
+    pass over its ten products."""
     comps = tuple(
-        M._derive(n_grad) - N._derive(m_grad)
+        _sum_of_products(zip(M.components, n_grad), zip(N.components, m_grad))
         for m_grad, n_grad in zip(M._jacobian, N._jacobian)
     )
     name = ""
@@ -389,19 +386,13 @@ def bracket_gh(M: Isovector, N: Isovector) -> GHPair:
     """
     gm = gh_of(M)
     gn = gh_of(N)
-    g = (
-        M.Nt * gn.g.diff("t")
-        + M.Nx * gn.g.diff("x")
-        + gm.g * gn.h
-        - N.Nt * gm.g.diff("t")
-        - N.Nx * gm.g.diff("x")
-        - gn.g * gm.h
+    g = _sum_of_products(
+        ((M.Nt, gn.g.diff("t")), (M.Nx, gn.g.diff("x")), (gm.g, gn.h)),
+        ((N.Nt, gm.g.diff("t")), (N.Nx, gm.g.diff("x")), (gn.g, gm.h)),
     )
-    h = (
-        M.Nt * gn.h.diff("t")
-        + M.Nx * gn.h.diff("x")
-        - N.Nt * gm.h.diff("t")
-        - N.Nx * gm.h.diff("x")
+    h = _sum_of_products(
+        ((M.Nt, gn.h.diff("t")), (M.Nx, gn.h.diff("x"))),
+        ((N.Nt, gm.h.diff("t")), (N.Nx, gm.h.diff("x"))),
     )
     return GHPair(g=g, h=h)
 

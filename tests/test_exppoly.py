@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bssym.exppoly import VARS, ExpPoly
+from bssym.exppoly import VARS, ExpPoly, _sum_of_products
 
 coeffs = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=40
@@ -292,3 +292,118 @@ def test_signatures_interned_from_many_threads_stay_distinct():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert bad == []
+
+
+# -- the integer kernel ------------------------------------------------------------
+
+
+def reference_terms(p):
+    """The terms of p as {(exps, (a, b)): Fraction}, read at the boundary."""
+    return {mono: coeff for mono, coeff in p.sorted_terms()}
+
+
+def reference_product(p, q):
+    """p*q multiplied out term by term in Fractions and exponent tuples."""
+    out = {}
+    for (e1, (a1, b1)), c1 in p.sorted_terms():
+        for (e2, (a2, b2)), c2 in q.sorted_terms():
+            mono = (tuple(i + j for i, j in zip(e1, e2)), (a1 + a2, b1 + b2))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+@given(mixed_polys(max_terms=4), mixed_polys(max_terms=4))
+def test_product_matches_the_term_by_term_reference(left, right):
+    p, q = total(left), total(right)
+    assert reference_terms(p * q) == reference_product(p, q)
+
+
+polys_pairs = st.lists(st.tuples(mixed_polys(max_terms=4), mixed_polys(max_terms=4)),
+                       max_size=4)
+
+
+@given(polys_pairs, polys_pairs)
+def test_sum_of_products_is_the_sum_of_the_products(plus, minus):
+    plus = [(total(p), total(q)) for p, q in plus]
+    minus = [(total(p), total(q)) for p, q in minus]
+    want = ExpPoly.zero()
+    for p, q in plus:
+        want = want + p * q
+    for p, q in minus:
+        want = want + (-1) * (p * q)
+    got = _sum_of_products(plus, minus)
+    assert got == want and hash(got) == hash(want)
+    # pairs that cancel: each pair against itself, and against its negation
+    for zero in (_sum_of_products(plus, plus),
+                 _sum_of_products(plus + [(p, -q) for p, q in plus])):
+        assert zero == ExpPoly.zero() and hash(zero) == hash(ExpPoly.zero())
+    assert _sum_of_products(plus + minus, plus) == _sum_of_products(minus)
+
+
+def test_cancelled_denominators_compare_and_hash_equal():
+    x = ExpPoly.var("x")
+    built = [
+        Fraction(2, 3) * (Fraction(3, 2) * x),
+        ExpPoly.constant(Fraction(2, 3)) * ExpPoly.constant(Fraction(3, 2)) * x,
+        ExpPoly.term(Fraction(1, 6), (0, 1, 0, 0, 0)) + ExpPoly.term(Fraction(5, 6), (0, 1, 0, 0, 0)),
+        ExpPoly.term(Fraction(1, 2), (0, 2, 0, 0, 0)).diff("x"),
+        (ExpPoly.term(Fraction(3, 4), (0, 1, 0, 0, 1)) + ExpPoly.term(Fraction(1, 3), (0, 0, 0, 0, 0)))
+        .coeff_of("B", 1) * Fraction(4, 3),
+    ]
+    for p in built:
+        assert p == x and hash(p) == hash(x) and str(p) == "x"
+    one = ExpPoly.constant(Fraction(2, 3)) * Fraction(3, 2)
+    assert one == 1 and type(one.constant_value()) is Fraction
+
+
+@given(mixed_polys(), coeffs.filter(bool))
+def test_scaling_back_restores_storage_and_hash(terms, c):
+    p = total(terms)
+    q = (p * c) * (1 / c)
+    assert q == p and hash(q) == hash(p)
+    assert (p * c - p * c).is_zero()
+
+
+@given(polys)
+def test_sorted_terms_yield_exponent_tuples_and_fractions(p):
+    for (exps, sig), coeff in p.sorted_terms():
+        assert type(exps) is tuple and len(exps) == 5
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert all(type(s) is Fraction for s in sig)
+        assert type(coeff) is Fraction and coeff != 0
+
+
+# -- exponent fields -------------------------------------------------------------
+
+EXP_MAX = 31  # the largest exponent an ExpPoly stores
+
+
+@pytest.mark.parametrize("name", VARS)
+def test_term_takes_exponents_up_to_the_field_size(name):
+    exps = [0] * 5
+    exps[VARS.index(name)] = EXP_MAX
+    top = ExpPoly.term(3, exps)
+    assert top.degree_in(name) == EXP_MAX
+    assert top.sorted_terms() == [((tuple(exps), (0, 0)), 3)]
+    exps[VARS.index(name)] = EXP_MAX + 1
+    with pytest.raises(ValueError, match="exponent above 31"):
+        ExpPoly.term(3, exps)
+
+
+@pytest.mark.parametrize("name", VARS)
+def test_a_product_past_the_field_size_raises(name):
+    v = ExpPoly.var(name)
+    half = [0] * 5
+    half[VARS.index(name)] = 16
+    with pytest.raises(ValueError, match="exponent above 31"):
+        ExpPoly.term(1, half) * ExpPoly.term(2, half)
+    # a chain of products reaches the top exponent and no further
+    p = ExpPoly.one() + ExpPoly.var("t" if name != "t" else "x")
+    for _ in range(EXP_MAX):
+        p = p * v
+    assert p.degree_in(name) == EXP_MAX
+    assert all(p.degree_in(other) <= 1 for other in VARS if other != name)
+    with pytest.raises(ValueError, match="exponent above 31"):
+        p * v
+    with pytest.raises(ValueError, match="exponent above 31"):
+        _sum_of_products([(ExpPoly.one(), ExpPoly.one()), (p, v)])

@@ -481,3 +481,39 @@ def test_decompose_names_the_mismatched_component():
             f"component N^{var} mismatch: family form gives {N.components[k]}, "
             f"input has {comps[k]}"
         )
+
+
+# rationals of the heights algebra-sweep draws, up to 10^9 over 10^9
+HEIGHTS = (10, 10**3, 10**6, 10**9)
+
+
+@st.composite
+def tall_fractions(draw, lo=None):
+    h = draw(st.sampled_from(HEIGHTS))
+    return Fraction(draw(st.integers(-h if lo is None else lo, h)), draw(st.integers(1, h)))
+
+
+@st.composite
+def tall_points(draw):
+    """(r, sigma2) drawn as algebra-sweep draws its seeded points."""
+    return make_context(draw(tall_fractions(lo=0)) / 10, draw(tall_fractions(lo=1)) / 5)
+
+
+tall_members = st.tuples(
+    st.tuples(*(tall_fractions() for _ in range(6))),
+    tall_fractions().filter(bool),
+    st.lists(st.tuples(tall_fractions().filter(bool), st.sampled_from(
+        [Fraction(b, q) for b in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3, 4)])),
+        max_size=2, unique_by=lambda mode: mode[1]),
+)
+
+
+@given(tall_points(), tall_members, tall_members)
+@settings(max_examples=25, deadline=None)
+def test_bracket_matches_the_derivation_rule_at_tall_rationals(ctx, m, n):
+    M, N = member_at(ctx, *m), member_at(ctx, *n)
+    want = commutator_by_hand(M, N)
+    got = bracket(M, N).components
+    assert got == want
+    assert [hash(c) for c in got] == [hash(c) for c in want]
+    assert bracket(N, M).components == tuple(-c for c in want)
