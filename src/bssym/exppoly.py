@@ -144,6 +144,12 @@ def _sum_of_products(plus, minus=()) -> "ExpPoly":
                     for k2, n2 in m2.items():
                         key = k1 + k2
                         mono[key] = get(key, 0) + n1 * n2
+    return _settle(terms, den)
+
+
+def _settle(terms: dict, den: int) -> "ExpPoly":
+    """An ExpPoly around summed terms over den: zero numerators and empty
+    groups dropped, the exponent guard checked, and the gcd divided out."""
     out = {}
     for sid, mono in terms.items():
         if 0 in mono.values():
@@ -153,6 +159,23 @@ def _sum_of_products(plus, minus=()) -> "ExpPoly":
                 raise ValueError(f"a product has an exponent above {_EXP_MAX}")
             out[sid] = mono
     return _reduce(out, den)
+
+
+def _from_terms(terms, den: int = 1, modes=()) -> "ExpPoly":
+    """The sum of (num/den) * t^i x^j phi^k A^l B^m over the integer
+    (num, (i, j, k, l, m)) in terms, exponents in 0.._EXP_MAX, plus
+    c * exp(a*t + b*x) over the exact (c, a, b) in modes, built in one pass
+    over one common denominator."""
+    modes = [tuple(map(_as_fraction, mode)) for mode in modes]
+    full = lcm(den, *[c.denominator for c, _, _ in modes])
+    items = [(num * (full // den), _pack(exps), 0) for num, exps in terms]
+    items += [(c.numerator * (full // c.denominator), 0, _sig_id((a, b)) if a or b else 0)
+              for c, a, b in modes]
+    out: dict = {}
+    for num, key, sid in items:
+        mono = out.setdefault(sid, {})
+        mono[key] = mono.get(key, 0) + num
+    return _settle(out, full)
 
 
 def _as_fraction(value) -> Fraction:
@@ -481,3 +504,6 @@ class ExpPoly:
 
     def __repr__(self) -> str:
         return f"ExpPoly({self})"
+
+
+_ONE = ExpPoly.one()

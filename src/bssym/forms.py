@@ -12,17 +12,29 @@ The contact structure of the pricing equation is generated by
     beta  = (B + rtilde*A - r*phi) dx^dt + (sigma2/2) dA^dt
 
 and `structural_forms` builds the triple for a given model context.
+
+The Lie derivative along a vector field N with components N^j is computed
+slot by slot from the coordinate formula: for omega = sum_K omega_K dz^K,
+
+    (L_N omega)_K = sum_j N^j d_j omega_K
+                    + sum_m sum_c omega_K' d_c N^{k_m}
+
+where the second sum runs over the keys K' and slots m whose index k_m,
+replaced by c, gives K, signed by the permutation that sorts the result.
+Each output slot is one sum of products over N's derivative table, so the
+Cartan formula L_N = N _| d(.) + d(N _| .) is its test oracle, not its route.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .exppoly import VARS, ExpPoly, _signed_sum, _sum_of_products, var_index
+from .exppoly import VARS, ExpPoly, _ONE, _signed_sum, _sum_of_products, var_index
 from .model import ModelContext
 
 COVARS = ("dt", "dx", "dphi", "dA", "dB")
 NVARS = len(VARS)
+_COVAR_INDEX = {name: i for i, name in enumerate(COVARS)}
 
 
 def _merge_indices(left: tuple, right: tuple):
@@ -39,6 +51,25 @@ def _merge_indices(left: tuple, right: tuple):
             sign = -sign
             j -= 1
     return tuple(combined), sign
+
+
+def _replace_index(key: tuple, m: int, c: int):
+    """key with key[m] replaced by c, sorted, and the sign of that sort; None
+    when c already sits in another slot."""
+    k = key[m]
+    if c != k and c in key:
+        return None
+    lo, hi = (k, c) if k < c else (c, k)
+    passed = sum(lo < i < hi for i in key)
+    return tuple(sorted(key[:m] + (c,) + key[m + 1 :])), -1 if passed % 2 else 1
+
+
+def _summed(degree: int, signed: dict) -> "DiffForm":
+    """The form whose coefficient on each key is the one-pass sum of the
+    (plus pairs, minus pairs) of products stored under it."""
+    return DiffForm._canonical(
+        degree, {key: _sum_of_products(*pairs) for key, pairs in signed.items()}
+    )
 
 
 class DiffForm:
@@ -61,13 +92,22 @@ class DiffForm:
                     raise ValueError(f"key {key} out of range")
                 if not isinstance(poly, ExpPoly):
                     poly = ExpPoly.constant(poly)
-                if not poly.is_zero():
-                    clean[key] = clean.get(key, ExpPoly.zero()) + poly
+                clean[key] = clean[key] + poly if key in clean else poly
         clean = {k: p for k, p in clean.items() if not p.is_zero()}
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_coeffs", clean)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, degree: int, coeffs: dict) -> "DiffForm":
+        """A form around strictly increasing in-range keys the library built
+        itself, one ExpPoly each: nothing is checked or re-summed, and zero
+        coefficients are dropped."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "degree", degree)
+        object.__setattr__(out, "_coeffs", {k: p for k, p in coeffs.items() if p._terms})
+        return out
 
     @staticmethod
     def covector(name: str) -> "DiffForm":
@@ -83,11 +123,15 @@ class DiffForm:
 
         The key is a tuple of covector names such as ("dx", "dA") or of
         variable indices; permuted keys pick up the permutation sign, keys
-        with a repeated covector have coefficient zero.
+        with a repeated covector have coefficient zero.  A key of the wrong
+        length, an unknown name or an index outside 0..4 is a ValueError.
         """
+        # an unknown name reads as index -1, out of range
         idx = tuple(
-            var_index(k[1:]) if isinstance(k, str) else int(k) for k in key
+            _COVAR_INDEX.get(k, -1) if isinstance(k, str) else int(k) for k in key
         )
+        if len(idx) != self.degree or not all(0 <= i < NVARS for i in idx):
+            raise ValueError(f"key {tuple(key)} names no slot of a {self.degree}-form")
         merged = _merge_indices(idx, ())
         if merged is None:
             return ExpPoly.zero()
@@ -120,11 +164,13 @@ class DiffForm:
             )
         coeffs = dict(self._coeffs)
         for key, poly in other._coeffs.items():
-            coeffs[key] = coeffs.get(key, ExpPoly.zero()) + poly
-        return DiffForm(self.degree, coeffs)
+            coeffs[key] = coeffs[key] + poly if key in coeffs else poly
+        return DiffForm._canonical(self.degree, coeffs)
 
     def __neg__(self):
-        return DiffForm(self.degree, {k: -p for k, p in self._coeffs.items()})
+        return DiffForm._canonical(
+            self.degree, {k: -p for k, p in self._coeffs.items()}
+        )
 
     def __sub__(self, other):
         if not isinstance(other, DiffForm):
@@ -137,7 +183,7 @@ class DiffForm:
             return NotImplemented
         if not isinstance(scalar, ExpPoly):
             scalar = ExpPoly.constant(scalar)
-        return DiffForm(
+        return DiffForm._canonical(
             self.degree, {k: p * scalar for k, p in self._coeffs.items()}
         )
 
@@ -152,32 +198,29 @@ class DiffForm:
         degree = self.degree + other.degree
         if degree > NVARS:
             return DiffForm(degree)
-        coeffs: dict = {}
+        signed: dict = {}
         for k1, p1 in self._coeffs.items():
             for k2, p2 in other._coeffs.items():
                 merged = _merge_indices(k1, k2)
                 if merged is None:
                     continue
                 key, sign = merged
-                term = p1 * p2 if sign > 0 else -(p1 * p2)
-                coeffs[key] = coeffs.get(key, ExpPoly.zero()) + term
-        return DiffForm(degree, coeffs)
+                signed.setdefault(key, ([], []))[sign < 0].append((p1, p2))
+        return _summed(degree, signed)
 
     def d(self) -> "DiffForm":
         """Exterior derivative."""
-        coeffs: dict = {}
+        signed: dict = {}
         for key, poly in self._coeffs.items():
-            for i in range(NVARS):
-                dp = poly.diff(VARS[i])
-                if dp.is_zero():
-                    continue
+            for i, var in enumerate(VARS):
                 merged = _merge_indices((i,), key)
                 if merged is None:
                     continue
                 new_key, sign = merged
-                term = dp if sign > 0 else -dp
-                coeffs[new_key] = coeffs.get(new_key, ExpPoly.zero()) + term
-        return DiffForm(self.degree + 1, coeffs)
+                signed.setdefault(new_key, ([], []))[sign < 0].append(
+                    (_ONE, poly.diff(var))
+                )
+        return _summed(self.degree + 1, signed)
 
     # -- rendering ---------------------------------------------------------
 
@@ -237,36 +280,51 @@ def contract(N, u: DiffForm) -> DiffForm:
         raise ValueError("cannot contract a 0-form with a vector field")
     comps = _components_of(N)
     # rest -> (pairs entering with +, pairs entering with -)
-    pairs: dict = {}
+    signed: dict = {}
     for key, poly in u._coeffs.items():
         for pos, idx in enumerate(key):
             rest = key[:pos] + key[pos + 1 :]
-            signed = pairs.setdefault(rest, ([], []))
-            signed[pos % 2].append((comps[idx], poly))
-    coeffs = {rest: _sum_of_products(*signed) for rest, signed in pairs.items()}
-    return DiffForm(u.degree - 1, coeffs)
+            signed.setdefault(rest, ([], []))[pos % 2].append((comps[idx], poly))
+    return _summed(u.degree - 1, signed)
 
 
 def lie_derivative(N, u: DiffForm) -> DiffForm:
-    """Lie derivative along N via the Cartan formula L_N = N _| d(.) + d(N _| .)."""
+    """Lie derivative along N by the coordinate formula of the module
+    docstring, each slot summed in one pass over N's derivative table (an
+    Isovector's cached one, or one computed here for bare components)."""
     comps = _components_of(N)
-    if u.degree == 0:
-        return contract(comps, u.d())
-    return contract(comps, u.d()) + contract(comps, u).d()
+    jacobian = getattr(N, "_jacobian", None) or tuple(
+        tuple(comp.diff(var) for var in VARS) for comp in comps
+    )
+    signed: dict = {}
+    for key, poly in u._coeffs.items():
+        signed.setdefault(key, ([], []))[0].extend(
+            (comp, poly.diff(var)) for comp, var in zip(comps, VARS)
+        )
+        for m, k in enumerate(key):
+            for c, dN in enumerate(jacobian[k]):
+                if not dN._terms:
+                    continue
+                moved = _replace_index(key, m, c)
+                if moved is None:
+                    continue
+                new_key, sign = moved
+                signed.setdefault(new_key, ([], []))[sign < 0].append((poly, dN))
+    return _summed(u.degree, signed)
 
 
 def structural_forms(ctx: ModelContext):
     """The contact 1-form alpha, its differential, and the equation 2-form beta."""
-    dt = DiffForm.covector("dt")
-    dx = DiffForm.covector("dx")
-    dphi = DiffForm.covector("dphi")
-    dA = DiffForm.covector("dA")
     A = ExpPoly.var("A")
     B = ExpPoly.var("B")
     phi = ExpPoly.var("phi")
 
-    alpha = dphi + dx * (-A) + dt * (-B)
-    dalpha = alpha.d()
-    eq = B + ctx.rtilde * A - ctx.r * phi
-    beta = wedge(dx, dt) * eq + wedge(dA, dt) * (ctx.sigma2 / 2)
+    # alpha = dphi - A dx - B dt, so dalpha = dt^dB + dx^dA
+    alpha = DiffForm._canonical(1, {(0,): -B, (1,): -A, (2,): _ONE})
+    dalpha = DiffForm._canonical(2, {(0, 4): _ONE, (1, 3): _ONE})
+    # beta = eq dx^dt + (sigma2/2) dA^dt = -eq dt^dx - (sigma2/2) dt^dA
+    minus_eq = ctx.r * phi - ctx.rtilde * A - B
+    beta = DiffForm._canonical(
+        2, {(0, 1): minus_eq, (0, 3): ExpPoly.constant(-ctx.sigma2 / 2)}
+    )
     return alpha, dalpha, beta

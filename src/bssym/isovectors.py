@@ -18,16 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence, Tuple
 
-from .exppoly import VARS, ExpPoly, _signed_sum, _sum_of_products
+from .exppoly import VARS, ExpPoly, _ONE, _from_terms, _signed_sum, _sum_of_products
 from .forms import DiffForm, contract, lie_derivative, structural_forms
 from .ideal import MembershipCertificate, ideal_membership
 from .model import ModelContext
 
-_T = ExpPoly.var("t")
 _X = ExpPoly.var("x")
-_PHI = ExpPoly.var("phi")
 _A = ExpPoly.var("A")
 _B = ExpPoly.var("B")
 
@@ -77,10 +76,7 @@ class SolutionSpec:
         return all(c == 0 for c, _, _ in self.modes)
 
     def to_exppoly(self) -> ExpPoly:
-        out = ExpPoly.zero()
-        for coeff, a, b in self.modes:
-            out = out + ExpPoly.term(coeff, a=a, b=b)
-        return out
+        return _from_terms((), modes=self.modes)
 
     def check_dispersion(self, ctx: ModelContext) -> None:
         for mode in self.modes:
@@ -245,16 +241,19 @@ def isovector_from_generator(gen: Generator) -> Isovector:
         N^t = -F_B     N^x = -F_A     N^phi = F - A F_A - B F_B
         N^A = F_x + A F_phi           N^B = F_t + B F_phi
     """
-    F = gen.F
+    return _prolong(gen.F)
+
+
+def _prolong(F: ExpPoly, name: str = "") -> Isovector:
+    """The prolongation of `isovector_from_generator`, each component
+    summed in one pass."""
     FB = F.diff("B")
     FA = F.diff("A")
     Fphi = F.diff("phi")
-    Nt = -FB
-    Nx = -FA
-    Nphi = F - _A * FA - _B * FB
-    NA = F.diff("x") + _A * Fphi
-    NB = F.diff("t") + _B * Fphi
-    return Isovector((Nt, Nx, Nphi, NA, NB))
+    Nphi = _sum_of_products(((_ONE, F),), ((_A, FA), (_B, FB)))
+    NA = _sum_of_products(((_ONE, F.diff("x")), (_A, Fphi)))
+    NB = _sum_of_products(((_ONE, F.diff("t")), (_B, Fphi)))
+    return Isovector((-FB, -FA, Nphi, NA, NB), name=name)
 
 
 # -- the exact solution family ----------------------------------------------
@@ -278,31 +277,56 @@ def isovector_from_constants(
     F = N _| alpha = g + h*phi + A*f + B*d, which gives N^t = -d, N^x = -f,
     N^phi = g + h*phi, N^A = g_x + h_x phi + A f_x + A h and
     N^B = g_t + h_t phi + A f_t + B d' + B h.
-    """
-    if len(tuple(constants)) != 6:
-        raise ValueError("expected six constants C1..C6")
-    C1, C2, C3, C4, C5, C6 = (Fraction(c) for c in constants)
-    modes.check_dispersion(ctx)
-    s2 = ctx.sigma2
-    rt = ctx.rtilde
-    st = ctx.stilde
 
-    d = C1 * _T * _T + C2 * _T + C3
-    dp = d.diff("t")
-    dpp = dp.diff("t")
-    mu = C4 * _T + C5
-    mup = mu.diff("t")
-    f = Fraction(1, 2) * dp * _X + mu
-    k = -(st * st / (2 * s2)) * d + (rt / s2) * mu + Fraction(1, 4) * dp + C6
-    h = (
-        (rt / (2 * s2)) * dp * _X
-        - Fraction(1, 4) / s2 * dpp * _X * _X
-        - (1 / s2) * mup * _X
-        + k
+    F is written as one ExpPoly straight from its rational coefficients,
+    which are linear in C1..C6 (see `_member_terms`).
+    """
+    constants = tuple(constants)
+    if len(constants) != 6:
+        raise ValueError("expected six constants C1..C6")
+    constants = tuple(Fraction(c) for c in constants)
+    modes.check_dispersion(ctx)
+    return _prolong(_family_generator(constants, modes, ctx), name=name)
+
+
+def _member_terms(constants, ctx: ModelContext) -> tuple:
+    """(den, h, f, d): h(t, x), f(t, x) and d(t) of the family member with
+    constants C1..C6, each a tuple of terms (n, i, j) that stand for
+    (n/den) t^i x^j.  With S = stilde^2 / 2 sigma2, R = rtilde / sigma2,
+    H = rtilde / 2 sigma2 and J = 1 / 2 sigma2,
+
+        k = -S C1 t^2 + (C1/2 - S C2 + R C4) t + C2/4 - S C3 + R C5 + C6
+        h = k + R C1 t x + (H C2 - 2 J C4) x - J C1 x^2
+        f = C1 t x + (C2/2) x + C4 t + C5
+        d = C1 t^2 + C2 t + C3
+
+    computed on integers: the rates are numerators over D
+    (`ModelContext.family_rates`), the constants over their lcm."""
+    D, s, r, h, j = ctx.family_rates
+    common = lcm(*(c.denominator for c in constants))
+    c1, c2, c3, c4, c5, c6 = (c.numerator * (common // c.denominator) for c in constants)
+    return (
+        common * D,
+        (
+            (-s * c1, 2, 0),
+            (D // 2 * c1 - s * c2 + r * c4, 1, 0),
+            (D // 4 * c2 - s * c3 + r * c5 + D * c6, 0, 0),
+            (r * c1, 1, 1),
+            (h * c2 - 2 * j * c4, 0, 1),
+            (-j * c1, 0, 2),
+        ),
+        ((D * c1, 1, 1), (D // 2 * c2, 0, 1), (D * c4, 1, 0), (D * c5, 0, 0)),
+        ((D * c1, 2, 0), (D * c2, 1, 0), (D * c3, 0, 0)),
     )
-    g = modes.to_exppoly()
-    N = isovector_from_generator(Generator(c=g + h * _PHI + _A * f, d=d))
-    return Isovector(N.components, name=name)
+
+
+def _family_generator(constants, modes: SolutionSpec, ctx: ModelContext) -> ExpPoly:
+    """F = g + h*phi + A*f + B*d of the family member, built in one pass."""
+    den, h, f, d = _member_terms(constants, ctx)
+    terms = [(n, (i, j, 1, 0, 0)) for n, i, j in h]
+    terms += [(n, (i, j, 0, 1, 0)) for n, i, j in f]
+    terms += [(n, (i, j, 0, 0, 1)) for n, i, j in d]
+    return _from_terms(terms, den, modes.modes)
 
 
 def basis_isovector(i: int, ctx: ModelContext) -> Isovector:
@@ -367,11 +391,11 @@ def bracket(M: Isovector, N: Isovector) -> Isovector:
 def gh_of(N: Isovector) -> GHPair:
     """Split N^phi = g + h*phi; requires N^phi affine in phi, free of A, B."""
     nphi = N.Nphi
-    h = nphi.diff("phi")
-    if h.depends_on("phi"):
+    if nphi.degree_in("phi") > 1:
         raise ValueError("N^phi is not affine in phi")
-    g = nphi - h * _PHI
-    for var in ("phi", "A", "B"):
+    g = nphi.coeff_of("phi", 0)
+    h = nphi.coeff_of("phi", 1)
+    for var in ("A", "B"):
         if g.depends_on(var) or h.depends_on(var):
             raise ValueError(f"N^phi involves {var}; no g/h split exists")
     return GHPair(g=g, h=h)
@@ -433,10 +457,8 @@ def decompose(N: Isovector, ctx: ModelContext):
     C5 = _constant_of(mu.coeff_of("t", 0), "C5")
 
     pair = gh_of(N)
-    probe = isovector_from_constants(
-        (C1, C2, C3, C4, C5, 0), SolutionSpec.empty(), ctx
-    )
-    h0 = gh_of(probe).h
+    den, h0, _, _ = _member_terms((C1, C2, C3, C4, C5, Fraction(0)), ctx)
+    h0 = _from_terms(((n, (i, j, 0, 0, 0)) for n, i, j in h0), den)
     C6 = _constant_of(pair.h - h0, "C6")
 
     modes = []
@@ -450,11 +472,7 @@ def decompose(N: Isovector, ctx: ModelContext):
     spec.check_dispersion(ctx)
 
     constants = (C1, C2, C3, C4, C5, C6)
-    # the prolongation is linear in F, so the family member is the probe plus
-    # the prolongation of the rest of F, C6*phi + g
-    rebuilt = probe + isovector_from_generator(
-        Generator(c=C6 * _PHI + pair.g, d=ExpPoly.zero())
-    )
+    rebuilt = _prolong(_family_generator(constants, spec, ctx))
     if rebuilt != N:
         for var, a, b in zip(VARS, rebuilt.components, N.components):
             if a != b:

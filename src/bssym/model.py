@@ -14,6 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(\s*/\s*\d+)?")
@@ -45,6 +47,18 @@ class ModelContext:
     def __post_init__(self):
         if self.sigma2 <= 0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+
+    @cached_property
+    def family_rates(self) -> tuple:
+        """(D, s, r, h, j): the rationals S = stilde^2 / 2 sigma2,
+        R = rtilde / sigma2, H = rtilde / 2 sigma2 and J = 1 / 2 sigma2 of
+        the isovector family's h(t, x) as integer numerators over one
+        denominator D that 4 divides, computed once per context."""
+        J = 1 / (2 * self.sigma2)
+        R = 2 * self.rtilde * J
+        rates = (self.stilde * self.stilde * J, R, R / 2, J)
+        D = lcm(4, *(q.denominator for q in rates))
+        return (D, *(q.numerator * (D // q.denominator) for q in rates))
 
     @property
     def r_f(self) -> float:

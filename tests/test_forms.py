@@ -1,7 +1,10 @@
 """Differential forms on the five-jet and the structural forms."""
 
+import copy
+import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -162,13 +165,51 @@ def test_lie_derivative_on_functions_is_directional(f):
     assert got.coeff(()) == want
 
 
-@given(one_forms())
-def test_cartan_formula_consistency(u):
-    # L_N u = N _| du + d(N _| u)
-    N = basis_isovector(4, DEFAULT)
-    got = lie_derivative(N, u)
-    want = contract(N, u.d()) + contract(N, u).d()
-    assert got == want
+rates = st.fractions(min_value=Fraction(-2), max_value=Fraction(2), max_denominator=4)
+
+
+@st.composite
+def exp_functions(draw, max_terms=3):
+    """Like `functions`, with an exponential factor exp(a*t + b*x) per term."""
+    p = ExpPoly.zero()
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        exps = draw(st.tuples(*(st.integers(0, 2) for _ in VARS)))
+        p = p + ExpPoly.term(draw(coeffs), exps, a=draw(rates), b=draw(rates))
+    return p
+
+
+@st.composite
+def forms_of_degree_0_to_3(draw):
+    degree = draw(st.integers(0, 3))
+    keys = list(itertools.combinations(range(len(VARS)), degree))
+    return DiffForm(degree, {key: draw(exp_functions(max_terms=2)) for key in keys})
+
+
+def cartan(N, u):
+    """L_N u = N _| du + d(N _| u); a 0-form has no second term."""
+    want = contract(N, u.d())
+    return want + contract(N, u).d() if u.degree else want
+
+
+@given(forms_of_degree_0_to_3(), st.tuples(*(exp_functions(max_terms=2) for _ in VARS)))
+def test_cartan_formula_consistency(u, comps):
+    u_before, comps_before = copy.deepcopy(u), copy.deepcopy(comps)
+    hashes = hash(u), [hash(c) for c in comps]
+    N = Isovector(comps)
+    N._jacobian  # the one-pass route reads the cached table as it stands
+    for field in (comps, N, basis_isovector(4, DEFAULT)):
+        assert lie_derivative(field, u) == cartan(field, u)
+    # ExpPoly groups are shared between results, never changed in place
+    assert u == u_before and comps == comps_before
+    assert (hash(u), [hash(c) for c in comps]) == hashes
+
+
+def test_lie_derivative_of_the_structural_forms_matches_cartan():
+    alpha, dalpha, beta = structural_forms(DEFAULT)
+    for i in range(1, 7):
+        N = basis_isovector(i, DEFAULT)
+        for u in (alpha, dalpha, beta):
+            assert lie_derivative(N, u) == cartan(N, u)
 
 
 def test_coeff_lookup_by_name_and_index():
@@ -177,3 +218,14 @@ def test_coeff_lookup_by_name_and_index():
     assert dalpha.coeff((1, 3)) == ExpPoly.one()
     assert dalpha.coeff(("dA", "dx")) == -ExpPoly.one()
     assert dalpha.coeff(("dx", "dphi")).is_zero()
+
+
+def test_coeff_rejects_a_key_that_names_no_slot():
+    _, _, beta = structural_forms(DEFAULT)
+    for key in (("dx",), ("dx", "dt", "dA"), (), (7, 9), (1, 5), (-1, 2), ("dx", "dz")):
+        with pytest.raises(ValueError):
+            beta.coeff(key)
+    # a repeated covector is a slot of the right length; its coefficient is 0
+    assert beta.coeff(("dx", "dx")).is_zero()
+    assert beta.coeff((1, 1)).is_zero()
+    assert beta.coeff(("dt", "dx")) == -beta.coeff(("dx", "dt"))

@@ -144,6 +144,58 @@ def test_family_is_the_prolongation_of_its_generator(constants, modes, ctx):
     assert N.name == "N_c"
 
 
+def family_by_prolongation(constants, modes, ctx):
+    """The family member built as the docstring of `isovector_from_constants`
+    reads: d, f, k and h by ExpPoly arithmetic, and F = g + h*phi + A*f + B*d
+    through `isovector_from_generator`."""
+    T, X = ExpPoly.var("t"), ExpPoly.var("x")
+    PHI, A = ExpPoly.var("phi"), ExpPoly.var("A")
+    C1, C2, C3, C4, C5, C6 = (Fraction(c) for c in constants)
+    s2, rt, st_ = ctx.sigma2, ctx.rtilde, ctx.stilde
+    d = C1 * T * T + C2 * T + C3
+    dp = d.diff("t")
+    mu = C4 * T + C5
+    f = Fraction(1, 2) * dp * X + mu
+    k = -(st_ * st_ / (2 * s2)) * d + (rt / s2) * mu + Fraction(1, 4) * dp + C6
+    h = ((rt / (2 * s2)) * dp * X - Fraction(1, 4) / s2 * dp.diff("t") * X * X
+         - (1 / s2) * mu.diff("t") * X + k)
+    g = ExpPoly.zero()
+    for coeff, a, b in modes.modes:
+        g = g + ExpPoly.term(coeff, a=a, b=b)
+    return isovector_from_generator(Generator(c=g + h * PHI + A * f, d=d))
+
+
+@given(
+    const_tuples,
+    st.lists(st.tuples(consts, st.fractions(
+        min_value=Fraction(-2), max_value=Fraction(2), max_denominator=4)), max_size=3),
+    st.sampled_from(MODEL_POINTS),
+)
+def test_family_matches_its_construction_by_prolongation(constants, modes, ctx):
+    spec = SolutionSpec.empty()
+    for coeff, b in modes:
+        spec = spec + SolutionSpec.mode_for(b, ctx, coeff=coeff)
+    N = isovector_from_constants(constants, spec, ctx)
+    want = family_by_prolongation(constants, spec, ctx)
+    assert N == want
+    assert [hash(c) for c in N.components] == [hash(c) for c in want.components]
+    assert [str(c) for c in N.components] == [str(c) for c in want.components]
+    got_constants, got_spec = decompose(N, ctx)
+    assert got_constants == tuple(Fraction(c) for c in constants)
+    assert isovector_from_constants(got_constants, got_spec, ctx) == N
+
+
+def test_solution_modes_sum_and_cancel():
+    a, b = DEFAULT.r - DEFAULT.rtilde - DEFAULT.sigma2 / 2, Fraction(1)
+    spec = SolutionSpec(((Fraction(2), a, b), (Fraction(1, 3), a, b), (Fraction(-5), 0, 0)))
+    assert spec.to_exppoly() == (
+        Fraction(7, 3) * ExpPoly.exp_factor(a, b) - 5
+    )
+    assert SolutionSpec(((1, a, b), (-1, a, b))).to_exppoly().is_zero()
+    with pytest.raises(TypeError):
+        SolutionSpec(((0.5, a, b),)).to_exppoly()
+
+
 def test_bare_x_translation_decomposes_into_the_family():
     # F = A alone is the x-translation; it sits inside the family with a
     # compensating constant term C6 = -rtilde/sigma2

@@ -89,3 +89,17 @@ def test_context_json_uses_rational_strings():
     assert make_context(-5, "49/400").to_json() == {
         "r": "-5", "sigma2": "49/400", "rtilde": "-4049/800", "stilde": "-3951/800",
     }
+
+
+@given(rationals, positive_rationals)
+def test_family_rates_are_the_h_rationals_over_one_denominator(r, sigma2):
+    ctx = make_context(r, sigma2)
+    D, s, rr, h, j = ctx.family_rates
+    assert D > 0 and D % 4 == 0
+    assert Fraction(s, D) == ctx.stilde**2 / (2 * ctx.sigma2)
+    assert Fraction(rr, D) == ctx.rtilde / ctx.sigma2
+    assert Fraction(h, D) == ctx.rtilde / (2 * ctx.sigma2)
+    assert Fraction(j, D) == 1 / (2 * ctx.sigma2)
+    # computed once per context, and no part of its identity
+    assert ctx.family_rates is ctx.family_rates
+    assert ctx == make_context(r, sigma2) and hash(ctx) == hash(make_context(r, sigma2))
