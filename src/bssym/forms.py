@@ -27,6 +27,7 @@ Cartan formula L_N = N _| d(.) + d(N _| .) is its test oracle, not its route.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Mapping, Sequence
 
 from .exppoly import VARS, ExpPoly, _ONE, _signed_sum, _sum_of_products, var_index
@@ -124,11 +125,12 @@ class DiffForm:
         The key is a tuple of covector names such as ("dx", "dA") or of
         variable indices; permuted keys pick up the permutation sign, keys
         with a repeated covector have coefficient zero.  A key of the wrong
-        length, an unknown name or an index outside 0..4 is a ValueError.
+        length, an unknown name or an index outside 0..4 is a ValueError,
+        and an index that is not an integer (0.9, say) is a TypeError.
         """
         # an unknown name reads as index -1, out of range
         idx = tuple(
-            _COVAR_INDEX.get(k, -1) if isinstance(k, str) else int(k) for k in key
+            _COVAR_INDEX.get(k, -1) if isinstance(k, str) else index(k) for k in key
         )
         if len(idx) != self.degree or not all(0 <= i < NVARS for i in idx):
             raise ValueError(f"key {tuple(key)} names no slot of a {self.degree}-form")

@@ -10,7 +10,8 @@ split exactly as the theory dictates:
 
 The full solution family is parametrized by six exact constants C1..C6 and a
 set of exponential solution modes g; `isovector_from_constants` encodes that
-parametrization literally, and `decompose` inverts it.
+parametrization literally, and `decompose` inverts it by reading C1..C6 and
+the modes off F.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from math import lcm
 from typing import Sequence, Tuple
 
 from .exppoly import VARS, ExpPoly, _ONE, _from_terms, _signed_sum, _sum_of_products
-from .forms import DiffForm, contract, lie_derivative, structural_forms
+from .forms import DiffForm, lie_derivative, structural_forms
 from .ideal import MembershipCertificate, ideal_membership
 from .model import ModelContext
 
-_X = ExpPoly.var("x")
 _A = ExpPoly.var("A")
 _B = ExpPoly.var("B")
 
@@ -223,9 +223,14 @@ class VerificationReport:
 # -- generator correspondence ----------------------------------------------
 
 
+def _generator(N: Isovector) -> ExpPoly:
+    """F = N _| alpha = N^phi - A N^x - B N^t, summed in one pass."""
+    return _sum_of_products(((_ONE, N.Nphi),), ((_A, N.Nx), (_B, N.Nt)))
+
+
 def generator_of(N: Isovector) -> Generator:
     """F = N _| alpha, split as c + B*d."""
-    F = N.Nphi - _A * N.Nx - _B * N.Nt
+    F = _generator(N)
     if F.degree_in("B") > 1:
         raise ValueError(
             "generator is quadratic or higher in B; no isovector induces it"
@@ -276,10 +281,10 @@ def isovector_from_constants(
     as the prolongation (`isovector_from_generator`) of the generator
     F = N _| alpha = g + h*phi + A*f + B*d, which gives N^t = -d, N^x = -f,
     N^phi = g + h*phi, N^A = g_x + h_x phi + A f_x + A h and
-    N^B = g_t + h_t phi + A f_t + B d' + B h.
-
-    F is written as one ExpPoly straight from its rational coefficients,
-    which are linear in C1..C6 (see `_member_terms`).
+    N^B = g_t + h_t phi + A f_t + B d' + B h.  So C1..C5 are F's
+    coefficients of B t^2, B t, B, A t and A, and C6 enters only its phi
+    coefficient.  F is one ExpPoly straight from its rational coefficients,
+    which are linear in C1..C6 (`_member_terms`).
     """
     constants = tuple(constants)
     if len(constants) != 6:
@@ -291,16 +296,10 @@ def isovector_from_constants(
 
 def _member_terms(constants, ctx: ModelContext) -> tuple:
     """(den, h, f, d): h(t, x), f(t, x) and d(t) of the family member with
-    constants C1..C6, each a tuple of terms (n, i, j) that stand for
-    (n/den) t^i x^j.  With S = stilde^2 / 2 sigma2, R = rtilde / sigma2,
-    H = rtilde / 2 sigma2 and J = 1 / 2 sigma2,
-
-        k = -S C1 t^2 + (C1/2 - S C2 + R C4) t + C2/4 - S C3 + R C5 + C6
-        h = k + R C1 t x + (H C2 - 2 J C4) x - J C1 x^2
-        f = C1 t x + (C2/2) x + C4 t + C5
-        d = C1 t^2 + C2 t + C3
-
-    computed on integers: the rates are numerators over D
+    constants C1..C6, expanded from `isovector_from_constants`, each a tuple
+    of terms (n, i, j) that stand for (n/den) t^i x^j.  The rates
+    S = stilde^2 / 2 sigma2, R = rtilde / sigma2, H = rtilde / 2 sigma2 and
+    J = 1 / 2 sigma2 are integer numerators over D
     (`ModelContext.family_rates`), the constants over their lcm."""
     D, s, r, h, j = ctx.family_rates
     common = lcm(*(c.denominator for c in constants))
@@ -353,7 +352,7 @@ def solution_isovector(
 def verify_isovector(N: Isovector, ctx: ModelContext) -> VerificationReport:
     """Machine check of L_N(I) subset I with exact arithmetic."""
     alpha, _, beta = structural_forms(ctx)
-    F = contract(N, alpha).coeff(())
+    F = _generator(N)
     lam = F.diff("phi")
     alpha_defect = lie_derivative(N, alpha) - alpha * lam
     L_beta = lie_derivative(N, beta)
@@ -424,62 +423,43 @@ def bracket_gh(M: Isovector, N: Isovector) -> GHPair:
 # -- decomposition back into the family ---------------------------------------
 
 
-def _constant_of(poly: ExpPoly, what: str) -> Fraction:
-    if not poly.is_constant():
-        raise NotInFamilyError(f"{what} is not constant: {poly}")
-    return poly.constant_value()
+# B t^2, B t, B, A t, A and phi: F's monomials that carry C1..C5 and k
+_CONSTANT_MONOMIALS = (
+    (2, 0, 0, 0, 1), (1, 0, 0, 0, 1), (0, 0, 0, 0, 1),
+    (1, 0, 0, 1, 0), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0),
+)
+
+
+def _plain_coeffs(F: ExpPoly) -> tuple:
+    """F's coefficients at `_CONSTANT_MONOMIALS`, with no exponential."""
+    plain = {exps: coeff for (exps, sig), coeff in F.sorted_terms() if not any(sig)}
+    return tuple(plain.get(exps, Fraction(0)) for exps in _CONSTANT_MONOMIALS)
 
 
 def decompose(N: Isovector, ctx: ModelContext):
     """Invert the family parametrization: N -> (C1..C6, SolutionSpec).
 
-    Raises NotInFamilyError when N is not of the six-parameter family form.
+    C1..C5 and C6 are read off F = N _| alpha (see
+    `isovector_from_constants`), C6 as F's phi coefficient less that of the
+    member with C6 = 0, and the modes are F's terms with no power of any
+    variable.  The one membership check is the rebuild-and-compare: a
+    NotInFamilyError names the first component that differs.
     """
-    d = -N.Nt
-    for var in ("x", "phi", "A", "B"):
-        if d.depends_on(var):
-            raise NotInFamilyError(f"N^t depends on {var}")
-    if not d.is_polynomial() or d.degree_in("t") > 2:
-        raise NotInFamilyError(f"N^t = {N.Nt} is not a quadratic polynomial in t")
-    C1 = _constant_of(d.coeff_of("t", 2), "C1")
-    C2 = _constant_of(d.coeff_of("t", 1), "C2")
-    C3 = _constant_of(d.coeff_of("t", 0), "C3")
-
-    f = -N.Nx
-    dp = d.diff("t")
-    mu = f - Fraction(1, 2) * dp * _X
-    for var in ("x", "phi", "A", "B"):
-        if mu.depends_on(var):
-            raise NotInFamilyError(f"N^x + (1/2) d'(t) x depends on {var}")
-    if not mu.is_polynomial() or mu.degree_in("t") > 1:
-        raise NotInFamilyError(f"mu = {mu} is not affine in t")
-    C4 = _constant_of(mu.coeff_of("t", 1), "C4")
-    C5 = _constant_of(mu.coeff_of("t", 0), "C5")
-
-    pair = gh_of(N)
-    den, h0, _, _ = _member_terms((C1, C2, C3, C4, C5, Fraction(0)), ctx)
-    h0 = _from_terms(((n, (i, j, 0, 0, 0)) for n, i, j in h0), den)
-    C6 = _constant_of(pair.h - h0, "C6")
-
-    modes = []
-    for (exps, sig), coeff in pair.g.sorted_terms():
-        if exps != (0, 0, 0, 0, 0):
-            raise NotInFamilyError(
-                f"g contains a non-exponential term: {pair.g}"
-            )
-        modes.append((coeff, sig[0], sig[1]))
-    spec = SolutionSpec(tuple(modes))
+    F = _generator(N)
+    C1, C2, C3, C4, C5, k = _plain_coeffs(F)
+    member = _family_generator((C1, C2, C3, C4, C5, Fraction(0)), SolutionSpec.empty(), ctx)
+    constants = (C1, C2, C3, C4, C5, k - _plain_coeffs(member)[-1])
+    spec = SolutionSpec(tuple(
+        (coeff, *sig) for (exps, sig), coeff in F.sorted_terms() if not any(exps)
+    ))
     spec.check_dispersion(ctx)
 
-    constants = (C1, C2, C3, C4, C5, C6)
     rebuilt = _prolong(_family_generator(constants, spec, ctx))
-    if rebuilt != N:
-        for var, a, b in zip(VARS, rebuilt.components, N.components):
-            if a != b:
-                raise NotInFamilyError(
-                    f"component N^{var} mismatch: family form gives {a}, "
-                    f"input has {b}"
-                )
+    for var, a, b in zip(VARS, rebuilt.components, N.components):
+        if a != b:
+            raise NotInFamilyError(
+                f"component N^{var} mismatch: family form gives {a}, input has {b}"
+            )
     return constants, spec
 
 

@@ -12,7 +12,7 @@ which satisfy  rtilde^2/(2 sigma^2) + r = stilde^2/(2 sigma^2)  identically.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -37,16 +37,21 @@ def parse_rational(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class ModelContext:
-    """Exact model parameters plus derived constants."""
+    """Exact model parameters (r, sigma2), read as Fractions, plus the
+    constants derived from them, which are computed here, never passed in."""
 
     r: Fraction
     sigma2: Fraction
-    rtilde: Fraction
-    stilde: Fraction
+    rtilde: Fraction = field(init=False)
+    stilde: Fraction = field(init=False)
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        r, sigma2 = Fraction(self.r), Fraction(self.sigma2)
+        if sigma2 <= 0:
+            raise ValueError(f"sigma2 must be positive, got {sigma2}")
+        for name, value in (("r", r), ("sigma2", sigma2),
+                            ("rtilde", r - sigma2 / 2), ("stilde", r + sigma2 / 2)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def family_rates(self) -> tuple:
@@ -86,8 +91,4 @@ class ModelContext:
 
 def make_context(r, sigma2) -> ModelContext:
     """Build a ModelContext from rationals; sigma2 must be positive."""
-    r = Fraction(r)
-    sigma2 = Fraction(sigma2)
-    rtilde = r - sigma2 / 2
-    stilde = r + sigma2 / 2
-    return ModelContext(r=r, sigma2=sigma2, rtilde=rtilde, stilde=stilde)
+    return ModelContext(r=r, sigma2=sigma2)

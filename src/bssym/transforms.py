@@ -280,6 +280,7 @@ def sample_surface(surface, grid: Grid) -> GridSolution:
     surface computes node by node, so the values are the same bits as from
     one call on the whole grid.
     """
+    surface = as_surface(surface)
     t, x = grid.t_values[:, None], grid.x_values[None, :]
     values = np.empty((grid.nt, grid.nx))
     for lo, hi in _row_strips(grid.nt, grid.nx):

@@ -4,6 +4,7 @@ import copy
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -229,3 +230,11 @@ def test_coeff_rejects_a_key_that_names_no_slot():
     assert beta.coeff(("dx", "dx")).is_zero()
     assert beta.coeff((1, 1)).is_zero()
     assert beta.coeff(("dt", "dx")) == -beta.coeff(("dx", "dt"))
+
+
+def test_coeff_takes_integer_indices_only():
+    _, _, beta = structural_forms(DEFAULT)
+    # 0.9 is not read as 0: a float index names no slot
+    with pytest.raises(TypeError):
+        beta.coeff((0.9, 1))
+    assert beta.coeff((np.int64(1), np.int64(0))) == beta.coeff(("dx", "dt"))

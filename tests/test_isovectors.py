@@ -410,14 +410,57 @@ def test_decompose_rejects_outsiders():
     )
     with pytest.raises(NotInFamilyError) as info:
         decompose(cubic, DEFAULT)
-    assert str(info.value) == "N^t = -t^3 is not a quadratic polynomial in t"
+    assert str(info.value) == (
+        "component N^t mismatch: family form gives 0, input has -t^3"
+    )
 
     off_model = basis_isovector(1, ZERO_RATE)
     with pytest.raises(NotInFamilyError) as info:
         decompose(off_model, DEFAULT)
     assert str(info.value) == (
-        "C6 is not constant: -151/800*t^2 - 5/4*t*x + 49/4*x^2"
+        "component N^phi mismatch: family form gives -49/800*t^2*phi"
+        " + 3/4*t*x*phi - 25/2*x^2*phi + 1/2*t*phi, input has -1/4*t^2*phi"
+        " - 1/2*t*x*phi - 1/4*x^2*phi + 1/2*t*phi"
     )
+
+
+T, X, PHI = ExpPoly.var("t"), ExpPoly.var("x"), ExpPoly.var("phi")
+((_, A_ON, B_ON),) = SolutionSpec.mode_for(Fraction(1, 2), DEFAULT).modes
+ON_CURVE = ExpPoly.exp_factor(A_ON, B_ON)
+
+
+def perturbed_member(k, extra):
+    """A family member with one more term in its k-th component."""
+    N = isovector_from_constants(
+        (1, -2, 3, Fraction(1, 2), -1, 2), SolutionSpec.mode_for(1, DEFAULT), DEFAULT)
+    comps = list(N.components)
+    comps[k] = comps[k] + extra
+    return Isovector(tuple(comps))
+
+
+# one outsider of each kind that a structural check used to catch
+OUTSIDERS = {
+    "N^t with x dependence": perturbed_member(0, X),
+    "cubic N^t": perturbed_member(0, T * T * T),
+    "mu not affine in t": perturbed_member(1, T * T),
+    "C6 not constant": perturbed_member(2, T * PHI),
+    "off-model N1": basis_isovector(1, ZERO_RATE),
+    "g with a t*exp term": perturbed_member(2, T * ON_CURVE),
+    "exp term in N^x": perturbed_member(1, ON_CURVE),
+}
+
+
+@pytest.mark.parametrize("kind", OUTSIDERS)
+def test_decompose_rejects_every_kind_of_outsider(kind):
+    with pytest.raises(NotInFamilyError, match=r"^component N\^(t|x|phi|A|B) mismatch: "):
+        decompose(OUTSIDERS[kind], DEFAULT)
+
+
+def test_decompose_rejects_an_off_curve_mode():
+    off_curve = isovector_from_generator(
+        Generator(c=ExpPoly.exp_factor(1, 1), d=ExpPoly.zero()))
+    with pytest.raises(DispersionError):
+        decompose(off_curve, DEFAULT)
 
 
 def test_isovector_from_constants_validates_length():

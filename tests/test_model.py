@@ -1,6 +1,7 @@
 """Model context and rational parsing."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -68,10 +69,20 @@ def test_sigma2_must_be_positive():
         make_context(Fraction(1, 20), Fraction(-1, 4))
     # the type holds the invariant: the membership solve divides by sigma2/2
     with pytest.raises(ValueError, match="sigma2 must be positive, got 0"):
-        ModelContext(
-            r=Fraction(1, 20), sigma2=Fraction(0),
-            rtilde=Fraction(1, 20), stilde=Fraction(1, 20),
-        )
+        ModelContext(r=Fraction(1, 20), sigma2=Fraction(0))
+
+
+def test_context_derives_rtilde_and_stilde():
+    # the derived constants cannot be passed in, so they cannot disagree
+    # with (r, sigma2)
+    with pytest.raises(TypeError):
+        ModelContext(r=Fraction(1, 20), sigma2=Fraction(1, 25), rtilde=Fraction(7))
+    ctx = replace(make_context("1/20", "1/25"), r=Fraction(1, 10))
+    assert (ctx.rtilde, ctx.stilde) == (Fraction(2, 25), Fraction(3, 25))
+    assert ctx == make_context("1/10", "1/25")
+    # integers are read as exact rationals, so sigma2 / 2 stays exact
+    assert ModelContext(r=0, sigma2=1).rtilde == Fraction(-1, 2)
+    assert isinstance(ModelContext(r=0, sigma2=1).rtilde, Fraction)
 
 
 def test_context_accepts_strings():

@@ -852,6 +852,20 @@ def test_richardson_limit_toward_action():
     assert 1.7 < ratio < 2.3
 
 
+def test_sampling_takes_what_as_surface_takes():
+    # a GridSolution is sampled through its spline, which meets its nodes
+    samples = sample_surface(call_surface(), COARSE)
+    resampled = sample_surface(samples, COARSE)
+    assert resampled.frame == samples.frame
+    gap = np.max(np.abs(resampled.values - samples.values))
+    assert gap <= 1e-12 * np.max(np.abs(samples.values))
+    # a foreign price surface is sampled at S = e^x
+    foreign = sample_surface(_ForeignCall(), COARSE)
+    T, X = COARSE.meshes()
+    assert foreign.frame == "price"
+    assert np.array_equal(foreign.values, _ForeignCall().value(T, np.exp(X)))
+
+
 def test_as_surface_round_trip():
     samples = sample_surface(call_surface(), COARSE)
     surf = as_surface(samples)
