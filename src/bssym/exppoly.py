@@ -36,7 +36,8 @@ import threading
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import or_
+from numbers import Rational
+from operator import index, or_
 from typing import TYPE_CHECKING, Sequence, Union
 
 if TYPE_CHECKING:
@@ -179,11 +180,11 @@ def _from_terms(terms, den: int = 1, modes=()) -> "ExpPoly":
 
 
 def _as_fraction(value) -> Fraction:
+    """The exact-layer scalar check: an int (a numpy integer too), a Fraction
+    or a "p/q" string is read as a Fraction, and a float is a TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str, Rational)):
         return Fraction(value)
     raise TypeError(f"exact scalar required, got {type(value).__name__}")
 
@@ -247,9 +248,10 @@ class ExpPoly:
     def term(coeff, exps: Sequence[int] = _ZERO_EXPS, a=_ZERO, b=_ZERO) -> "ExpPoly":
         """The single term coeff * t^i x^j phi^k A^l B^m * exp(a*t + b*x).
 
-        Each exponent must lie in 0.._EXP_MAX (31)."""
+        Each exponent must be an integer in 0.._EXP_MAX (31)."""
         coeff = _as_fraction(coeff)
-        exps = tuple(map(int, exps))
+        # index, not int: an exponent of 1.5 is a TypeError, not a 1
+        exps = tuple(map(index, exps))
         if len(exps) != 5 or min(exps) < 0:
             raise ValueError(f"bad exponent tuple {exps}")
         if max(exps) > _EXP_MAX:

@@ -12,6 +12,11 @@ The full solution family is parametrized by six exact constants C1..C6 and a
 set of exponential solution modes g; `isovector_from_constants` encodes that
 parametrization literally, and `decompose` inverts it by reading C1..C6 and
 the modes off F.
+
+Derived exact data is built once and kept with what it derives from: a
+context's basis fields and structural forms on the `ModelContext` instance,
+a field's derivative table and g/h split on the `Isovector`.  Nothing is
+shared between two objects, however equal.
 """
 
 from __future__ import annotations
@@ -20,9 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import index
 from typing import Sequence, Tuple
 
-from .exppoly import VARS, ExpPoly, _ONE, _from_terms, _signed_sum, _sum_of_products
+from .exppoly import (
+    VARS, ExpPoly, _ONE, _SIGS, _as_fraction, _from_terms, _pack, _signed_sum,
+    _sum_of_products,
+)
 from .forms import DiffForm, lie_derivative, structural_forms
 from .ideal import MembershipCertificate, ideal_membership
 from .model import ModelContext
@@ -60,12 +69,12 @@ class SolutionSpec:
 
     @staticmethod
     def single(coeff, a, b) -> "SolutionSpec":
-        return SolutionSpec(((Fraction(coeff), Fraction(a), Fraction(b)),))
+        return SolutionSpec((tuple(map(_as_fraction, (coeff, a, b))),))
 
     @staticmethod
     def mode_for(b, ctx: ModelContext, coeff=1) -> "SolutionSpec":
         """The mode with spatial rate b whose time rate solves the dispersion."""
-        b = Fraction(b)
+        b = _as_fraction(b)
         a = ctx.r - ctx.rtilde * b - ctx.sigma2 / 2 * b * b
         return SolutionSpec.single(coeff, a, b)
 
@@ -160,6 +169,27 @@ class Isovector:
         return tuple(
             tuple(comp.diff(var) for var in VARS) for comp in self.components
         )
+
+    @cached_property
+    def _gh(self) -> "GHPair":
+        """The split N^phi = g + h*phi of `gh_of`, computed once per field;
+        a field with no split raises ValueError and caches nothing."""
+        nphi = self.Nphi
+        if nphi.degree_in("phi") > 1:
+            raise ValueError("N^phi is not affine in phi")
+        g = nphi.coeff_of("phi", 0)
+        h = nphi.coeff_of("phi", 1)
+        for var in ("A", "B"):
+            if g.depends_on(var) or h.depends_on(var):
+                raise ValueError(f"N^phi involves {var}; no g/h split exists")
+        return GHPair(g=g, h=h)
+
+    @cached_property
+    def _gh_grad(self) -> tuple:
+        """(g_t, g_x, h_t, h_x) of the split, for `bracket_gh`, computed
+        once per field."""
+        g, h = self._gh.g, self._gh.h
+        return g.diff("t"), g.diff("x"), h.diff("t"), h.diff("x")
 
     def __add__(self, other: "Isovector") -> "Isovector":
         comps = tuple(a + b for a, b in zip(self.components, other.components))
@@ -289,7 +319,7 @@ def isovector_from_constants(
     constants = tuple(constants)
     if len(constants) != 6:
         raise ValueError("expected six constants C1..C6")
-    constants = tuple(Fraction(c) for c in constants)
+    constants = tuple(map(_as_fraction, constants))
     modes.check_dispersion(ctx)
     return _prolong(_family_generator(constants, modes, ctx), name=name)
 
@@ -329,14 +359,21 @@ def _family_generator(constants, modes: SolutionSpec, ctx: ModelContext) -> ExpP
 
 
 def basis_isovector(i: int, ctx: ModelContext) -> Isovector:
-    """Basis element N_i (g = 0, C_j = delta_ij), i in 1..6."""
+    """Basis element N_i (g = 0, C_j = delta_ij), i in 1..6: the context's
+    own field, built on its first call, so that every caller with this
+    context shares it and its cached derivative table."""
+    i = index(i)
     if not 1 <= i <= 6:
         raise ValueError(f"basis index must be 1..6, got {i}")
-    constants = [0] * 6
-    constants[i - 1] = 1
-    return isovector_from_constants(
-        constants, SolutionSpec.empty(), ctx, name=f"N{i}"
-    )
+    basis = ctx._derived.setdefault("basis", {})
+    N = basis.get(i)
+    if N is None:
+        constants = [0] * 6
+        constants[i - 1] = 1
+        N = basis[i] = isovector_from_constants(
+            constants, SolutionSpec.empty(), ctx, name=f"N{i}"
+        )
+    return N
 
 
 def solution_isovector(
@@ -349,9 +386,19 @@ def solution_isovector(
 # -- verification ------------------------------------------------------------
 
 
+def _forms_of(ctx: ModelContext) -> tuple:
+    """(alpha, dalpha, beta) of the context, built on first use through the
+    module attribute `structural_forms`."""
+    derived = ctx._derived
+    forms = derived.get("forms")
+    if forms is None:
+        forms = derived["forms"] = structural_forms(ctx)
+    return forms
+
+
 def verify_isovector(N: Isovector, ctx: ModelContext) -> VerificationReport:
     """Machine check of L_N(I) subset I with exact arithmetic."""
-    alpha, _, beta = structural_forms(ctx)
+    alpha, _, beta = _forms_of(ctx)
     F = _generator(N)
     lam = F.diff("phi")
     alpha_defect = lie_derivative(N, alpha) - alpha * lam
@@ -388,16 +435,9 @@ def bracket(M: Isovector, N: Isovector) -> Isovector:
 
 
 def gh_of(N: Isovector) -> GHPair:
-    """Split N^phi = g + h*phi; requires N^phi affine in phi, free of A, B."""
-    nphi = N.Nphi
-    if nphi.degree_in("phi") > 1:
-        raise ValueError("N^phi is not affine in phi")
-    g = nphi.coeff_of("phi", 0)
-    h = nphi.coeff_of("phi", 1)
-    for var in ("A", "B"):
-        if g.depends_on(var) or h.depends_on(var):
-            raise ValueError(f"N^phi involves {var}; no g/h split exists")
-    return GHPair(g=g, h=h)
+    """Split N^phi = g + h*phi; requires N^phi affine in phi, free of A, B.
+    The split is computed once per field."""
+    return N._gh
 
 
 def bracket_gh(M: Isovector, N: Isovector) -> GHPair:
@@ -407,15 +447,16 @@ def bracket_gh(M: Isovector, N: Isovector) -> GHPair:
                   - N^t g_M,t - N^x g_M,x - g_N h_M
         h_[M,N] = M^t h_N,t + M^x h_N,x - N^t h_M,t - N^x h_M,x
     """
-    gm = gh_of(M)
-    gn = gh_of(N)
+    gm, gn = M._gh, N._gh
+    gm_t, gm_x, hm_t, hm_x = M._gh_grad
+    gn_t, gn_x, hn_t, hn_x = N._gh_grad
     g = _sum_of_products(
-        ((M.Nt, gn.g.diff("t")), (M.Nx, gn.g.diff("x")), (gm.g, gn.h)),
-        ((N.Nt, gm.g.diff("t")), (N.Nx, gm.g.diff("x")), (gn.g, gm.h)),
+        ((M.Nt, gn_t), (M.Nx, gn_x), (gm.g, gn.h)),
+        ((N.Nt, gm_t), (N.Nx, gm_x), (gn.g, gm.h)),
     )
     h = _sum_of_products(
-        ((M.Nt, gn.h.diff("t")), (M.Nx, gn.h.diff("x"))),
-        ((N.Nt, gm.h.diff("t")), (N.Nx, gm.h.diff("x"))),
+        ((M.Nt, hn_t), (M.Nx, hn_x)),
+        ((N.Nt, hm_t), (N.Nx, hm_x)),
     )
     return GHPair(g=g, h=h)
 
@@ -423,17 +464,12 @@ def bracket_gh(M: Isovector, N: Isovector) -> GHPair:
 # -- decomposition back into the family ---------------------------------------
 
 
-# B t^2, B t, B, A t, A and phi: F's monomials that carry C1..C5 and k
-_CONSTANT_MONOMIALS = (
+# packed keys of B t^2, B t, B, A t, A and phi: the monomials of F, with no
+# exponential, that carry C1..C5 and k
+_CONSTANT_KEYS = tuple(map(_pack, (
     (2, 0, 0, 0, 1), (1, 0, 0, 0, 1), (0, 0, 0, 0, 1),
     (1, 0, 0, 1, 0), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0),
-)
-
-
-def _plain_coeffs(F: ExpPoly) -> tuple:
-    """F's coefficients at `_CONSTANT_MONOMIALS`, with no exponential."""
-    plain = {exps: coeff for (exps, sig), coeff in F.sorted_terms() if not any(sig)}
-    return tuple(plain.get(exps, Fraction(0)) for exps in _CONSTANT_MONOMIALS)
+)))
 
 
 def decompose(N: Isovector, ctx: ModelContext):
@@ -446,12 +482,19 @@ def decompose(N: Isovector, ctx: ModelContext):
     NotInFamilyError names the first component that differs.
     """
     F = _generator(N)
-    C1, C2, C3, C4, C5, k = _plain_coeffs(F)
-    member = _family_generator((C1, C2, C3, C4, C5, Fraction(0)), SolutionSpec.empty(), ctx)
-    constants = (C1, C2, C3, C4, C5, k - _plain_coeffs(member)[-1])
-    spec = SolutionSpec(tuple(
-        (coeff, *sig) for (exps, sig), coeff in F.sorted_terms() if not any(exps)
-    ))
+    # read off F's integer storage: group 0 holds the terms with no
+    # exponential, key 0 the term with no power of any variable
+    den, groups = F._den, F._terms
+    plain = groups.get(0, {})
+    C1, C2, C3, C4, C5, k = (Fraction(plain.get(key, 0), den) for key in _CONSTANT_KEYS)
+    hden, h, _, _ = _member_terms((C1, C2, C3, C4, C5, Fraction(0)), ctx)
+    k0 = next(Fraction(n, hden) for n, i, j in h if (i, j) == (0, 0))
+    constants = (C1, C2, C3, C4, C5, k - k0)
+    # in `sorted_terms` order: descending (a, b)
+    spec = SolutionSpec(tuple(sorted(
+        ((Fraction(mono[0], den), *_SIGS[sid]) for sid, mono in groups.items() if 0 in mono),
+        key=lambda mode: mode[1:], reverse=True,
+    )))
     spec.check_dispersion(ctx)
 
     rebuilt = _prolong(_family_generator(constants, spec, ctx))
@@ -475,7 +518,9 @@ def structure_constants(ctx: ModelContext) -> dict:
     row-major (i, j) order; every bracket must land in the span of N1..N6
     with no solution-mode part.  Only the pairs i < j are bracketed and
     decomposed: the commutator is antisymmetric, so [N_i, N_i] = 0 and
-    [N_j, N_i] is [N_i, N_j] with its coefficients negated, exactly.
+    [N_j, N_i] is [N_i, N_j] with its coefficients negated, exactly.  The
+    basis is the context's own (`basis_isovector`), so the fields and
+    derivative tables a caller already built are reused.
     """
     basis = {i: basis_isovector(i, ctx) for i in range(1, 7)}
     table = {}

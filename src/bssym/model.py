@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
+from .exppoly import _as_fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(\s*/\s*\d+)?")
 
@@ -37,8 +38,9 @@ def parse_rational(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class ModelContext:
-    """Exact model parameters (r, sigma2), read as Fractions, plus the
-    constants derived from them, which are computed here, never passed in."""
+    """Exact model parameters (r, sigma2), read as Fractions (an int, a
+    Fraction or a "p/q" string; a float is a TypeError), plus the constants
+    derived from them, which are computed here, never passed in."""
 
     r: Fraction
     sigma2: Fraction
@@ -46,7 +48,7 @@ class ModelContext:
     stilde: Fraction = field(init=False)
 
     def __post_init__(self):
-        r, sigma2 = Fraction(self.r), Fraction(self.sigma2)
+        r, sigma2 = _as_fraction(self.r), _as_fraction(self.sigma2)
         if sigma2 <= 0:
             raise ValueError(f"sigma2 must be positive, got {sigma2}")
         for name, value in (("r", r), ("sigma2", sigma2),
@@ -64,6 +66,13 @@ class ModelContext:
         rates = (self.stilde * self.stilde * J, R, R / 2, J)
         D = lcm(4, *(q.denominator for q in rates))
         return (D, *(q.numerator * (D // q.denominator) for q in rates))
+
+    @cached_property
+    def _derived(self) -> dict:
+        """Exact data the isovector layer derives from this context (its
+        basis fields and structural forms), each built on first use.  It
+        lives and dies with this instance: an equal context has its own."""
+        return {}
 
     @property
     def r_f(self) -> float:

@@ -461,6 +461,7 @@ def run_in_process(argv):
 # nor the order of the exact work may change a byte of what it proves.
 OTHER_POINT = ["--r", "3/7", "--sigma2", "5/11"]
 ZERO_RTILDE = ["--r", "1", "--sigma2", "2"]  # rtilde = r - sigma2/2 = 0
+ZERO_RATE = ["--r", "0", "--sigma2", "2"]  # the bond mode of N_u is the constant 1
 GOLDEN = [
     (["verify"], 0,
      "21728147dde0bb0a27639eefa9dab07fff92aa898ce8c8fe2263192f54b243f1"),
@@ -484,6 +485,10 @@ GOLDEN = [
      "67b3b45234b3de90e4379c62116c20fda688268fd6645fd60a3b5142d2f163eb"),
     (["brackets", "--format", "csv", *ZERO_RTILDE], 0,
      "75ae46ac515f36f8fd3ee80f4cca5f171e0cd0232ac6ff56ad925f7daa5fd014"),
+    (["verify", *ZERO_RATE], 0,
+     "0403d43fe232d2ba49d0d0e69a19467ac57a8ac34fbb943d92524cc2b2b035c9"),
+    (["brackets", *ZERO_RATE], 0,
+     "5a88ce9f5302c582f156c8291c177baf28f5f7807cf3735704e8f051259499ca"),
 ]
 
 

@@ -61,6 +61,13 @@ def test_floats_rejected():
         ExpPoly.var("x") + 0.5
 
 
+def test_term_rejects_a_non_integer_exponent():
+    # 1.5 is not truncated to t
+    with pytest.raises(TypeError):
+        ExpPoly.term(1, (1.5, 0, 0, 0, 0))
+    assert ExpPoly.term(1, (np.int64(2), 0, 0, 0, 0)) == ExpPoly.var("t") * ExpPoly.var("t")
+
+
 @given(polys, polys, polys)
 def test_ring_laws(p, q, w):
     assert p + q == q + p

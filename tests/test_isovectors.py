@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bssym.isovectors as isovectors
 from bssym.exppoly import VARS, ExpPoly
 from bssym.forms import DiffForm, contract, structural_forms, wedge
 from bssym.isovectors import (
@@ -475,6 +476,82 @@ def test_basis_index_validated():
         basis_isovector(7, DEFAULT)
 
 
+# -- exact scalars only --------------------------------------------------------
+
+
+def test_isovector_from_constants_rejects_floats():
+    # 0.1 would enter as a C1 over 2^55
+    with pytest.raises(TypeError, match="exact scalar required"):
+        isovector_from_constants([0.1, 0, 0, 0, 0, 0], SolutionSpec.empty(), DEFAULT)
+    assert isovector_from_constants(["1/10", 0, 0, 0, 0, 0], SolutionSpec.empty(), DEFAULT) == (
+        Fraction(1, 10) * basis_isovector(1, DEFAULT))
+
+
+def test_single_mode_rejects_floats():
+    with pytest.raises(TypeError, match="exact scalar required"):
+        SolutionSpec.single(1, 0.25, 0)
+    assert SolutionSpec.single(1, "1/4", 0).modes == ((1, Fraction(1, 4), 0),)
+
+
+def test_mode_for_rejects_floats():
+    with pytest.raises(TypeError, match="exact scalar required"):
+        SolutionSpec.mode_for(0.5, DEFAULT)
+    with pytest.raises(TypeError, match="exact scalar required"):
+        SolutionSpec.mode_for(1, DEFAULT, coeff=2.0)
+    assert SolutionSpec.mode_for("1/2", DEFAULT) == SolutionSpec.mode_for(Fraction(1, 2), DEFAULT)
+
+
+# -- what is built once, and what is shared --------------------------------------
+
+
+def test_basis_is_one_object_per_context():
+    ctx = make_context(Fraction(3, 7), Fraction(5, 11))
+    twin = make_context(Fraction(3, 7), Fraction(5, 11))
+    assert twin == ctx
+    for i in range(1, 7):
+        assert basis_isovector(i, ctx) is basis_isovector(i, ctx)
+        # an equal context shares nothing, but builds the same field
+        assert basis_isovector(i, twin) is not basis_isovector(i, ctx)
+        assert basis_isovector(i, twin) == basis_isovector(i, ctx)
+
+
+def test_structure_constants_reuses_the_callers_fields(monkeypatch):
+    ctx = make_context(Fraction(3, 7), Fraction(5, 11))
+    basis = [basis_isovector(i, ctx) for i in range(1, 7)]
+    seen = []
+    real = isovectors.bracket
+    monkeypatch.setattr(isovectors, "bracket", lambda M, N: seen.append((M, N)) or real(M, N))
+    table = structure_constants(ctx)
+    assert len(seen) == 15
+    assert all(M is basis[i - 1] and N is basis[j - 1]
+               for (M, N), (i, j) in zip(seen, itertools.combinations(range(1, 7), 2)))
+    assert table == structure_constants(make_context(Fraction(3, 7), Fraction(5, 11)))
+
+
+def test_structural_forms_are_built_once_per_context(monkeypatch):
+    calls = []
+    real = isovectors.structural_forms
+    monkeypatch.setattr(isovectors, "structural_forms",
+                        lambda ctx: calls.append(ctx) or real(ctx))
+    ctx = make_context(1, 2)
+    assert all(verify_isovector(basis_isovector(i, ctx), ctx).passed for i in range(1, 7))
+    assert len(calls) == 1
+    twin = make_context(1, 2)
+    assert verify_isovector(basis_isovector(1, twin), twin).passed
+    assert calls == [ctx, twin] and calls[1] is twin
+
+
+def test_gh_of_raises_on_every_call_without_a_split():
+    zero, phi = ExpPoly.zero(), ExpPoly.var("phi")
+    for nphi, match in ((phi * phi, "not affine"), (ExpPoly.var("A"), "involves A")):
+        N = Isovector((zero, zero, nphi, zero, zero))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                gh_of(N)
+    N5 = basis_isovector(5, DEFAULT)
+    assert gh_of(N5) is gh_of(N5)
+
+
 # -- the exact layer against per-pair oracles ---------------------------------
 
 # drawn model points (r, sigma2); the first example is rtilde = 0
@@ -559,6 +636,25 @@ def test_decompose_round_trips_members(r, sigma2, constants, c6, modes):
         for mode in SolutionSpec.mode_for(b, ctx, coeff=coeff).modes
     )
     assert isovector_from_constants(got_constants, spec, ctx) == N
+
+
+@pytest.mark.parametrize("sigma2,down_rate", [
+    (Fraction(2), Fraction(-2)),
+    (Fraction(1, 25), Fraction(-1, 25)),
+])
+def test_decompose_reads_the_constant_mode_at_zero_rate(sigma2, down_rate):
+    # at r = 0 the bond mode (c, 0, 0) has no exponential: it sits among F's
+    # plain terms, next to the monomials that carry C1..C6
+    ctx = make_context(0, sigma2)
+    constants = (1, Fraction(-1, 2), 2, Fraction(1, 3), -1, Fraction(5, 7))
+    bond = SolutionSpec.single(Fraction(3, 4), 0, 0)
+    up = SolutionSpec.mode_for(1, ctx, coeff=-2)  # a = 0 at b = 1
+    down = SolutionSpec.mode_for(-1, ctx, coeff=5)
+    N = isovector_from_constants(constants, down + bond + up, ctx)
+    got_constants, spec = decompose(N, ctx)
+    assert got_constants == tuple(map(Fraction, constants))
+    # the modes in descending (a, b) order, the bond between the other two
+    assert spec.modes == ((-2, 0, 1), (Fraction(3, 4), 0, 0), (5, down_rate, -1))
 
 
 def test_decompose_names_the_mismatched_component():

@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -83,6 +84,18 @@ def test_context_derives_rtilde_and_stilde():
     # integers are read as exact rationals, so sigma2 / 2 stays exact
     assert ModelContext(r=0, sigma2=1).rtilde == Fraction(-1, 2)
     assert isinstance(ModelContext(r=0, sigma2=1).rtilde, Fraction)
+
+
+@pytest.mark.parametrize("bad", [0.05, np.float64(0.05)])
+def test_context_rejects_floats(bad):
+    # a float would enter the exact layer as 3602879701896397/2^56
+    with pytest.raises(TypeError, match="exact scalar required"):
+        make_context(bad, Fraction(1, 25))
+    with pytest.raises(TypeError, match="exact scalar required"):
+        ModelContext(r=Fraction(1, 20), sigma2=bad)
+    # int, Fraction, "p/q" and numpy integers stay exact
+    assert make_context(0, "1/25") == make_context(Fraction(0), Fraction(1, 25))
+    assert make_context(np.int64(1), 2) == make_context(1, 2)
 
 
 def test_context_accepts_strings():
