@@ -416,9 +416,10 @@ def cmd_transform(cfg: RunConfig) -> int:
     for stage in range(1, len(transforms) + 1):
         pipe = compose(*transforms[:stage])
         try:
-            results.append(
-                (pipe, certify_transform(pipe, call, grid, ctx, cfg.residual_rel))
-            )
+            with _config_errors(f"{_OUT_OF_RANGE}: stage {stage}: ", OverflowError):
+                results.append(
+                    (pipe, certify_transform(pipe, call, grid, ctx, cfg.residual_rel))
+                )
         except TransformDomainError as exc:
             obj = {
                 "schema": 1,

@@ -39,7 +39,7 @@ class OptionSpec:
             out = np.maximum(S - self.strike, 0.0)
         else:
             out = np.maximum(self.strike - S, 0.0)
-        return out if out.ndim else float(out)
+        return _out(out)
 
 
 def _normal_pdf(z):
@@ -108,55 +108,49 @@ def bs_price(spec: OptionSpec, ctx: ModelContext, t, S):
         raise ValueError("t is beyond maturity")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(S))):
         raise ValueError("t and spot must be finite numbers")
-    out = np.asarray(_closed_form(spec, ctx, t, S)[0])
-    return out if out.ndim else float(out)
+    return _out(_closed_form(spec, ctx, t, S)[0])
 
 
-def _masked(t, u, fn, inside=None):
+def _out(a):
+    """a as a float array, or as a float if it is 0-d."""
+    a = np.asarray(a, dtype=float)
+    return a if a.ndim else float(a)
+
+
+def _masked(t, u, fn, inside):
     """fn at the points (t, u), broadcast together, and NaN wherever
-    `inside(t, u)` is false; a float for scalar input.  fn must return the
-    broadcast shape of the points it is given.
+    `inside(t, u)` is false; a float for scalar input.
 
-    This is how every solution surface evaluates: points outside its domain
-    read NaN instead of raising, so pulled-back sampling can count clipped
-    nodes.  fn sees the points as given (a t column and an x row stay axes)
-    where all are inside; the block's slices where the inside points of a
-    2-D input form one block, as a box clips a translated grid; and the
-    inside points gathered otherwise (a sheared clip, a 1-D point set).
+    fn runs at most once: on the points as given if all are inside (a t
+    column and an x row stay axes), else on the smallest block, an index
+    range per axis, that holds the inside points (a 1-D point set is one
+    range).  It must return their broadcast shape and be total; its values
+    at the block's outside points, and its floating-point warnings, are dropped.
     """
     t, u = np.asarray(t, dtype=float), np.asarray(u, dtype=float)
-    shape = np.broadcast_shapes(t.shape, u.shape)
-    ok = True
-    if inside is not None:
-        with np.errstate(invalid="ignore"):
-            ok = np.broadcast_to(inside(t, u), shape)
-    if np.all(ok):
-        out = np.asarray(fn(t, u), dtype=float)
-        return out if out.ndim else float(out)
-    out = np.full(shape, np.nan)
-    block = _block(ok)
-    if block is not None:
-        out[block] = fn(_cut(t, block), _cut(u, block))
-    elif np.any(ok):
-        t, u = np.broadcast_arrays(t, u)
-        out[ok] = fn(t[ok], u[ok])
-    return out if out.ndim else float(out)
+    with np.errstate(all="ignore"):
+        ok = np.broadcast_to(inside(t, u), np.broadcast_shapes(t.shape, u.shape))
+        if ok.all() and ok.size:
+            return _out(fn(t, u))
+        out = np.full(ok.shape, np.nan)
+        if ok.any():
+            block = _block(ok)
+            out[block] = np.where(ok[block], fn(_cut(t, block), _cut(u, block)), np.nan)
+    return _out(out)
 
 
 def _block(ok):
-    """The slices of the one rows-by-columns block a 2-D mask is true on,
-    or None if it is not 2-D, is nowhere true or is true on another shape."""
-    if ok.ndim != 2 or not ok.any():
-        return None
-    rows, cols = np.flatnonzero(ok.any(axis=1)), np.flatnonzero(ok.any(axis=0))
-    block = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-    return block if ok[block].all() else None
+    """The slices of the smallest block, one index range per axis, that
+    holds every true point of ok; it must have one."""
+    axes = range(ok.ndim)
+    hits = [np.flatnonzero(ok.any(axis=tuple(a for a in axes if a != i))) for i in axes]
+    return tuple(slice(hit[0], hit[-1] + 1) for hit in hits)
 
 
 def _cut(a, block):
-    """The part of a (at most 2-D) that broadcasts onto `block`, contiguous,
-    so transcendental ufuncs run the same loop as on a whole axis."""
-    a = a.reshape((1,) * (2 - a.ndim) + a.shape)
+    """The part of a that broadcasts onto `block`, contiguous, so
+    transcendental ufuncs run the same loop as on a whole axis."""
+    a = a.reshape((1,) * (len(block) - a.ndim) + a.shape)
     part = tuple(s if n > 1 else slice(None) for s, n in zip(block, a.shape))
     return np.ascontiguousarray(a[part])
 
@@ -174,7 +168,9 @@ class Surface:
     time: work that needs one coordinate alone then runs once per row or
     column, not once per node, a strip's temporaries stay in cache, and the
     values are the same bits as at the grid's full meshes.  So `at` must
-    compute each point from that point alone.
+    compute each point from that point alone, and be total and quiet: NaN,
+    with no warning or raise, anywhere off its domain, where `_masked` may
+    evaluate it.
 
     Every surface computes in (t, x) and evaluates another one through `at`.
     Its `frame`, "price" or "log", is only a label: it says how `value`
@@ -193,9 +189,8 @@ class Surface:
 class ClosedFormSolution(Surface):
     """Solution surface backed by the closed form, labelled "price".
 
-    It evaluates at S = e^x, on the one domain 0 < e^x < inf and t at or
-    before maturity; outside it every value and derivative is NaN, with no
-    floating-point warning.
+    It evaluates at S = e^x through the kernel `_closed_form`, whose one
+    mask reads NaN, quietly, off the domain 0 < e^x < inf and t <= maturity.
     """
 
     frame = "price"
@@ -205,23 +200,16 @@ class ClosedFormSolution(Surface):
         self.ctx = ctx
 
     def value(self, t, u):
-        # under the "price" label, bs_price reads S itself: no log, then exp
-        if self.frame == "log":
-            return self.at(t, u)
-        return _masked(t, u, self._price, self._inside)
+        # under the "price" label the kernel reads S itself: no log, then exp
+        S = _spot(u) if self.frame == "log" else np.asarray(u, dtype=float)
+        return _out(_closed_form(self.spec, self.ctx, np.asarray(t, dtype=float), S)[0])
 
     def at(self, t, x):
-        return _masked(t, _spot(x), self._price, self._inside)
-
-    def _price(self, t, S):
-        return bs_price(self.spec, self.ctx, t, S)
-
-    def _inside(self, t, S):
-        return _in_domain(self.spec, t, S)
+        return _out(self.value_and_derivatives(t, x, False, False)[0])
 
     def inside(self, t, x):
         """Whether (t, x) is in the domain, broadcast together."""
-        return self._inside(t, _spot(x))
+        return _in_domain(self.spec, t, _spot(x))
 
     def value_and_derivatives(self, t, x, dt, dx):
         """(phi, phi_t, phi_x) at the points (t, x), broadcast together, from
@@ -231,8 +219,6 @@ class ClosedFormSolution(Surface):
         payoff at maturity included; the derivatives are NaN at maturity,
         where the payoff's kink has none.
         """
-        if not (dt or dx):
-            return self.at(t, x), None, None
         t, S = np.asarray(t, dtype=float), _spot(x)
         phi, phi_t, delta = _closed_form(self.spec, self.ctx, t, S, theta=dt, delta=dx)
         return phi, phi_t, S * delta if dx else None

@@ -49,7 +49,7 @@ from .grids import (
 )
 from .isovectors import Isovector, gh_of
 from .model import ModelContext
-from .pricing import Surface, _box, _masked
+from .pricing import Surface, _box, _masked, _out, _spot
 
 # exp(kappa N_i) as its point map (t, x) -> (t', x') and the log of its
 # prefactor, both functions of (kappa, ctx, t, x); a coordinate the flow
@@ -132,8 +132,8 @@ class TransformedSurface(Surface):
     last stage first.  The base is evaluated once, at the fully pulled-back
     points; then each stage's prefactor multiplies in at the point that
     stage saw, innermost first: the stage-by-stage product, in the same
-    order and so bit for bit, in one masked call.  Every stage's label must
-    be the base's, which the result carries.
+    order and so bit for bit, quiet where it passes the float range.  Every
+    stage's label must be the base's, which the result carries.
     """
 
     def __init__(self, base, pipeline: Pipeline, ctx: ModelContext):
@@ -149,17 +149,16 @@ class TransformedSurface(Surface):
         self.frame = base.frame
 
     def at(self, t, x):
-        def flowed(t, x):
-            seen = []
-            for tr in reversed(self.pipeline.transforms):
-                seen.append((tr, t, x))
-                t, x = tr.pullback(self.ctx, t, x)
-            out = self.base.at(t, x)
+        t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+        seen = []
+        for tr in reversed(self.pipeline.transforms):
+            seen.append((tr, t, x))
+            t, x = tr.pullback(self.ctx, t, x)
+        out = self.base.at(t, x)
+        with np.errstate(over="ignore", invalid="ignore"):
             for tr, t, x in reversed(seen):
                 out = tr.prefactor(self.ctx, t, x) * out
-            return out
-
-        return _masked(t, x, flowed)
+        return _out(out)
 
 
 class GridSurface(Surface):
@@ -192,7 +191,7 @@ class GridSurface(Surface):
         against an x row, both ascending, is one grid call.  Otherwise each
         run of equal t with ascending x is one grid call, since every flow
         maps a grid row to points at one time; a point set with no run of
-        two points, or whose x descends within a run, goes to one `ev` call.
+        two points, or whose x descends or is NaN in a run, is one `ev` call.
         """
         if t.ndim == x.ndim == 2 and t.shape[1] == x.shape[0] == 1:
             tf, xf = t[:, 0], x[0]
@@ -201,7 +200,7 @@ class GridSurface(Surface):
         t, x = np.broadcast_arrays(t, x)
         tf, xf = t.ravel(), x.ravel()
         starts = np.flatnonzero(tf[1:] != tf[:-1]) + 1
-        descends = np.diff(xf) < 0
+        descends = ~(np.diff(xf) >= 0)
         descends[starts - 1] = False
         if starts.size == tf.size - 1 or np.any(descends):
             return self._spline.ev(t, x)
@@ -237,7 +236,7 @@ class BoxRestrictedSurface(Surface):
 
 
 class _ForeignSurface(Surface):
-    """A surface from outside bssym, which has only `value(t, u)` in the
+    """A surface from outside bssym with only a total `value(t, u)`, in the
     spelling of its label: read at S = e^x when it is labelled "price"."""
 
     def __init__(self, sol):
@@ -245,7 +244,7 @@ class _ForeignSurface(Surface):
         self.frame = sol.frame
 
     def at(self, t, x):
-        u = np.exp(x) if self.frame == "price" else x
+        u = _spot(x) if self.frame == "price" else x
         # foreign code gets whole (t, u) arrays of one shape, as from meshes
         return self.sol.value(*(np.array(a) for a in np.broadcast_arrays(t, u)))
 
@@ -333,14 +332,25 @@ def certify_transform(
     so pullbacks that leave the grid's bounding box mark their nodes as
     clipped; clipped nodes are excluded and counted, and if nothing remains
     evaluable the transform has left the domain entirely and a
-    TransformDomainError is raised.
+    TransformDomainError is raised.  A node whose pulled-back point the base
+    evaluates, but whose value is not finite, is an OverflowError.
     """
     base = as_surface(sol)
     if not isinstance(base, GridSurface):
         base = BoxRestrictedSurface(base, grid)
     surface = apply_transform(transform, base, ctx)
     sampled = sample_surface(surface, grid)
-    n_bad = int(np.sum(~np.isfinite(sampled.values)))
+    bad = ~np.isfinite(sampled.values)
+    n_bad, n_over = int(bad.sum()), 0
+    # the base at the non-finite nodes' pulled-back points, a strip at a time
+    for lo, hi in _row_strips(grid.nt, grid.nx) if n_bad else ():
+        nodes = np.flatnonzero(bad[lo:hi])
+        t, x = grid.t_values[lo + nodes // grid.nx], grid.x_values[nodes % grid.nx]
+        for tr in reversed(surface.pipeline.transforms):
+            t, x = tr.pullback(ctx, t, x)
+        n_over += np.count_nonzero(np.isfinite(base.at(t, x)))
+    if n_over:
+        raise OverflowError(f"{n_over} of {bad.size} nodes overflow")
     # one operator on the node values; the label names it E (price) or E2 (log)
     residual = residual_e if sampled.frame == "price" else residual_e2
     try:
@@ -404,17 +414,16 @@ class ActionSurface(Surface):
                 "grid and use the stencil route instead"
             )
         self.action = _action_of(N)
+        self._needs = [not c.is_zero() for c in self.action[:2]]
         self.base = base
         self.frame = base.frame
 
     def at(self, t, x):
-        needs = [not c.is_zero() for c in self.action[:2]]
+        return _masked(t, x, self._acted, self.base.inside)
 
-        def acted(t, x):
-            jet = self.base.value_and_derivatives(t, x, *needs)
-            return _act(self.action, t, x, *jet)
-
-        return _masked(t, x, acted, self.base.inside)
+    def _acted(self, t, x):
+        jet = self.base.value_and_derivatives(t, x, *self._needs)
+        return _act(self.action, t, x, *jet)
 
     # bound here, not only inherited: perfbench's tracer wraps `value` from
     # this class's own namespace

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bssym import cli
@@ -398,6 +398,21 @@ def test_transform_out_of_domain_exits_one(tmp_path):
     assert obj["error"]["n_clipped"] == obj["error"]["n_total"] == 11 * 21
 
 
+@pytest.mark.parametrize("pipeline", ["6:800", "6:700"])
+def test_transform_past_the_float_range_exits_two_and_writes_nothing(pipeline, tmp_path):
+    # N6 pulls no node back: at kappa = 800 its prefactor e^800 overflows
+    # at every node, which is not clipping; at 700 the values are finite
+    # and the residual overflows
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(
+        ["transform", "--pipeline", pipeline, "--out", str(out_dir), "--nt", "41", "--nx", "31"]
+    )
+    assert code == 2
+    assert out == b""
+    assert err.startswith(b"error: the configuration leaves the float range")
+    assert not out_dir.exists()
+
+
 def test_transform_of_a_zero_surface_fails(tmp_path):
     # at r = -700 every call price on this grid underflows to 0, so the
     # residual is 0 against a scale of 0 and proves nothing about the flow
@@ -721,6 +736,8 @@ def cli_argvs(draw):
 
 
 @given(cli_argvs())
+@example(["transform", "--pipeline", "6:800", "--nt", "41", "--nx", "31"])
+@example(["transform", "--pipeline", "6:700", "--nt", "41", "--nx", "31"])
 def test_cli_contract_holds_on_generated_configs(argv):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -4,6 +4,7 @@ mpmath provides an independent high-precision route for the oracle values;
 derived constants are frozen into the assertions.
 """
 
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -14,16 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bssym.isovectors import basis_isovector
+from bssym.isovectors import SolutionSpec, basis_isovector, solution_isovector
 from bssym.model import make_context
 from bssym.pricing import (
     ClosedFormSolution,
     LogClosedForm,
     OptionSpec,
+    _in_domain,
     _normal_pdf,
     bs_price,
 )
-from bssym.transforms import infinitesimal_action
+from bssym.grids import make_grid
+from bssym.transforms import (
+    BoxRestrictedSurface,
+    GridSurface,
+    infinitesimal_action,
+    sample_surface,
+)
 
 DEFAULT = make_context(Fraction(1, 20), Fraction(1, 25))
 ZERO_RATE = make_context(Fraction(0), Fraction(1, 25))
@@ -281,14 +289,16 @@ def test_one_pass_derivatives_need_t_before_maturity():
         assert phi_t is None and phi_x is None
 
 
-def _masked_reference(surf, t, S):
-    """The closed form at (t, S) by gathering and scattering every in-domain
-    node, which the all-inside fast path must reproduce."""
-    t, S = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(S, dtype=float))
-    ok = (S > 0) & (surf.spec.maturity - t >= 0)
+def _masked_reference(t, u, fn, inside):
+    """fn at the points (t, u), broadcast together, by gathering the points
+    where `inside` holds and scattering fn's values there back, NaN
+    elsewhere: the oracle that the closed form's one mask and the one route
+    of `pricing._masked` must match bit for bit."""
+    t, u = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(u, dtype=float))
+    ok = np.broadcast_to(inside(t, u), t.shape)
     out = np.full(t.shape, np.nan)
     if np.any(ok):
-        out[ok] = bs_price(surf.spec, surf.ctx, t[ok], S[ok])
+        out[ok] = fn(t[ok], u[ok])
     return out
 
 
@@ -302,8 +312,10 @@ def test_closed_form_mask_fast_path_is_bit_identical(t_lo, t_hi):
     T, S = np.meshgrid(np.linspace(t_lo, t_hi, 31), np.linspace(40.0, 250.0, 29),
                        indexing="ij")
     X = np.log(S)
-    for got, want in ((surf.value(T, S), _masked_reference(surf, T, S)),
-                      (surf.at(T, X), _masked_reference(surf, T, np.exp(X)))):
+    price = functools.partial(bs_price, CALL, DEFAULT)
+    inside = functools.partial(_in_domain, CALL)
+    for got, want in ((surf.value(T, S), _masked_reference(T, S, price, inside)),
+                      (surf.at(T, X), _masked_reference(T, np.exp(X), price, inside))):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(np.isnan(got), T > CALL.maturity)
 
@@ -329,3 +341,126 @@ def test_reads_where_e_to_the_x_is_no_spot_are_nan_and_quiet(spec, x):
             action = infinitesimal_action(basis_isovector(1, DEFAULT), log_surf)
             reads.append(action.at(0.5, x))
     assert np.isnan(reads).all()
+
+
+@pytest.mark.parametrize("spec", [CALL, PUT], ids=["call", "put"])
+@pytest.mark.parametrize("t, S", [
+    (math.inf, 100.0), (-math.inf, 100.0), (math.nan, 100.0), (0.5, 0.0), (0.5, math.inf),
+])
+def test_closed_form_reads_nan_quietly_off_its_domain(spec, t, S):
+    # bs_price raises at each of these points; every surface read masks in
+    # the kernel and is NaN, alone or beside a point inside
+    x = math.log(S) if S > 0 else -math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for surf, u in ((ClosedFormSolution(spec, DEFAULT), S), (LogClosedForm(spec, DEFAULT), x)):
+            assert math.isnan(surf.value(t, u)) and math.isnan(surf.at(t, x))
+            assert np.isnan(surf.value_and_derivatives(t, x, True, True)).all()
+            pair = surf.at(np.asarray([t, 0.5]), np.asarray([x, math.log(100.0)]))
+            assert np.isnan(pair[0]) and np.isfinite(pair[1])
+
+
+# Points inside every surface of `_masked_cases`, and points outside some or
+# all of them: past the box (t = 0.95, S = 20 or 300), past maturity, or
+# where e^x is 0 or inf or t or x is not a number.
+_BOX = make_grid(0.1, 0.8, 15, math.log(40.0), math.log(250.0), 13)
+_T_IN = st.floats(0.1, 0.8)
+_X_IN = st.floats(math.log(40.0), math.log(250.0))
+_T_ANY = st.one_of(_T_IN, st.sampled_from([0.95, 1.2, math.inf, math.nan]))
+_X_ANY = st.one_of(_X_IN, st.sampled_from(
+    [math.log(20.0), math.log(300.0), -800.0, 800.0, -math.inf, math.inf, math.nan]))
+
+
+@functools.lru_cache(maxsize=None)
+def _masked_cases():
+    """(surface, fn, inside): each kind of masked surface, with the fn and
+    predicate whose gather/scatter its evaluation must equal."""
+    call, put = ClosedFormSolution(CALL, DEFAULT), LogClosedForm(PUT, DEFAULT)
+    boxed = BoxRestrictedSurface(call, _BOX)
+    spline = GridSurface(sample_surface(LogClosedForm(CALL, DEFAULT), _BOX))
+    cases = [
+        (call, lambda t, x: bs_price(CALL, DEFAULT, t, np.exp(x)), call.inside),
+        (put, lambda t, x: bs_price(PUT, DEFAULT, t, np.exp(x)), put.inside),
+        (boxed, boxed.base.at, boxed._inside),
+        (spline, spline._rows, spline._inside),
+    ]
+    # N_u's coefficients grow as e^x, so they overflow at x = 800
+    n_u = solution_isovector(SolutionSpec.mode_for(1, DEFAULT), DEFAULT)
+    for N in (basis_isovector(1, DEFAULT), basis_isovector(4, DEFAULT), n_u):
+        action = infinitesimal_action(N, LogClosedForm(CALL, DEFAULT))
+        cases.append((action, action._acted, action.base.inside))
+    return tuple(cases)
+
+
+def _axis(draw, values, n):
+    return np.asarray(draw(st.lists(values, min_size=n, max_size=n)))
+
+
+@st.composite
+def _mask_points(draw, kind):
+    """(t, x) whose mask on the surfaces is of one kind: a scalar, a 1-D
+    point set, clipped rows or columns of a t column against an x row, a
+    sheared clip of a t column against a 2-D x, or no point or every point
+    inside."""
+    k, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    if kind == "scalar":
+        return draw(_T_ANY), draw(_X_ANY)
+    if kind == "1-D":
+        n = draw(st.integers(1, 12))
+        return (np.asarray(draw(st.lists(_T_ANY, min_size=n, max_size=n))),
+                np.asarray(draw(st.lists(_X_ANY, min_size=n, max_size=n))))
+    t_in, x_in = np.sort(_axis(draw, _T_IN, k)), np.sort(_axis(draw, _X_IN, m))
+    t, x = {
+        "full": (t_in, x_in),
+        "row clip": (_axis(draw, _T_ANY, k), x_in),
+        "column clip": (t_in, _axis(draw, _X_ANY, m)),
+        "empty": (_axis(draw, st.sampled_from([1.2, math.inf, math.nan]), k),
+                  _axis(draw, _X_ANY, m)),
+        "sheared": (t_in, x_in),
+    }[kind]
+    t, x = t[:, None], x[None, :]
+    if kind == "sheared":
+        # row i keeps the columns from i + shift on inside, as a boost shears
+        # a box; the rest take points outside
+        shift = draw(st.integers(-m, m))
+        outside = np.arange(m)[None, :] < np.arange(k)[:, None] + shift
+        x = np.where(outside, draw(st.sampled_from([-800.0, math.inf, math.nan, 6.0])), x)
+    return t, x
+
+
+def _assert_masked_cases_are_the_oracle(t, x):
+    """Each of `_masked_cases` at (t, x), quietly, has the bits of fn on
+    the inside points alone and NaN elsewhere."""
+    for surface, fn, inside in _masked_cases():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = surface.at(t, x)
+        want = _masked_reference(t, x, fn, inside)
+        assert isinstance(got, float) if want.ndim == 0 else got.shape == want.shape
+        assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "kind", ["scalar", "1-D", "row clip", "column clip", "sheared", "empty", "full"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_masked_evaluation_is_the_gather_scatter_oracle_bit_for_bit(kind, data):
+    # the closed form masks in its kernel, the other surfaces by `_masked` on
+    # the block of their inside points
+    _assert_masked_cases_are_the_oracle(*data.draw(_mask_points(kind)))
+
+
+def test_masked_evaluation_of_no_point_is_empty():
+    # a spline's grid call at no point raised IndexError
+    _assert_masked_cases_are_the_oracle(np.empty(0), np.empty(0))
+    _assert_masked_cases_are_the_oracle(np.empty((0, 1)), np.empty((1, 3)))
+
+
+@pytest.mark.parametrize("fill", [math.nan, math.inf, -800.0, 6.0])
+def test_sheared_clip_evaluates_its_block_quietly(fill):
+    # the block of a sheared clip holds outside points between inside ones
+    # of a row: a spline's grid call there must neither raise nor warn
+    t = np.asarray([0.2, 0.3, 0.4])[:, None]
+    x = np.asarray([4.0, 4.2, 4.4, 4.6])[None, :]
+    x = np.where(np.arange(4)[None, :] < np.arange(3)[:, None], fill, x)
+    _assert_masked_cases_are_the_oracle(t, x)

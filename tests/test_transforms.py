@@ -336,6 +336,29 @@ def test_certify_rejects_fully_clipped():
     assert err.value.n_clipped == err.value.n_total
 
 
+@pytest.mark.parametrize("i, kappa", [(6, 800.0), (4, -40.0)])
+def test_flows_past_the_float_range_read_inf_quietly(i, kappa):
+    # e^800 and the boost's e^(40 x / sigma2) overflow: the prefactor reads
+    # inf, and inf times a zero price NaN, with no warning
+    flowed = apply_transform(FiniteTransform(i, kappa), call_surface(), DEFAULT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = flowed.value(np.asarray([0.1, 0.5]), np.asarray([50.0, 100.0]))
+    assert np.isinf(got[0])
+
+
+def test_certify_reports_overflow_as_no_clipping():
+    # N6 pulls no node back, so none is clipped; every node overflows
+    grid = make_grid(0.0, 0.8, 41, math.log(0.5), math.log(200.0), 31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="1271 of 1271 nodes overflow"):
+            certify_transform(FiniteTransform(6, 800.0), call_surface(), grid, DEFAULT, 5e-4)
+        # some nodes clipped by the box and some past the float range
+        with pytest.raises(OverflowError, match=r"^[1-9]\d* of 1271 nodes overflow"):
+            certify_transform(FiniteTransform(4, -40.0), call_surface(), grid, DEFAULT, 5e-4)
+
+
 def test_certify_flags_non_solutions():
     # C = S t is not a solution; the certificate must fail with a large
     # residual even under an exact symmetry map
@@ -537,26 +560,35 @@ def test_tensor_evaluation_equals_mesh_evaluation_bit_for_bit(i, kappa, t_lo, t_
 
 
 @pytest.mark.parametrize("case, surface, window, routes", [
-    ("all inside", "call", (0.1, 0.7, math.log(50.0), math.log(200.0)), []),
-    ("block past maturity", "call", (0.5, 1.5, math.log(50.0), math.log(200.0)), ["block"]),
-    ("block clip", "flowed call", (0.0, 0.8, math.log(0.5), math.log(200.0)), ["block"]),
+    ("all inside", "call", (0.1, 0.7, math.log(50.0), math.log(200.0)), ["kernel"]),
+    ("block past maturity", "call", (0.5, 1.5, math.log(50.0), math.log(200.0)),
+     ["kernel"]),
+    ("block clip", "flowed call", (0.0, 0.8, math.log(0.5), math.log(200.0)),
+     ["block", "kernel"]),
     ("sheared clip", "boosted spline", (0.0, 0.8, math.log(0.5), math.log(200.0)),
-     ["gather"]),
-    ("none inside", "put", (1.1, 1.5, math.log(50.0), math.log(200.0)), ["none"]),
+     ["block"]),
+    ("none inside", "put", (1.1, 1.5, math.log(50.0), math.log(200.0)), ["kernel"]),
 ])
 def test_each_masked_route_keeps_the_bits(monkeypatch, case, surface, window, routes):
+    # a closed form masks once, in its kernel (`_in_domain`); a box or a
+    # spline masks by evaluating the block of its inside points (`_block`),
+    # the boost's sheared clip included; there is no other route
     seen = []
-    block_of = pricing._block
 
-    def spy(ok):
-        block = block_of(ok)
-        seen.append("none" if not ok.any() else "gather" if block is None else "block")
-        return block
+    def spy(name, route):
+        fn = getattr(pricing, name)
 
-    monkeypatch.setattr(pricing, "_block", spy)
+        def spied(*args):
+            seen.append(route)
+            return fn(*args)
+
+        monkeypatch.setattr(pricing, name, spied)
+
     t_lo, t_hi, x_lo, x_hi = window
     grid = make_grid(t_lo, t_hi, 11, x_lo, x_hi, 9)
     surface = _tensor_cases(3, 0.3)[surface]
+    spy("_block", "block")
+    spy("_in_domain", "kernel")
     surface.at(grid.t_values[:, None], grid.x_values[None, :])
     assert seen == routes
     _assert_tensor_is_mesh_bit_for_bit(surface, grid)
