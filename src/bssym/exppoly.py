@@ -25,9 +25,10 @@ exponent would pass `_EXP_MAX` raises instead of aliasing another monomial.
 
 The storage is canonical: no zero numerator and no empty group is stored,
 and gcd(_den, *numerators) is 1, with the zero stored as {} over 1.  Equal
-expressions have equal storage and equal hashes.  Fractions appear only at
-the boundary: scalar operands, `constant_value`, `sorted_terms` and
-rendering.
+expressions have equal storage and equal hashes.  Every sum, `+` and `-`
+too, is one `_sum_of_products`; a scalar `*` only rescales.  Fractions
+appear only at the boundary: scalar operands, `constant_value`,
+`sorted_terms` and rendering.
 """
 
 from __future__ import annotations
@@ -189,6 +190,15 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"exact scalar required, got {type(value).__name__}")
 
 
+def _operand(other):
+    """The operand check of +, - and ==: other as an ExpPoly, or None."""
+    if isinstance(other, ExpPoly):
+        return other
+    if isinstance(other, (int, Fraction)):
+        return ExpPoly.constant(other)
+    return None
+
+
 def _signed_sum(bodies) -> str:
     """Join rendered terms as "a + b - c"; an empty sum is "0"."""
     out = ""
@@ -301,43 +311,11 @@ class ExpPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _plus(self, other: "ExpPoly", sign: int) -> "ExpPoly":
-        """self + sign*other over the lcm of the two denominators."""
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other if sign == 1 else -other
-        den = self._den
-        if den == other._den:
-            terms = dict(self._terms)
-            scale = sign
-        else:
-            den = lcm(den, other._den)
-            rescale = den // self._den
-            terms = {sid: {key: num * rescale for key, num in mono.items()}
-                     for sid, mono in self._terms.items()}
-            scale = sign * (den // other._den)
-        for sid, mono in other._terms.items():
-            group = terms.get(sid)
-            if group is None:
-                terms[sid] = mono if scale == 1 else {
-                    key: num * scale for key, num in mono.items()}
-                continue
-            group = dict(group)
-            for key, num in mono.items():
-                _acc(group, key, num * scale)
-            if group:
-                terms[sid] = group
-            else:
-                del terms[sid]
-        return _reduce(terms, den)
-
     def __add__(self, other):
-        if not isinstance(other, ExpPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = ExpPoly.constant(other)
-        return self._plus(other, 1)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return _sum_of_products(((self, _ONE), (other, _ONE)))
 
     __radd__ = __add__
 
@@ -346,14 +324,16 @@ class ExpPoly:
                       for sid, mono in self._terms.items()}, self._den)
 
     def __sub__(self, other):
-        if not isinstance(other, ExpPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = ExpPoly.constant(other)
-        return self._plus(other, -1)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return _sum_of_products(((self, _ONE),), ((other, _ONE),))
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return _sum_of_products(((other, _ONE),), ((self, _ONE),))
 
     def __mul__(self, other):
         if not isinstance(other, ExpPoly):
@@ -370,10 +350,9 @@ class ExpPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, ExpPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = ExpPoly.constant(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):

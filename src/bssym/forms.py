@@ -11,7 +11,9 @@ The contact structure of the pricing equation is generated by
     dalpha
     beta  = (B + rtilde*A - r*phi) dx^dt + (sigma2/2) dA^dt
 
-and `structural_forms` builds the triple for a given model context.
+and `structural_forms` builds the triple for a given model context, the
+one place that writes the equation: the ideal solve and `pde_defect` read
+it off beta.  `_forms_of` keeps the triple on the context.
 
 The Lie derivative along a vector field N with components N^j is computed
 slot by slot from the coordinate formula: for omega = sum_K omega_K dz^K,
@@ -36,6 +38,9 @@ from .model import ModelContext
 COVARS = ("dt", "dx", "dphi", "dA", "dB")
 NVARS = len(VARS)
 _COVAR_INDEX = {name: i for i, name in enumerate(COVARS)}
+
+# the jet coordinates phi, A = phi_x and B = phi_t as functions
+_PHI, _A, _B = (ExpPoly.var(name) for name in VARS[2:])
 
 
 def _merge_indices(left: tuple, right: tuple):
@@ -317,16 +322,22 @@ def lie_derivative(N, u: DiffForm) -> DiffForm:
 
 def structural_forms(ctx: ModelContext):
     """The contact 1-form alpha, its differential, and the equation 2-form beta."""
-    A = ExpPoly.var("A")
-    B = ExpPoly.var("B")
-    phi = ExpPoly.var("phi")
-
     # alpha = dphi - A dx - B dt, so dalpha = dt^dB + dx^dA
-    alpha = DiffForm._canonical(1, {(0,): -B, (1,): -A, (2,): _ONE})
+    alpha = DiffForm._canonical(1, {(0,): -_B, (1,): -_A, (2,): _ONE})
     dalpha = DiffForm._canonical(2, {(0, 4): _ONE, (1, 3): _ONE})
     # beta = eq dx^dt + (sigma2/2) dA^dt = -eq dt^dx - (sigma2/2) dt^dA
-    minus_eq = ctx.r * phi - ctx.rtilde * A - B
+    minus_eq = ctx.r * _PHI - ctx.rtilde * _A - _B
     beta = DiffForm._canonical(
         2, {(0, 1): minus_eq, (0, 3): ExpPoly.constant(-ctx.sigma2 / 2)}
     )
     return alpha, dalpha, beta
+
+
+def _forms_of(ctx: ModelContext) -> tuple:
+    """(alpha, dalpha, beta) of the context, built on first use through the
+    module attribute `structural_forms` and kept on the context."""
+    derived = ctx._derived
+    forms = derived.get("forms")
+    if forms is None:
+        forms = derived["forms"] = structural_forms(ctx)
+    return forms

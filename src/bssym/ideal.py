@@ -18,16 +18,19 @@ one at a time, and the remaining four slots (dt^dx, dx^dA, dx^dB, dA^dB)
 become consistency checks.  The residue left in those four slots is returned
 as the certificate remainder; it vanishes exactly iff gamma is in I.
 
-The only division performed is by sigma2/2, a unit because ModelContext
-enforces sigma2 > 0, so the solve always decides.
+The equation enters only through beta, read off the context's structural
+forms: its dt^dx coefficient -eq = r*phi - rtilde*A - B, and its dt^dA
+coefficient -sigma2/2.  Each unknown and each check slot is one sum of
+products.  The only division performed is by that dt^dA coefficient, a
+unit because ModelContext enforces sigma2 > 0, so the solve always decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exppoly import ExpPoly
-from .forms import DiffForm
+from .exppoly import ExpPoly, _ONE, _sum_of_products
+from .forms import _A, _B, DiffForm, _forms_of
 from .model import ModelContext
 
 _SLOT_TX = (0, 1)
@@ -75,27 +78,28 @@ def ideal_membership(gamma: DiffForm, ctx: ModelContext) -> MembershipCertificat
     if not isinstance(gamma, DiffForm) or gamma.degree != 2:
         raise ValueError("ideal membership is defined for 2-forms")
 
-    A = ExpPoly.var("A")
-    B = ExpPoly.var("B")
-    phi = ExpPoly.var("phi")
-    eq = B + ctx.rtilde * A - ctx.r * phi
+    _, _, beta = _forms_of(ctx)
+    minus_eq = beta.coeff(_SLOT_TX)
+    # -sigma2/2, a nonzero constant
+    beta_ta = beta.coeff(_SLOT_TA).constant_value()
 
     c = lambda slot: gamma.coeff(slot)
 
     # triangular solve; each line consumes one canonical slot
     R4 = -c(_SLOT_PHIB)
-    R5 = c(_SLOT_TB) - B * R4
+    R5 = _sum_of_products(((c(_SLOT_TB), _ONE),), ((_B, R4),))
     R2 = c(_SLOT_XPHI)
     R3 = -c(_SLOT_PHIA)
     R1 = c(_SLOT_TPHI)
-
-    R6 = (B * R3 - c(_SLOT_TA)) * (2 / ctx.sigma2)
+    R6 = _sum_of_products(((c(_SLOT_TA), _ONE),), ((_B, R3),)) * (1 / beta_ta)
 
     rem = {
-        _SLOT_TX: c(_SLOT_TX) - (-A * R1 + B * R2 - R6 * eq),
-        _SLOT_XA: c(_SLOT_XA) - (A * R3 + R5),
-        _SLOT_XB: c(_SLOT_XB) - A * R4,
+        _SLOT_TX: _sum_of_products(
+            ((c(_SLOT_TX), _ONE), (_A, R1)), ((_B, R2), (R6, minus_eq))
+        ),
+        _SLOT_XA: _sum_of_products(((c(_SLOT_XA), _ONE),), ((_A, R3), (R5, _ONE))),
+        _SLOT_XB: _sum_of_products(((c(_SLOT_XB), _ONE),), ((_A, R4),)),
         _SLOT_AB: c(_SLOT_AB),
     }
-    remainder = DiffForm(2, rem)
+    remainder = DiffForm._canonical(2, rem)
     return MembershipCertificate(R1, R2, R3, R4, R5, R6, remainder)

@@ -14,9 +14,9 @@ parametrization literally, and `decompose` inverts it by reading C1..C6 and
 the modes off F.
 
 Derived exact data is built once and kept with what it derives from: a
-context's basis fields and structural forms on the `ModelContext` instance,
-a field's derivative table and g/h split on the `Isovector`.  Nothing is
-shared between two objects, however equal.
+context's basis fields on the `ModelContext` instance (its structural forms
+too, through `forms._forms_of`), a field's derivative table and g/h split
+on the `Isovector`.  Nothing is shared between two objects, however equal.
 """
 
 from __future__ import annotations
@@ -32,12 +32,9 @@ from .exppoly import (
     VARS, ExpPoly, _ONE, _SIGS, _as_fraction, _from_terms, _pack, _signed_sum,
     _sum_of_products,
 )
-from .forms import DiffForm, lie_derivative, structural_forms
+from .forms import _A, _B, DiffForm, _forms_of, lie_derivative
 from .ideal import MembershipCertificate, ideal_membership
 from .model import ModelContext
-
-_A = ExpPoly.var("A")
-_B = ExpPoly.var("B")
 
 
 class DispersionError(ValueError):
@@ -55,6 +52,12 @@ class DispersionError(ValueError):
 
 class NotInFamilyError(ValueError):
     """A vector field is outside the C1..C6 + solution-mode family."""
+
+
+def _dispersion(ctx: ModelContext, a, b) -> Fraction:
+    """a + (sigma2/2) b^2 + rtilde b - r, zero iff exp(a t + b x) solves the
+    log-frame equation."""
+    return a + ctx.sigma2 / 2 * b * b + ctx.rtilde * b - ctx.r
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,7 @@ class SolutionSpec:
     def mode_for(b, ctx: ModelContext, coeff=1) -> "SolutionSpec":
         """The mode with spatial rate b whose time rate solves the dispersion."""
         b = _as_fraction(b)
-        a = ctx.r - ctx.rtilde * b - ctx.sigma2 / 2 * b * b
-        return SolutionSpec.single(coeff, a, b)
+        return SolutionSpec.single(coeff, -_dispersion(ctx, 0, b), b)
 
     def __add__(self, other: "SolutionSpec") -> "SolutionSpec":
         return SolutionSpec(self.modes + other.modes)
@@ -89,21 +91,24 @@ class SolutionSpec:
 
     def check_dispersion(self, ctx: ModelContext) -> None:
         for mode in self.modes:
-            _, a, b = mode
-            value = a + ctx.sigma2 / 2 * b * b + ctx.rtilde * b - ctx.r
+            value = _dispersion(ctx, *mode[1:])
             if value != 0:
                 raise DispersionError(mode, value)
 
 
 def pde_defect(g: ExpPoly, ctx: ModelContext) -> ExpPoly:
     """Exact defect g_t + (sigma2/2) g_xx + rtilde g_x - r g of a candidate
-    solution of the log-frame equation; zero iff g solves it."""
-    return (
-        g.diff("t")
-        + ctx.sigma2 / 2 * g.diff("x").diff("x")
-        + ctx.rtilde * g.diff("x")
-        - ctx.r * g
-    )
+    solution of the log-frame equation; zero iff g solves it.  The operator
+    is read off beta = -eq dt^dx - (sigma2/2) dt^dA in one pass."""
+    _, _, beta = _forms_of(ctx)
+    minus_eq = beta.coeff(("dt", "dx"))
+    gx = g.diff("x")
+    return _sum_of_products((), (
+        (minus_eq.coeff_of("B", 1), g.diff("t")),
+        (minus_eq.coeff_of("A", 1), gx),
+        (minus_eq.coeff_of("phi", 1), g),
+        (beta.coeff(("dt", "dA")), gx.diff("x")),
+    ))
 
 
 def in_solution_ideal(N: Isovector, ctx: ModelContext) -> bool:
@@ -384,16 +389,6 @@ def solution_isovector(
 
 
 # -- verification ------------------------------------------------------------
-
-
-def _forms_of(ctx: ModelContext) -> tuple:
-    """(alpha, dalpha, beta) of the context, built on first use through the
-    module attribute `structural_forms`."""
-    derived = ctx._derived
-    forms = derived.get("forms")
-    if forms is None:
-        forms = derived["forms"] = structural_forms(ctx)
-    return forms
 
 
 def verify_isovector(N: Isovector, ctx: ModelContext) -> VerificationReport:

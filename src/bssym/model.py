@@ -69,8 +69,8 @@ class ModelContext:
 
     @cached_property
     def _derived(self) -> dict:
-        """Exact data the isovector layer derives from this context (its
-        basis fields and structural forms), each built on first use.  It
+        """Exact data the exact layer derives from this context (its basis
+        fields and structural forms), each built on first use.  It
         lives and dies with this instance: an equal context has its own."""
         return {}
 

@@ -69,9 +69,10 @@ def _closed_form(spec: OptionSpec, ctx: ModelContext, t, S, theta=False, delta=F
 
     call = spec.kind == "call"
     tau = spec.maturity - t
-    # a spot of 0 or inf, or a tau of 0 or below, divides by zero, makes
-    # inf * 0 or takes a negative root before it is masked
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a spot of 0 or inf, a tau of 0 or below, or (at r < 0) a t far before
+    # maturity divides by zero, makes inf * 0, takes a negative root or
+    # overflows the discount: masked, or a value that is not finite
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         sig, sq = ctx.sigma_f, np.sqrt(tau)
         d1 = (np.log(S / spec.strike) + ctx.stilde_f * tau) / (sig * sq)
         d2 = d1 - sig * sq

@@ -6,6 +6,7 @@ of every criterion is visible even when pytest captures stdout.
 """
 
 import os
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import settings
@@ -19,6 +20,15 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 settings.register_profile("exact", deadline=None, max_examples=60, derandomize=True)
 settings.load_profile("exact")
+
+# the model points (r, sigma2) of the acceptance criteria, and a negative rate
+MODEL_POINTS = (
+    (Fraction(1, 20), Fraction(1, 25)),
+    (Fraction(0), Fraction(2)),
+    (Fraction(1), Fraction(2)),
+    (Fraction(3, 100), Fraction(9, 100)),
+)
+NEGATIVE_RATE = (Fraction(-1, 20), Fraction(1, 25))
 
 CRITERIA_RESULTS = {}
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import MODEL_POINTS, record_criterion
 
 from bssym.exppoly import ExpPoly
 from bssym.forms import DiffForm, contract, structural_forms, wedge
@@ -57,13 +57,6 @@ BUDGET_VERIFY = 10.0
 BUDGET_IDENTITIES = 1.0
 BUDGET_ALGEBRA = 5.0
 BUDGET_FLOWS = 30.0
-
-MODEL_POINTS = (
-    (Fraction(1, 20), Fraction(1, 25)),
-    (Fraction(0), Fraction(2)),
-    (Fraction(1), Fraction(2)),
-    (Fraction(3, 100), Fraction(9, 100)),
-)
 
 DEFAULT = make_context(Fraction(1, 20), Fraction(1, 25))
 CALL = OptionSpec(100.0, 1.0, "call")

@@ -477,6 +477,7 @@ def run_in_process(argv):
 OTHER_POINT = ["--r", "3/7", "--sigma2", "5/11"]
 ZERO_RTILDE = ["--r", "1", "--sigma2", "2"]  # rtilde = r - sigma2/2 = 0
 ZERO_RATE = ["--r", "0", "--sigma2", "2"]  # the bond mode of N_u is the constant 1
+NEGATIVE_RATE = ["--r", "-1/20", "--sigma2", "1/25"]
 GOLDEN = [
     (["verify"], 0,
      "21728147dde0bb0a27639eefa9dab07fff92aa898ce8c8fe2263192f54b243f1"),
@@ -504,6 +505,12 @@ GOLDEN = [
      "0403d43fe232d2ba49d0d0e69a19467ac57a8ac34fbb943d92524cc2b2b035c9"),
     (["brackets", *ZERO_RATE], 0,
      "5a88ce9f5302c582f156c8291c177baf28f5f7807cf3735704e8f051259499ca"),
+    (["verify", *NEGATIVE_RATE], 0,
+     "e478f5fc883b309ee4c8243f35ee0e333c255a193f2aefded19d4d07e2241747"),
+    (["verify", "--debug-faulty-n5", *NEGATIVE_RATE], 1,
+     "cf349945d3d4116229f881c5c5dec41497d60367529082b7bb19d27edb82d248"),
+    (["brackets", *NEGATIVE_RATE], 0,
+     "b0dfe1b76896f08dbc5a5a439dc7fd2518d0806dd9f954954718ee2adf11bb21"),
 ]
 
 

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import MODEL_POINTS as ACCEPTANCE_POINTS, NEGATIVE_RATE
+
+import bssym.forms as forms
 import bssym.isovectors as isovectors
 from bssym.exppoly import VARS, ExpPoly
 from bssym.forms import DiffForm, contract, structural_forms, wedge
+from bssym.ideal import ideal_membership
 from bssym.isovectors import (
     DispersionError,
     Generator,
@@ -262,6 +266,18 @@ def test_pde_defect_detects_solutions():
     assert pde_defect(good, DEFAULT).is_zero()
     bad = ExpPoly.var("x") * ExpPoly.var("x")
     assert not pde_defect(bad, DEFAULT).is_zero()
+
+
+@pytest.mark.parametrize("r,sigma2", (*ACCEPTANCE_POINTS, NEGATIVE_RATE))
+def test_pde_defect_matches_the_reference_formula(r, sigma2):
+    ctx = make_context(r, sigma2)
+    t, x = ExpPoly.var("t"), ExpPoly.var("x")
+    mode = SolutionSpec.mode_for(Fraction(1, 2), ctx).to_exppoly()
+    for g in (x * x * t, ExpPoly.exp_factor(Fraction(1, 3), -2) * x + t, mode * t, mode):
+        gx = g.diff("x")
+        reference = (g.diff("t") + ctx.sigma2 / 2 * gx.diff("x")
+                     + ctx.rtilde * gx - ctx.r * g)
+        assert pde_defect(g, ctx) == reference
 
 
 def test_in_solution_ideal():
@@ -530,11 +546,17 @@ def test_structure_constants_reuses_the_callers_fields(monkeypatch):
 
 def test_structural_forms_are_built_once_per_context(monkeypatch):
     calls = []
-    real = isovectors.structural_forms
-    monkeypatch.setattr(isovectors, "structural_forms",
+    real = forms.structural_forms
+    monkeypatch.setattr(forms, "structural_forms",
                         lambda ctx: calls.append(ctx) or real(ctx))
     ctx = make_context(1, 2)
     assert all(verify_isovector(basis_isovector(i, ctx), ctx).passed for i in range(1, 7))
+    assert len(calls) == 1
+    # the ideal solve and the defect read the same beta
+    assert ideal_membership(real(ctx)[2], ctx).in_ideal
+    mode = SolutionSpec.mode_for(1, ctx)
+    assert pde_defect(mode.to_exppoly(), ctx).is_zero()
+    assert in_solution_ideal(solution_isovector(mode, ctx), ctx)
     assert len(calls) == 1
     twin = make_context(1, 2)
     assert verify_isovector(basis_isovector(1, twin), twin).passed

@@ -360,6 +360,22 @@ def test_closed_form_reads_nan_quietly_off_its_domain(spec, t, S):
             assert np.isnan(pair[0]) and np.isfinite(pair[1])
 
 
+@pytest.mark.parametrize("spec", [CALL, PUT], ids=["call", "put"])
+def test_an_overflowing_discount_reads_non_finite_quietly(spec):
+    # at r < 0 the discount K e^(-r tau) passes the float range far before
+    # maturity: t = -1e5 is inside the domain, and the kernel's value there
+    # is not finite
+    ctx = make_context(Fraction(-1, 20), Fraction(1, 25))
+    x = math.log(100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reads = [bs_price(spec, ctx, -1e5, 100.0)]
+        for surf, u in ((ClosedFormSolution(spec, ctx), 100.0), (LogClosedForm(spec, ctx), x)):
+            reads += [surf.at(-1e5, x), surf.value(-1e5, u),
+                      surf.value_and_derivatives(-1e5, x, True, True)[0]]
+    assert not np.isfinite(reads).any()
+
+
 # Points inside every surface of `_masked_cases`, and points outside some or
 # all of them: past the box (t = 0.95, S = 20 or 300), past maturity, or
 # where e^x is 0 or inf or t or x is not a number.
