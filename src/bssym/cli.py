@@ -3,7 +3,10 @@
 Subcommands: verify, brackets, transform, price, residual.  A flat
 "key = value" config file (with '#' comments) holds the same settings as the
 flags; flags override the file; unknown keys are rejected.  Exit codes are
-strict: 0 success, 1 mathematical failure, 2 usage or config error.
+strict: 0 success, 1 mathematical failure, 2 usage or config error (a
+missing numpy or scipy too).  The numeric commands set up through one
+`_priced` (context, closed form, checked grid), and each JSON report is one
+`_report` envelope: schema, command, model, and the option where priced.
 
 Output is deterministic byte-for-byte for identical configuration: JSON is
 emitted with sorted keys and fixed indentation, CSV rows use repr floats,
@@ -50,7 +53,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .grids import GridSolution
-    from .pricing import OptionSpec
 
 
 class ConfigError(Exception):
@@ -114,6 +116,10 @@ def parse_pipeline(text: str) -> tuple:
     return tuple(stages)
 
 
+# the keys whose value is one of a few words, and those words
+_CHOICES = {"kind": ("call", "put"), "format": ("json", "csv")}
+
+
 def _coerce(key: str, raw: str):
     try:
         if key in ("r", "sigma2"):
@@ -132,13 +138,9 @@ def _coerce(key: str, raw: str):
             return _parse_range(raw, key)
         if key == "pipeline":
             return parse_pipeline(raw)
-        if key == "kind":
-            if raw not in ("call", "put"):
-                raise ConfigError(f"kind must be call or put, got {raw!r}")
-            return raw
-        if key == "format":
-            if raw not in ("json", "csv"):
-                raise ConfigError(f"format must be json or csv, got {raw!r}")
+        if key in _CHOICES:
+            if raw not in _CHOICES[key]:
+                raise ConfigError(f"{key} must be {' or '.join(_CHOICES[key])}, got {raw!r}")
             return raw
         if key == "out":
             return raw
@@ -238,11 +240,30 @@ def _context(cfg: RunConfig):
         return make_context(cfg.r, cfg.sigma2)
 
 
-def _grid(cfg: RunConfig):
+def _report(command: str, ctx, cfg: RunConfig | None = None, **fields) -> dict:
+    """A command's schema-1 report: its name, the model, the option when
+    cfg is given, and its own fields."""
+    obj = {"schema": 1, "command": command, "model": ctx.to_json(), **fields}
+    if cfg is not None:
+        obj["option"] = {"strike": cfg.strike, "maturity": cfg.maturity, "kind": cfg.kind}
+    return obj
+
+
+def _priced(cfg: RunConfig, stencils: bool = False):
+    """(ctx, closed form, grid) of a numeric command: the grid is one the
+    closed form prices, ending by maturity, and with `stencils` one the
+    residual stencils act on (3 nodes per axis).  The checks run in a fixed
+    order, so a config with several faults reports the same first one."""
     import numpy as np
 
     from .grids import make_grid
+    from .pricing import ClosedFormSolution, OptionSpec
 
+    ctx = _context(cfg)
+    if stencils and (cfg.nt < 3 or cfg.nx < 3):
+        raise ConfigError(
+            f"residual stencils need nt and nx of at least 3, got {cfg.nt}x{cfg.nx}"
+        )
     if cfg.nt * cfg.nx > MAX_GRID_NODES:
         raise ConfigError(
             f"bad grid: {cfg.nt}x{cfg.nx} is {cfg.nt * cfg.nx} nodes, "
@@ -259,23 +280,12 @@ def _grid(cfg: RunConfig):
             "bad grid: S = e^x is not a finite positive float on grid_x "
             f"{cfg.grid_x[0]!r}:{cfg.grid_x[1]!r}"
         )
-    return grid
-
-
-def _priced_grid(cfg: RunConfig, spec: OptionSpec, stencils: bool = False):
-    """The grid of a closed-form price table, which must end by maturity;
-    with `stencils`, one the residual stencils act on (3 nodes per axis)."""
-    if stencils and (cfg.nt < 3 or cfg.nx < 3):
-        raise ConfigError(
-            f"residual stencils need nt and nx of at least 3, got {cfg.nt}x{cfg.nx}"
-        )
-    grid = _grid(cfg)
     # the stencil weights go up to 16 / (12 h^2)
     if stencils and min(grid.dt, grid.dx) ** 2 < 2.0 / sys.float_info.max:
         raise ConfigError(_OUT_OF_RANGE + ": grid spacing too fine for the stencils")
-    if grid.t_values[-1] > spec.maturity:
-        raise ConfigError(f"grid_t extends past maturity {spec.maturity}")
-    return grid
+    if grid.t_values[-1] > cfg.maturity:
+        raise ConfigError(f"grid_t extends past maturity {cfg.maturity}")
+    return ctx, ClosedFormSolution(OptionSpec(cfg.strike, cfg.maturity, cfg.kind), ctx), grid
 
 
 def _sample_nu(ctx) -> Isovector:
@@ -305,13 +315,10 @@ def cmd_verify(cfg: RunConfig, debug_faulty_n5: bool = False) -> int:
     candidates.append(_sample_nu(ctx))
     reports = [verify_isovector(N, ctx) for N in candidates]
     all_passed = all(rep.passed for rep in reports)
-    obj = {
-        "schema": 1,
-        "command": "verify",
-        "model": ctx.to_json(),
-        "isovectors": [rep.to_json() for rep in reports],
-        "all_passed": all_passed,
-    }
+    obj = _report(
+        "verify", ctx,
+        isovectors=[rep.to_json() for rep in reports], all_passed=all_passed,
+    )
     _emit(_json_bytes(obj), cfg.out)
     return 0 if all_passed else 1
 
@@ -359,13 +366,7 @@ def cmd_brackets(cfg: RunConfig) -> int:
             buf.write(f"{e['i']},{e['j']},{e['pretty']}\n")
         _emit(buf.getvalue().encode(), cfg.out)
     else:
-        obj = {
-            "schema": 1,
-            "command": "brackets",
-            "model": ctx.to_json(),
-            "table": entries,
-            "j_checks": checks,
-        }
+        obj = _report("brackets", ctx, table=entries, j_checks=checks)
         _emit(_json_bytes(obj), cfg.out)
     return 0 if ok else 1
 
@@ -373,14 +374,18 @@ def cmd_brackets(cfg: RunConfig) -> int:
 def _numeric_command(cmd):
     """A numeric subcommand, run with numpy's floating-point warnings off:
     the commands check for non-finite results themselves and report them as
-    config errors, so numpy's warnings would only add stderr lines."""
+    config errors, so numpy's warnings would only add stderr lines.  A
+    missing numpy or scipy is a usage error too, not a traceback."""
 
     @functools.wraps(cmd)
     def run(cfg: RunConfig) -> int:
-        import numpy as np
+        try:
+            import numpy as np
 
-        with np.errstate(all="ignore"):
-            return cmd(cfg)
+            with np.errstate(all="ignore"):
+                return cmd(cfg)
+        except ModuleNotFoundError as exc:
+            raise ConfigError(f"missing dependency: no module named {exc.name!r}") from None
 
     return run
 
@@ -388,7 +393,6 @@ def _numeric_command(cmd):
 @_numeric_command
 def cmd_transform(cfg: RunConfig) -> int:
     from .grids import write_csv
-    from .pricing import ClosedFormSolution, OptionSpec
     from .transforms import (
         FiniteTransform,
         TransformDomainError,
@@ -400,10 +404,7 @@ def cmd_transform(cfg: RunConfig) -> int:
         raise ConfigError("transform needs a nonempty pipeline ('i:kappa,...')")
     if not cfg.out:
         raise ConfigError("transform needs --out (directory for stage files)")
-    ctx = _context(cfg)
-    spec = OptionSpec(cfg.strike, cfg.maturity, cfg.kind)
-    grid = _priced_grid(cfg, spec, stencils=True)
-    call = ClosedFormSolution(spec, ctx)
+    ctx, call, grid = _priced(cfg, stencils=True)
     with _config_errors():
         transforms = [
             FiniteTransform(i, kappa, frame="price") for i, kappa in cfg.pipeline
@@ -443,14 +444,10 @@ def cmd_transform(cfg: RunConfig) -> int:
             }
             for stage, (pipe, result) in enumerate(results, start=1)
         ]
-        obj = {
-            "schema": 1,
-            "command": "transform",
-            "model": ctx.to_json(),
-            "option": {"strike": cfg.strike, "maturity": cfg.maturity, "kind": cfg.kind},
-            "stages": verdicts,
-            "all_passed": all(v["verdict"] == "pass" for v in verdicts),
-        }
+        obj = _report(
+            "transform", ctx, cfg,
+            stages=verdicts, all_passed=all(v["verdict"] == "pass" for v in verdicts),
+        )
     data = _json_bytes(obj)
     with _config_errors(f"cannot write {cfg.out!r}: ", _FILE_ERRORS):
         os.makedirs(cfg.out, exist_ok=True)
@@ -465,29 +462,21 @@ def cmd_transform(cfg: RunConfig) -> int:
 
 @_numeric_command
 def cmd_price(cfg: RunConfig) -> int:
-    from .pricing import ClosedFormSolution, OptionSpec
     from .transforms import sample_surface
 
-    ctx = _context(cfg)
-    spec = OptionSpec(cfg.strike, cfg.maturity, cfg.kind)
-    grid = _priced_grid(cfg, spec)
-    sol = sample_surface(ClosedFormSolution(spec, ctx), grid)
+    ctx, call, grid = _priced(cfg)
+    sol = sample_surface(call, grid)
     values = _finite_prices(sol.values)
     if cfg.format == "csv":
         buf = io.StringIO()
         _write_csv_text(sol, buf)
         _emit(buf.getvalue().encode(), cfg.out)
     else:
-        obj = {
-            "schema": 1,
-            "command": "price",
-            "model": ctx.to_json(),
-            "option": {
-                "strike": cfg.strike, "maturity": cfg.maturity, "kind": cfg.kind,
-            },
-            "grid": {"t": grid.t_values.tolist(), "S": grid.s_values.tolist()},
-            "table": values.tolist(),
-        }
+        obj = _report(
+            "price", ctx, cfg,
+            grid={"t": grid.t_values.tolist(), "S": grid.s_values.tolist()},
+            table=values.tolist(),
+        )
         _emit(_json_bytes(obj), cfg.out)
     return 0
 
@@ -506,13 +495,12 @@ def cmd_residual(cfg: RunConfig) -> int:
     import numpy as np
 
     from .grids import fd_solve, make_grid, residual_e, residual_e2
-    from .pricing import ClosedFormSolution, OptionSpec, bs_price
+    from .pricing import bs_price
     from .transforms import sample_surface
 
-    ctx = _context(cfg)
-    spec = OptionSpec(cfg.strike, cfg.maturity, cfg.kind)
-    grid = _priced_grid(cfg, spec, stencils=True)
-    sol_price = sample_surface(ClosedFormSolution(spec, ctx), grid)
+    ctx, call, grid = _priced(cfg, stencils=True)
+    spec = call.spec
+    sol_price = sample_surface(call, grid)
     _finite_prices(sol_price.values)
     # E(C)(t, e^x) = E2(phi)(t, x) on the same node values: one residual, two
     # names; on finite prices, a stencil that is nowhere finite has overflowed
@@ -541,22 +529,17 @@ def cmd_residual(cfg: RunConfig) -> int:
     # an exact FD level leaves its ratio undefined, and NaN reports it
     ratios = [a / b if b else math.nan for a, b in zip(errors, errors[1:])]
 
-    obj = {
-        "schema": 1,
-        "command": "residual",
-        "model": ctx.to_json(),
-        "option": {
-            "strike": cfg.strike, "maturity": cfg.maturity, "kind": cfg.kind,
-        },
-        "closed_form": {"E": rep_e.to_json(), "E2": rep_e2.to_json()},
-        "fd": {
+    obj = _report(
+        "residual", ctx, cfg,
+        closed_form={"E": rep_e.to_json(), "E2": rep_e2.to_json()},
+        fd={
             "levels": [{"nx": nx, "nt": nt} for nx, nt in _FD_LEVELS],
             "errors_at_strike": errors,
             "convergence_ratios": ratios,
             "terminal_matches_payoff": terminal_ok,
             "finest_E2": fd_report.to_json(),
         },
-    }
+    )
     data = _json_bytes(obj)
     if cfg.format == "csv":
         buf = io.StringIO()
@@ -603,8 +586,8 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
         help="relative residual tolerance",
     )
     # checked by _coerce, as a config file's format is; the metavar keeps the
-    # help text naming the two choices
-    sp.add_argument("--format", metavar="{json,csv}")
+    # help text naming the choices
+    sp.add_argument("--format", metavar="{%s}" % ",".join(_CHOICES["format"]))
     sp.add_argument("--out", help="output file (or directory for transform)")
     sp.add_argument("--config", help="flat key=value config file")
 

@@ -69,9 +69,9 @@ def _closed_form(spec: OptionSpec, ctx: ModelContext, t, S, theta=False, delta=F
 
     call = spec.kind == "call"
     tau = spec.maturity - t
-    # a spot of 0 or inf, a tau of 0 or below, or (at r < 0) a t far before
-    # maturity divides by zero, makes inf * 0, takes a negative root or
-    # overflows the discount: masked, or a value that is not finite
+    # a spot of 0 or inf or a tau of 0 or below divides by zero, makes
+    # inf * 0 or takes a negative root: masked.  At r < 0 a t far before
+    # maturity overflows the discount
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         sig, sq = ctx.sigma_f, np.sqrt(tau)
         d1 = (np.log(S / spec.strike) + ctx.stilde_f * tau) / (sig * sq)
@@ -79,11 +79,22 @@ def _closed_form(spec: OptionSpec, ctx: ModelContext, t, S, theta=False, delta=F
         nd1 = ndtr(d1) if delta or call else None
         disc = spec.strike * np.exp(-ctx.r_f * tau)
         nd2 = ndtr(d2) if call else ndtr(-d2)
-        c = S * nd1 - disc * nd2 if call else disc * nd2 - S * ndtr(-d1)
+        kd = disc * nd2
+        rkd = ctx.r_f * disc * nd2 if theta else None
+        # only r < 0 overflows the discount inside the domain; K e^(-r tau)
+        # Phi(+-d2) may still be a float there, so those rows form it in logs
+        if ctx.r_f < 0 and (over := np.isinf(disc)).any():
+            from scipy.special import log_ndtr
+
+            kd_log = spec.strike * np.exp(-ctx.r_f * tau + log_ndtr(d2 if call else -d2))
+            kd = np.where(over, kd_log, kd)
+            if theta:
+                rkd = np.where(over, ctx.r_f * kd_log, rkd)
+        c = S * nd1 - kd if call else kd - S * ndtr(-d1)
         c_t = c_s = None
         if theta:
             decay = -S * _normal_pdf(d1) * sig / (2.0 * sq)
-            c_t = decay - ctx.r_f * disc * nd2 if call else decay + ctx.r_f * disc * nd2
+            c_t = decay - rkd if call else decay + rkd
         if delta:
             c_s = nd1 if call else nd1 - 1.0
     ok = _in_domain(spec, t, S)

@@ -545,6 +545,42 @@ def test_transform_golden_bytes(tmp_path):
     assert h.hexdigest() == digest
 
 
+# SHA-256 of the stdout of the numeric subcommands on the FAST grid, their
+# exit codes and their stderr, as the per-command set-up and envelopes
+# produced them: how the CLI sets up a grid and writes its report may not
+# change a byte.  Kept apart from GOLDEN, which also runs without numpy.
+# Like TRANSFORM_GOLDEN, these digests rest on numpy's and scipy's float bits.
+NUMERIC_GOLDEN = [
+    (["price", *FAST], 0,
+     "4ad8aabfaad4aa95f3e50a9ab6e5c6dc8e2533a8ff9a332aae773e057257d6f4", ""),
+    (["price", "--format", "csv", *FAST], 0,
+     "31e19596ae5bd40191386d6877b8bb2e6e08a717fe2efa2a0d09e922befd9fba", ""),
+    (["residual", *FAST], 0,
+     "51212f465e7ffee76b3a6cd251c823eb2f86d2538bc81b8bebd4a06a084873d6", ""),
+    (["residual", "--format", "csv", *FAST], 0,
+     "f1810302fa846788f6e5de503d400befd58eb6d220b2a82a525821b99164eb95", ""),
+    (["residual", *FAST, "--r=-1/20"], 0,
+     "7cee611034246b2c553d2379c8ecb60bd8a9c103bfe8664c9f552a17d0bde58a", ""),
+    # every node pulls back outside the closed form's domain: a verdict
+    (["transform", "--pipeline", "3:5.0", "--out", "OUT", *FAST], 1,
+     "2f39990b233a22c9a42cf0cac63da5fe2ac8721dee24ac3fbe6d156c39ff8463", ""),
+    # the prefactor e^800 overflows at every node: a float-range error
+    (["transform", "--pipeline", "6:800", "--out", "OUT", *FAST], 2,
+     hashlib.sha256(b"").hexdigest(),
+     "error: the configuration leaves the float range: stage 1: 35 of 35 nodes overflow\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest,err", NUMERIC_GOLDEN, ids=[" ".join(g[0]) for g in NUMERIC_GOLDEN]
+)
+def test_numeric_subcommands_golden_bytes(argv, code, digest, err, tmp_path):
+    argv = [str(tmp_path / "o") if a == "OUT" else a for a in argv]
+    got_code, out, got_err = run_in_process(argv)
+    assert (got_code, got_err) == (code, err)
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 # -- CSV bytes and imports ------------------------------------------------------
 
 
@@ -668,21 +704,39 @@ from bssym.cli import main
 results = []
 for argv in json.loads(sys.argv[1]):
     sys.stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    sys.stderr = io.StringIO()
     code = main(argv)
     sys.stdout.flush()
-    results.append((code, hashlib.sha256(sys.stdout.buffer.getvalue()).hexdigest()))
-sys.stdout = sys.__stdout__
+    digest = hashlib.sha256(sys.stdout.buffer.getvalue()).hexdigest()
+    results.append((code, digest, sys.stderr.getvalue()))
+sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
 print(json.dumps(results))
 """
 
 
-def test_exact_subcommands_run_without_numpy():
+def run_without_numpy(argvs):
+    """[exit code, stdout SHA-256, stderr] of main(argv) for each argv, in a
+    process where numpy cannot be imported."""
     proc = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps([g[0] for g in GOLDEN])],
+        [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(argvs)],
         capture_output=True, check=True,
     )
     assert proc.stderr == b""
-    assert json.loads(proc.stdout) == [[code, digest] for _, code, digest in GOLDEN]
+    return json.loads(proc.stdout)
+
+
+def test_exact_subcommands_run_without_numpy():
+    got = run_without_numpy([g[0] for g in GOLDEN])
+    assert got == [[code, digest, ""] for _, code, digest in GOLDEN]
+
+
+def test_numeric_subcommands_without_numpy_exit_two(tmp_path):
+    # a usage error naming the missing module, not a traceback or exit 1
+    argvs = [["price", *FAST], ["residual", *FAST],
+             ["transform", "--pipeline", "5:0.1", "--out", str(tmp_path / "o"), *FAST]]
+    error = "error: missing dependency: no module named 'numpy'\n"
+    assert run_without_numpy(argvs) == [[2, hashlib.sha256(b"").hexdigest(), error]] * 3
+    assert not (tmp_path / "o").exists()
 
 
 # -- the CLI contract under generated configs -------------------------------------

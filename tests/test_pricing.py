@@ -361,10 +361,10 @@ def test_closed_form_reads_nan_quietly_off_its_domain(spec, t, S):
 
 
 @pytest.mark.parametrize("spec", [CALL, PUT], ids=["call", "put"])
-def test_an_overflowing_discount_reads_non_finite_quietly(spec):
+def test_an_overflowing_discount_reads_the_float_value_quietly(spec):
     # at r < 0 the discount K e^(-r tau) passes the float range far before
-    # maturity: t = -1e5 is inside the domain, and the kernel's value there
-    # is not finite
+    # maturity: t = -1e5 is inside the domain.  There the call, about
+    # 1.2e-489, is 0.0 as a float, and the put passes the float range
     ctx = make_context(Fraction(-1, 20), Fraction(1, 25))
     x = math.log(100.0)
     with warnings.catch_warnings():
@@ -373,7 +373,31 @@ def test_an_overflowing_discount_reads_non_finite_quietly(spec):
         for surf, u in ((ClosedFormSolution(spec, ctx), 100.0), (LogClosedForm(spec, ctx), x)):
             reads += [surf.at(-1e5, x), surf.value(-1e5, u),
                       surf.value_and_derivatives(-1e5, x, True, True)[0]]
-    assert not np.isfinite(reads).any()
+    assert reads == [mp_price(spec, ctx, -1e5, 100.0)] * 7
+    assert reads[0] == (0.0 if spec.kind == "call" else math.inf)
+
+
+def test_an_overflowing_discount_keeps_a_finite_call_and_theta():
+    # at r = -1/50 and t = -4e4, e^(-r tau) = e^800 overflows, while the
+    # call, about 49, and its theta, about -1.2e-5, are finite
+    ctx = make_context(Fraction(-1, 50), Fraction(1, 25))
+    t, S = -4e4, 100.0
+    with mpmath.workdps(50):
+        tau, sig, r = mpmath.mpf(1) - t, mpmath.mpf(1) / 5, mpmath.mpf(-1) / 50
+        d1 = (r + sig**2 / 2) * tau / (sig * mpmath.sqrt(tau))
+        d2 = d1 - sig * mpmath.sqrt(tau)
+        theta = float(-S * mpmath.npdf(d1) * sig / (2 * mpmath.sqrt(tau))
+                      - r * 100 * mpmath.e ** (-r * tau) * mpmath.ncdf(d2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = bs_price(CALL, ctx, t, S)
+        phi, phi_t, _ = LogClosedForm(CALL, ctx).value_and_derivatives(t, math.log(S), True, False)
+    assert value == pytest.approx(mp_price(CALL, ctx, t, S), rel=1e-12)
+    assert phi == pytest.approx(value, rel=1e-12)
+    # theta is the difference of two terms near 0.02, and e^(-r tau + log
+    # Phi(d2)) carries the rounding of an exponent near 800
+    assert phi_t == pytest.approx(theta, rel=1e-8)
+    assert theta == pytest.approx(-1.2443177e-5, rel=1e-7)
 
 
 # Points inside every surface of `_masked_cases`, and points outside some or
