@@ -13,51 +13,37 @@ Layers:
   throughout, no floats).
 - numeric: :mod:`bssym.pricing`, :mod:`bssym.grids`, :mod:`bssym.transforms`
   (closed forms, finite differences, finite flows, residual certification).
-  This layer, and numpy with it, loads on first use: ``import bssym`` loads
-  only the exact layer, and a numeric name such as ``bssym.bs_price`` imports
-  its submodule when it is first looked up.
 - batch: :mod:`bssym.cli`.
+
+``import bssym`` loads nothing until a name is used.  Every public name, of
+either layer, resolves through one table (PEP 562): its first lookup imports
+the submodule that defines it, and with it only what that submodule needs.
+So ``bssym.make_context`` loads :mod:`bssym.model` alone, ``bssym.bs_price``
+loads numpy but no exact-layer module beyond the model, and
+``bssym.verify_isovector`` loads the exact layer but no numpy.
 """
 
 import importlib
 
-from .model import ModelContext, make_context, parse_rational
-from .exppoly import ExpPoly
-from .forms import (
-    DiffForm,
-    contract,
-    lie_derivative,
-    structural_forms,
-    wedge,
-)
-from .ideal import MembershipCertificate, ideal_membership
-from .isovectors import (
-    DispersionError,
-    Generator,
-    GHPair,
-    Isovector,
-    NotInFamilyError,
-    SolutionSpec,
-    VerificationReport,
-    basis_isovector,
-    bracket,
-    bracket_gh,
-    decompose,
-    generator_of,
-    gh_of,
-    in_solution_ideal,
-    isovector_from_constants,
-    isovector_from_generator,
-    pde_defect,
-    pretty_combination,
-    solution_isovector,
-    structure_constants,
-    verify_isovector,
-)
-
-# the numeric layer loads on first use (PEP 562): each of its public names,
-# by the submodule that defines it
-_NUMERIC = {
+# each public name, by the submodule that defines it
+_PUBLIC = {
+    **dict.fromkeys(("ModelContext", "make_context", "parse_rational"), "model"),
+    "ExpPoly": "exppoly",
+    **dict.fromkeys(
+        ("DiffForm", "contract", "lie_derivative", "structural_forms", "wedge"),
+        "forms",
+    ),
+    **dict.fromkeys(("MembershipCertificate", "ideal_membership"), "ideal"),
+    **dict.fromkeys(
+        ("DispersionError", "Generator", "GHPair", "Isovector",
+         "NotInFamilyError", "SolutionSpec", "VerificationReport",
+         "basis_isovector", "bracket", "bracket_gh", "decompose",
+         "generator_of", "gh_of", "in_solution_ideal",
+         "isovector_from_constants", "isovector_from_generator", "pde_defect",
+         "pretty_combination", "solution_isovector", "structure_constants",
+         "verify_isovector"),
+        "isovectors",
+    ),
     **dict.fromkeys(
         ("ClosedFormSolution", "LogClosedForm", "OptionSpec", "bs_price"),
         "pricing",
@@ -78,17 +64,17 @@ _NUMERIC = {
 
 
 def __getattr__(name):
-    if name in _NUMERIC.values():  # a numeric submodule not imported yet
+    if name in _PUBLIC.values():  # a submodule not imported yet
         return importlib.import_module(f"{__name__}.{name}")
-    if name not in _NUMERIC:
+    if name not in _PUBLIC:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # read from the submodule on every lookup, never cached here, so a
     # rebinding of the submodule's attribute is what callers see
-    return getattr(importlib.import_module(f"{__name__}.{_NUMERIC[name]}"), name)
+    return getattr(importlib.import_module(f"{__name__}.{_PUBLIC[name]}"), name)
 
 
 def __dir__():
-    return sorted({*globals(), *_NUMERIC, *_NUMERIC.values()})
+    return sorted({*globals(), *_PUBLIC, *_PUBLIC.values()})
 
 
 __version__ = "0.1.0"

@@ -11,6 +11,13 @@ missing numpy or scipy too).  The numeric commands set up through one
 Output is deterministic byte-for-byte for identical configuration: JSON is
 emitted with sorted keys and fixed indentation, CSV rows use repr floats,
 and nothing time- or environment-dependent is written.
+
+A process pays only for the command it runs.  `import bssym.cli` loads the
+model and nothing else of bssym; each subcommand imports its own layer when
+it runs.  The `bssym` script and `python -m bssym.cli` both start through
+`process_main`, which runs `main` with the cyclic garbage collector off and
+freezes what is left before exit.  `main` is the same command without that
+process policy, for callers that run it in-process.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import io
 import json
 import math
@@ -28,31 +36,18 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-# Only the exact layer is imported here.  The numeric commands import numpy
-# and the numeric modules inside the functions that use them, so that
-# `import bssym.cli`, `verify` and `brackets` load no numpy.  Each call reads
+# Only the model is imported here.  Each subcommand imports its own layer
+# inside the functions that use it: the exact layer for verify and
+# brackets, numpy and the numeric modules for the others.  Each call reads
 # the name from its module, so a rebinding there (a profiler's wrapper, a
 # test's stand-in) is what the command calls.
-from .isovectors import (
-    Isovector,
-    SolutionSpec,
-    basis_isovector,
-    bracket,
-    bracket_gh,
-    gh_of,
-    in_solution_ideal,
-    pretty_combination,
-    solution_isovector,
-    structure_constants,
-    verify_isovector,
-)
-from .exppoly import ExpPoly
 from .model import make_context, parse_rational
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .grids import GridSolution
+    from .isovectors import Isovector
 
 
 class ConfigError(Exception):
@@ -290,6 +285,8 @@ def _priced(cfg: RunConfig, stencils: bool = False):
 
 def _sample_nu(ctx) -> Isovector:
     """Deterministic two-mode solution isovector used by verify/brackets."""
+    from .isovectors import SolutionSpec, solution_isovector
+
     modes = SolutionSpec.single(1, ctx.r, 0) + SolutionSpec.mode_for(1, ctx)
     return solution_isovector(modes, ctx, name="N_u")
 
@@ -298,6 +295,9 @@ def _sample_nu(ctx) -> Isovector:
 
 
 def cmd_verify(cfg: RunConfig, debug_faulty_n5: bool = False) -> int:
+    from .exppoly import ExpPoly
+    from .isovectors import Isovector, basis_isovector, verify_isovector
+
     ctx = _context(cfg)
     if debug_faulty_n5 and ctx.rtilde == 0:
         raise ConfigError(
@@ -324,6 +324,18 @@ def cmd_verify(cfg: RunConfig, debug_faulty_n5: bool = False) -> int:
 
 
 def cmd_brackets(cfg: RunConfig) -> int:
+    from .isovectors import (
+        SolutionSpec,
+        basis_isovector,
+        bracket,
+        bracket_gh,
+        gh_of,
+        in_solution_ideal,
+        pretty_combination,
+        solution_isovector,
+        structure_constants,
+    )
+
     ctx = _context(cfg)
     table = structure_constants(ctx)
     entries = []
@@ -507,6 +519,7 @@ def cmd_residual(cfg: RunConfig) -> int:
     with _config_errors(f"{_OUT_OF_RANGE}: "):
         rep_e = residual_e(sol_price, ctx)
     rep_e2 = replace(rep_e, op="E2")
+    del sol_price  # the report is taken: the FD study needs no closed-form grid
 
     # strike-centered convergence study for the FD solver
     x_mid = math.log(cfg.strike)
@@ -629,5 +642,18 @@ def main(argv=None) -> int:
         return 2
 
 
+def process_main() -> None:
+    """The process entry of both `bssym` and `python -m bssym.cli`: `main`
+    with the cyclic collector off, then every object it left frozen, so that
+    no collection walks what numpy and scipy made, during import or at
+    interpreter exit.  Reference counting still frees everything acyclic,
+    and exit flushes and runs atexit handlers as usual.  `main` itself sets
+    no process policy, since tests and replays call it in-process."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

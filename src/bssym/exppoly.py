@@ -37,9 +37,10 @@ import threading
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from numbers import Rational
 from operator import index, or_
 from typing import TYPE_CHECKING, Sequence, Union
+
+from .model import _as_fraction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -178,16 +179,6 @@ def _from_terms(terms, den: int = 1, modes=()) -> "ExpPoly":
         mono = out.setdefault(sid, {})
         mono[key] = mono.get(key, 0) + num
     return _settle(out, full)
-
-
-def _as_fraction(value) -> Fraction:
-    """The exact-layer scalar check: an int (a numpy integer too), a Fraction
-    or a "p/q" string is read as a Fraction, and a float is a TypeError."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str, Rational)):
-        return Fraction(value)
-    raise TypeError(f"exact scalar required, got {type(value).__name__}")
 
 
 def _operand(other):

@@ -29,12 +29,11 @@ from operator import index
 from typing import Sequence, Tuple
 
 from .exppoly import (
-    VARS, ExpPoly, _ONE, _SIGS, _as_fraction, _from_terms, _pack, _signed_sum,
-    _sum_of_products,
+    VARS, ExpPoly, _ONE, _SIGS, _from_terms, _pack, _signed_sum, _sum_of_products,
 )
 from .forms import _A, _B, DiffForm, _forms_of, lie_derivative
 from .ideal import MembershipCertificate, ideal_membership
-from .model import ModelContext
+from .model import ModelContext, _as_fraction
 
 
 class DispersionError(ValueError):

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-
-from .exppoly import _as_fraction
+from numbers import Rational
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(\s*/\s*\d+)?")
 
@@ -34,6 +33,19 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(re.sub(r"\s+", "", body))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
+
+
+def _as_fraction(value) -> Fraction:
+    """The exact-layer scalar check: an int (a numpy integer too), a Fraction
+    or a "p/q" string (read by `parse_rational`) is read as a Fraction, and a
+    float is a TypeError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, (int, Rational)):
+        return Fraction(value)
+    raise TypeError(f"exact scalar required, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)

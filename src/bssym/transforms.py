@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-# scipy is imported inside the code that calls it.  This module, and numpy
-# with it, loads when a numeric name is first used: `import bssym` and the
-# exact CLI subcommands load neither.
+# scipy, and the exact layer's `gh_of`, are imported inside the code that
+# calls them.  This module, and numpy with it, loads when a numeric name is
+# first used: `import bssym` and the exact CLI subcommands load neither, and
+# of the exact layer the numeric subcommands load only `model`.
 
 from .grids import (
     Grid,
@@ -47,9 +48,11 @@ from .grids import (
     residual_e,
     residual_e2,
 )
-from .isovectors import Isovector, gh_of
 from .model import ModelContext
 from .pricing import Surface, _box, _masked, _out, _spot
+
+if TYPE_CHECKING:
+    from .isovectors import Isovector
 
 # exp(kappa N_i) as its point map (t, x) -> (t', x') and the log of its
 # prefactor, both functions of (kappa, ctx, t, x); a coordinate the flow
@@ -384,6 +387,8 @@ def _action_of(N: Isovector) -> tuple:
     for var in ("phi", "A", "B"):
         if N.Nt.depends_on(var) or N.Nx.depends_on(var):
             raise ValueError(f"N^t and N^x must depend only on (t, x); found {var}")
+    from .isovectors import gh_of
+
     pair = gh_of(N)
     return -N.Nt, -N.Nx, pair.g, pair.h
 

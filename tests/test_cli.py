@@ -1,6 +1,7 @@
 """Command-line harness: config handling, exit codes, output determinism."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -440,6 +442,23 @@ def test_residual_report():
     assert obj["closed_form"]["E2"]["op"] == "E2"
 
 
+# bytes of one float64 array on the canonical 801x601 grid
+_CANONICAL_GRID_BYTES = 801 * 601 * 8
+
+
+def test_residual_drops_the_closed_form_grid_before_the_fd_study(tmp_path):
+    # the closed-form grid serves only the E report, so it is gone before the
+    # FD study's finest level (about one grid more) is solved
+    assert main(["residual", *FAST, "--out", str(tmp_path / "warm.json")]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["residual", "--out", str(tmp_path / "r.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * _CANONICAL_GRID_BYTES
+
+
 def test_main_returns_int_in_process(capsys):
     assert main(["verify", "--r", "bad"]) == 2
     assert main(["verify", "--r"]) == 2  # argparse's usage error
@@ -695,6 +714,100 @@ def test_every_public_name_resolves():
     # a numeric name is the submodule's own object, read on each lookup
     assert bssym.fd_solve is bssym.grids.fd_solve
     assert bssym.sample_surface is bssym.transforms.sample_surface
+    assert bssym.verify_isovector is bssym.isovectors.verify_isovector
+    assert set(bssym.__all__) <= set(dir(bssym))
+
+
+_LOADED_BSSYM = """
+import json, sys
+before = set(sys.modules)
+import bssym
+package = sorted(m for m in sys.modules if m.split(".")[0] == "bssym")
+import bssym.cli
+cli = sorted(m for m in sys.modules if m.split(".")[0] == "bssym")
+assert "numpy" not in sys.modules or "numpy" in before
+print(json.dumps([package, cli]))
+"""
+
+
+def test_import_loads_no_layer():
+    # `import bssym` loads no submodule, and `import bssym.cli` only the model
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BSSYM], capture_output=True, check=True,
+    )
+    assert json.loads(proc.stdout) == [["bssym"], ["bssym", "bssym.cli", "bssym.model"]]
+
+
+# a cold process run as `python -m bssym.cli` runs it, with the modules it
+# loaded written to stderr after it exits
+_COLD_MODULES = """
+import json, runpy, sys
+sys.argv = ["bssym", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("bssym.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(json.dumps([code, sorted(
+    m for m in sys.modules if m.split(".")[0] in ("bssym", "numpy", "scipy"))]))
+"""
+
+_EXACT_LAYER = {"bssym.exppoly", "bssym.forms", "bssym.ideal", "bssym.isovectors"}
+_NUMERIC_LAYER = {"bssym.pricing", "bssym.grids", "bssym.transforms", "numpy", "scipy"}
+
+
+@pytest.mark.parametrize(
+    "argv,layer,absent",
+    [
+        (["verify"], _EXACT_LAYER, _NUMERIC_LAYER),
+        (["brackets"], _EXACT_LAYER, _NUMERIC_LAYER),
+        (["price", *FAST], {"bssym.pricing", "bssym.grids", "bssym.transforms"},
+         _EXACT_LAYER),
+        (["residual", *FAST], {"bssym.pricing", "bssym.grids"}, _EXACT_LAYER),
+        (["transform", "--pipeline", "5:0.1", *FAST], {"bssym.transforms"},
+         _EXACT_LAYER),
+    ],
+    ids=["verify", "brackets", "price", "residual", "transform"],
+)
+def test_cold_command_loads_only_its_layer(argv, layer, absent, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_MODULES,
+         json.dumps([*argv, "--out", str(tmp_path / "out")])],
+        capture_output=True, check=True,
+    )
+    code, modules = json.loads(proc.stderr)
+    assert code in (0, 1)
+    assert layer <= set(modules)
+    assert not any(m == a or m.startswith(a + ".") for m in modules for a in absent)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, tmp_path):
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["verify", "--out", str(tmp_path / "v.json")]) == 0
+        assert main(["price", *FAST, "--out", str(tmp_path / "p.json")]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_process_main_runs_main_without_the_collector(monkeypatch):
+    # the entry turns the collector off for main, freezes what main left and
+    # exits with main's code
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 3)
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    gc.enable()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.process_main()
+        assert exc.value.code == 3
+        assert seen == [False]
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+        (gc.enable if was_enabled else gc.disable)()
 
 
 _WITHOUT_NUMPY = """

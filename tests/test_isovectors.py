@@ -517,6 +517,29 @@ def test_mode_for_rejects_floats():
     assert SolutionSpec.mode_for("1/2", DEFAULT) == SolutionSpec.mode_for(Fraction(1, 2), DEFAULT)
 
 
+@pytest.mark.parametrize("decimal", ["0.05", "1e-2"])
+def test_exact_entry_points_read_strings_as_p_over_q(decimal):
+    # a decimal string is rejected as parse_rational rejects it, not read as
+    # the Fraction 1/20 or 1/100; a spaced "p/q" is still accepted
+    builders = [
+        lambda v: make_context(v, "1/25"),
+        lambda v: make_context("1/20", v),
+        lambda v: isovector_from_constants([v, 0, 0, 0, 0, 0], SolutionSpec.empty(), DEFAULT),
+        lambda v: SolutionSpec.single(v, 0, 0),
+        lambda v: SolutionSpec.single(1, v, 0),
+        lambda v: ExpPoly.constant(v),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match="not a rational"):
+            build(decimal)
+    assert make_context(" 1/20 ", " 1/25 ") == DEFAULT
+    assert isovector_from_constants([" 1/20 ", 0, 0, 0, 0, 0], SolutionSpec.empty(), DEFAULT) == (
+        Fraction(1, 20) * basis_isovector(1, DEFAULT))
+    assert SolutionSpec.single(" 1/20 ", " 1/20 ", 0).modes == (
+        (Fraction(1, 20), Fraction(1, 20), 0),)
+    assert ExpPoly.constant(" 1/20 ") == ExpPoly.constant(Fraction(1, 20))
+
+
 # -- what is built once, and what is shared --------------------------------------
 
 
