@@ -7,6 +7,7 @@ the pair (r, sigma^2).  Everything downstream needs the two derived constants
     stilde = r + sigma^2/2
 
 which satisfy  rtilde^2/(2 sigma^2) + r = stilde^2/(2 sigma^2)  identically.
+The closed-form flows' one table, `_LOG_FLOWS`, lives here, free of numpy.
 """
 
 from __future__ import annotations
@@ -19,6 +20,20 @@ from math import lcm
 from numbers import Rational
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(\s*/\s*\d+)?")
+
+# The flows exp(kappa N_i) that integrate in closed form (3: time translation,
+# 4: boost, 5: space translation, 6: scaling) as psi(t, x) = e^p phi(t', x'):
+# each row is the point map (t, x) -> (t', x') and the log prefactor p, in the
+# numbers the caller passes (kappa, t, x and a context's rtilde, sigma2 and
+# stilde).  Rows use + - * /, integer powers and integer literals only, so
+# floats give the same float bits, arrays arrays and Fractions exact values.
+_LOG_FLOWS = {
+    3: (lambda k, t, x: (t + k, x), lambda k, rt, s2, st, t, x: -k * st**2 / (2 * s2)),
+    4: (lambda k, t, x: (t, x + k * t),
+        lambda k, rt, s2, st, t, x: k * t * (2 * rt - k) / (2 * s2) + (-k / s2) * x),
+    5: (lambda k, t, x: (t, x + k), lambda k, rt, s2, st, t, x: k * rt / s2),
+    6: (lambda k, t, x: (t, x), lambda k, rt, s2, st, t, x: k),
+}
 
 
 def parse_rational(text: str) -> Fraction:

@@ -5,13 +5,8 @@ their basis number.  In the log frame each flow reads
 
     psi(t, x) = e^(p(t, x)) phi(t', x')
 
-for a point map (t, x) -> (t', x') and a log prefactor p, which are one row
-of `_LOG_FLOWS`:
-    3: time translation    (t + kappa, x),   p = -kappa stilde^2/(2 sigma2)
-    4: boost               (t, x + kappa t), p = kappa t (2 rtilde - kappa)/(2 sigma2)
-                                                 - (kappa/sigma2) x
-    5: space translation   (t, x + kappa),   p = kappa rtilde/sigma2
-    6: scaling             (t, x),           p = kappa
+for a point map (t, x) -> (t', x') and a log prefactor p, one row of
+`model._LOG_FLOWS`, which `FiniteTransform` evaluates on floats and arrays.
 Under S = e^x the Black-Scholes equation is this constant-coefficient one,
 so the row is each flow's only formula.  Each flow maps solutions to
 solutions; `certify_transform` machine-checks that claim with the discrete
@@ -48,26 +43,12 @@ from .grids import (
     residual_e,
     residual_e2,
 )
-from .model import ModelContext
+from .model import _LOG_FLOWS, ModelContext
 from .pricing import Surface, _box, _masked, _out, _spot
 
 if TYPE_CHECKING:
     from .isovectors import Isovector
 
-# exp(kappa N_i) as its point map (t, x) -> (t', x') and the log of its
-# prefactor, both functions of (kappa, ctx, t, x); a coordinate the flow
-# leaves alone is returned as given.
-_LOG_FLOWS = {
-    3: (lambda k, c, t, x: (t + k, x),
-        lambda k, c, t, x: -k * c.stilde_f**2 / (2.0 * c.sigma2_f)),
-    4: (lambda k, c, t, x: (t, x + k * t),
-        lambda k, c, t, x: k * t * (2.0 * c.rtilde_f - k) / (2.0 * c.sigma2_f)
-        + (-k / c.sigma2_f) * x),
-    5: (lambda k, c, t, x: (t, x + k),
-        lambda k, c, t, x: k * c.rtilde_f / c.sigma2_f),
-    6: (lambda k, c, t, x: (t, x),
-        lambda k, c, t, x: k),
-}
 FLOW_GENERATORS = tuple(_LOG_FLOWS)
 
 class TransformDomainError(ValueError):
@@ -81,8 +62,8 @@ class TransformDomainError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteTransform:
-    """Finite flow exp(kappa * N_i) for i in {3, 4, 5, 6}, labelled for the
-    surfaces it acts on."""
+    """Finite flow exp(kappa * N_i) for i in {3, 4, 5, 6} and a finite real
+    kappa, kept as a float; labelled for the surfaces it acts on."""
 
     generator: int
     kappa: float
@@ -96,15 +77,21 @@ class FiniteTransform:
             )
         if self.frame not in ("price", "log"):
             raise ValueError(f"frame must be 'price' or 'log', got {self.frame!r}")
-        if not math.isfinite(self.kappa):
+        try:
+            finite = math.isfinite(self.kappa)
+        except OverflowError:  # an int or a Fraction past the float range
+            finite = False
+        if not finite:
             raise ValueError(f"kappa must be finite, got {self.kappa!r}")
+        object.__setattr__(self, "kappa", float(self.kappa))
 
     def pullback(self, ctx: ModelContext, t, x):
         """Map evaluation points (t, x) to base-solution points."""
-        return _LOG_FLOWS[self.generator][0](self.kappa, ctx, t, x)
+        return _LOG_FLOWS[self.generator][0](self.kappa, t, x)
 
     def prefactor(self, ctx: ModelContext, t, x):
-        return np.exp(_LOG_FLOWS[self.generator][1](self.kappa, ctx, t, x))
+        log_p = _LOG_FLOWS[self.generator][1]
+        return np.exp(log_p(self.kappa, ctx.rtilde_f, ctx.sigma2_f, ctx.stilde_f, t, x))
 
     def to_json(self) -> dict:
         return {"generator": self.generator, "kappa": self.kappa, "frame": self.frame}
@@ -151,12 +138,16 @@ class TransformedSurface(Surface):
         self.ctx = ctx
         self.frame = base.frame
 
-    def at(self, t, x):
-        t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    def _pull_back(self, t, x):
+        """(t, x) pulled back through every stage, and each stage with the points it saw."""
         seen = []
         for tr in reversed(self.pipeline.transforms):
             seen.append((tr, t, x))
             t, x = tr.pullback(self.ctx, t, x)
+        return t, x, seen
+
+    def at(self, t, x):
+        t, x, seen = self._pull_back(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
         out = self.base.at(t, x)
         with np.errstate(over="ignore", invalid="ignore"):
             for tr, t, x in reversed(seen):
@@ -348,9 +339,8 @@ def certify_transform(
     # the base at the non-finite nodes' pulled-back points, a strip at a time
     for lo, hi in _row_strips(grid.nt, grid.nx) if n_bad else ():
         nodes = np.flatnonzero(bad[lo:hi])
-        t, x = grid.t_values[lo + nodes // grid.nx], grid.x_values[nodes % grid.nx]
-        for tr in reversed(surface.pipeline.transforms):
-            t, x = tr.pullback(ctx, t, x)
+        t, x, _ = surface._pull_back(
+            grid.t_values[lo + nodes // grid.nx], grid.x_values[nodes % grid.nx])
         n_over += np.count_nonzero(np.isfinite(base.at(t, x)))
     if n_over:
         raise OverflowError(f"{n_over} of {bad.size} nodes overflow")

@@ -1,6 +1,10 @@
 """Finite flows, pipelines, residual certification and infinitesimal actions."""
 
+import hashlib
+import json
 import math
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import MODEL_POINTS, NEGATIVE_RATE
 from bssym import pricing
 from bssym.grids import (
     _D1_TIERS,
@@ -30,10 +35,11 @@ from bssym.grids import (
 from bssym.isovectors import (
     SolutionSpec,
     basis_isovector,
+    gh_of,
     solution_isovector,
     structure_constants,
 )
-from bssym.model import make_context
+from bssym.model import _LOG_FLOWS, make_context
 from bssym.pricing import ClosedFormSolution, LogClosedForm, OptionSpec, bs_price
 from bssym.transforms import (
     BoxRestrictedSurface,
@@ -74,11 +80,34 @@ def test_flow_indices_validated():
         FiniteTransform(4, 0.1, frame="spot")
 
 
-@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kappa", [
+    math.nan, math.inf, -math.inf,
+    # past the float range: float() would raise OverflowError
+    pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400"),
+    pytest.param(Fraction(10**400, 3), id="1e400/3"),
+])
 @pytest.mark.parametrize("i", FLOW_GENERATORS)
 def test_non_finite_kappa_rejected(i, kappa):
     with pytest.raises(ValueError, match="kappa must be finite"):
         FiniteTransform(i, kappa)
+
+
+@pytest.mark.parametrize("kappa", [Fraction(1, 10), np.float32(0.1), np.float64(0.1), 0])
+@pytest.mark.parametrize("i", FLOW_GENERATORS)
+def test_kappa_is_read_once_as_a_float(i, kappa):
+    # any real kappa acts, and serialises, as the float it rounds to
+    tr, want = FiniteTransform(i, kappa), FiniteTransform(i, float(kappa))
+    assert type(tr.kappa) is float and tr == want
+    assert json.dumps(tr.to_json()) == json.dumps(want.to_json())
+    T, S = np.asarray([[0.1], [0.5]]), np.asarray([[60.0, 100.0, 150.0]])
+    got = apply_transform(tr, call_surface(), DEFAULT).value(T, S)
+    assert np.isfinite(got).all()
+    assert np.array_equal(got, apply_transform(want, call_surface(), DEFAULT).value(T, S))
+
+
+def test_kappa_as_text_is_a_type_error():
+    with pytest.raises(TypeError):
+        FiniteTransform(5, "0.1")
 
 
 def test_time_shift_pullback_and_prefactor():
@@ -266,6 +295,125 @@ def test_kappa_zero_is_identity():
     surf = apply_transform(FiniteTransform(4, 0.0), call_surface(), DEFAULT)
     got = sample_surface(surf, COARSE).values
     assert np.array_equal(got, sample_surface(call_surface(), COARSE).values)
+
+
+class _Dual:
+    """a + b eps with eps^2 = 0, over Fractions: carries d/dkappa exactly."""
+
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    @staticmethod
+    def of(v):
+        return v if isinstance(v, _Dual) else _Dual(v)
+
+    def __add__(self, o):
+        o = _Dual.of(o)
+        return _Dual(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Dual(-self.a, -self.b)
+
+    def __sub__(self, o):
+        return self + -_Dual.of(o)
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        o = _Dual.of(o)
+        return _Dual(self.a * o.a, self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        o = _Dual.of(o)
+        return _Dual(self.a / o.a, (self.b * o.a - self.a * o.b) / (o.a * o.a))
+
+
+def _exact_at(poly, t, x):
+    """A polynomial in (t, x) alone, summed exactly at a rational point."""
+    total = Fraction(0)
+    for (exps, sig), c in poly.sorted_terms():
+        assert sig == (0, 0) and not any(exps[2:]), poly
+        total += c * t ** exps[0] * x ** exps[1]
+    return total
+
+
+_FLOW_POINTS = [Fraction(v) for v in ("-1/3", "0", "1/7", "2/5", "3/2")]
+
+
+def _flow_ode_failures(rows, i, ctx):
+    """The points (kappa, t, x) of _FLOW_POINTS^3 where a row is not the flow
+    of N_i: d/dkappa of (t', x', log prefactor) must be (-N^t, -N^x, h) at
+    (t', x'), with (t', x', 0) = (t, x) at kappa = 0."""
+    point_map, log_p = rows[i]
+    N = basis_isovector(i, ctx)
+    fields = (-N.Nt, -N.Nx, gh_of(N).h)
+    failures = 0
+    for k in _FLOW_POINTS:
+        for t in _FLOW_POINTS:
+            for x in _FLOW_POINTS:
+                consts = (ctx.rtilde, ctx.sigma2, ctx.stilde, t, x)
+                start = (*point_map(Fraction(0), t, x), log_p(Fraction(0), *consts))
+                kd = _Dual(k, 1)
+                moved = [_Dual.of(v) for v in (*point_map(kd, t, x), log_p(kd, *consts))]
+                tp, xp = moved[0].a, moved[1].a
+                rates = [_exact_at(f, tp, xp) for f in fields]
+                failures += start != (t, x, 0) or [v.b for v in moved] != rates
+    return failures
+
+
+@pytest.mark.parametrize("r, sigma2", [*MODEL_POINTS, NEGATIVE_RATE])
+def test_flow_table_is_the_exact_flow_of_each_generator(r, sigma2):
+    # each row, evaluated on Fractions, solves the flow ODE of its basis
+    # field exactly; a slipped sign in N4's or N3's prefactor does not
+    ctx = make_context(r, sigma2)
+    for i in FLOW_GENERATORS:
+        assert _flow_ode_failures(_LOG_FLOWS, i, ctx) == 0, i
+    n4_slip = {4: (_LOG_FLOWS[4][0],
+                   lambda k, rt, s2, st, t, x: k * t * (2 * rt + k) / (2 * s2) + (-k / s2) * x)}
+    n3_slip = {3: (_LOG_FLOWS[3][0], lambda k, rt, s2, st, t, x: k * st**2 / (2 * s2))}
+    # N4's slip shows wherever kappa and t are both nonzero; N3's everywhere
+    assert _flow_ode_failures(n4_slip, 4, ctx) == 4 * 4 * 5
+    assert _flow_ode_failures(n3_slip, 3, ctx) == 5**3
+
+
+# sha256 prefixes of the float64 bits of each row's pullback (t', x') and
+# prefactor on the 9 x 7 grid below, recorded before the rows moved into the
+# numpy-free model module
+_FLOW_DIGESTS = {
+    (3, -0.3): ("7ad8df9768b039db", "508939bdaaf16652"),
+    (3, 0.123): ("d18391da4e18adfc", "18206efc218cef0c"),
+    (4, -0.3): ("dd3cad8999709c04", "34b6fbb5c32dfc2d"),
+    (4, 0.123): ("750c1243b656a232", "082133d004e30d96"),
+    (5, -0.3): ("2cb64a2daedf1d4f", "c3c8e7c9c60db21f"),
+    (5, 0.123): ("87ba1fcfc011d805", "e782bddaf13cb1c8"),
+    (6, -0.3): ("39cda0feea4b84a9", "84f3aa6915a2b5f1"),
+    (6, 0.123): ("39cda0feea4b84a9", "eb1a4fc529ea1908"),
+}
+
+
+@pytest.mark.parametrize("i, kappa", list(_FLOW_DIGESTS))
+def test_flow_rows_keep_their_float_bits(i, kappa):
+    T, X = make_grid(0.0, 0.8, 9, math.log(50.0), math.log(200.0), 7).meshes()
+
+    def digest(*arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(np.broadcast_to(a, T.shape)).view(np.uint64).tobytes())
+        return h.hexdigest()[:16]
+
+    tr = FiniteTransform(i, kappa)
+    got = (digest(*tr.pullback(DEFAULT, T, X)), digest(tr.prefactor(DEFAULT, T, X)))
+    assert got == _FLOW_DIGESTS[i, kappa]
+
+
+def test_model_and_its_flow_table_load_no_numpy():
+    code = "import sys, bssym.model; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 # one flow per generator, and the four stages of the CLI's golden transform
