@@ -30,13 +30,13 @@ _PUBLIC = {
     **dict.fromkeys(("ModelContext", "make_context", "parse_rational"), "model"),
     "ExpPoly": "exppoly",
     **dict.fromkeys(
-        ("DiffForm", "contract", "lie_derivative", "structural_forms", "wedge"),
+        ("DiffForm", "contract", "lie_derivative", "structural_forms"),
         "forms",
     ),
     **dict.fromkeys(("MembershipCertificate", "ideal_membership"), "ideal"),
     **dict.fromkeys(
-        ("DispersionError", "Generator", "GHPair", "Isovector",
-         "NotInFamilyError", "SolutionSpec", "VerificationReport",
+        ("DispersionError", "GHPair", "Isovector", "NotInFamilyError",
+         "SolutionSpec", "VerificationReport",
          "basis_isovector", "bracket", "bracket_gh", "decompose",
          "generator_of", "gh_of", "in_solution_ideal",
          "isovector_from_constants", "isovector_from_generator", "pde_defect",
@@ -54,7 +54,7 @@ _PUBLIC = {
         "grids",
     ),
     **dict.fromkeys(
-        ("ActionSurface", "CertificationResult", "FiniteTransform", "Pipeline",
+        ("ActionSurface", "CertificationResult", "FiniteTransform",
          "TransformDomainError", "apply_transform", "as_surface",
          "certify_transform", "compose", "infinitesimal_action",
          "sample_surface"),
@@ -79,25 +79,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ModelContext", "make_context", "parse_rational",
-    "ExpPoly",
-    "DiffForm", "wedge", "contract", "lie_derivative",
-    "structural_forms",
-    "MembershipCertificate", "ideal_membership",
-    "Isovector", "Generator", "GHPair", "SolutionSpec", "VerificationReport",
-    "DispersionError", "NotInFamilyError",
-    "basis_isovector", "solution_isovector", "isovector_from_constants",
-    "isovector_from_generator", "generator_of", "verify_isovector",
-    "bracket", "bracket_gh", "gh_of", "decompose", "structure_constants",
-    "pretty_combination", "pde_defect", "in_solution_ideal",
-    "OptionSpec", "ClosedFormSolution", "LogClosedForm",
-    "bs_price",
-    "Grid", "GridSolution", "ResidualReport", "make_grid", "fd_solve",
-    "residual_e", "residual_e2", "read_csv", "write_csv",
-    "FiniteTransform", "Pipeline", "TransformDomainError",
-    "apply_transform", "compose", "as_surface", "sample_surface",
-    "certify_transform", "CertificationResult",
-    "ActionSurface", "infinitesimal_action",
-    "__version__",
-]
+__all__ = [*_PUBLIC, "__version__"]

@@ -450,7 +450,7 @@ def cmd_transform(cfg: RunConfig) -> int:
         verdicts = [
             {
                 "stage": stage,
-                "transforms": pipe.to_json(),
+                "transforms": [tr.to_json() for tr in pipe],
                 "csv": f"stage_{stage}.csv",
                 **result.to_json(),
             }

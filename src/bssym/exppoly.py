@@ -241,11 +241,6 @@ class ExpPoly:
         return ExpPoly.term(1, exps)
 
     @staticmethod
-    def exp_factor(a, b) -> "ExpPoly":
-        """exp(a*t + b*x) with rational a, b."""
-        return ExpPoly.term(1, a=a, b=b)
-
-    @staticmethod
     def term(coeff, exps: Sequence[int] = _ZERO_EXPS, a=_ZERO, b=_ZERO) -> "ExpPoly":
         """The single term coeff * t^i x^j phi^k A^l B^m * exp(a*t + b*x).
 
@@ -295,10 +290,6 @@ class ExpPoly:
         shift = _SHIFTS[var_index(name)]
         return max((key >> shift & _EXP_MAX
                     for mono in self._terms.values() for key in mono), default=0)
-
-    def is_polynomial(self) -> bool:
-        """True when no term carries an exponential factor."""
-        return self._terms.keys() <= {0}
 
     # -- arithmetic --------------------------------------------------------
 

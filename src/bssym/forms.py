@@ -264,10 +264,6 @@ class DiffForm:
         return f"DiffForm<{self.degree}>({self})"
 
 
-def wedge(u: DiffForm, v: DiffForm) -> DiffForm:
-    return u.wedge(v)
-
-
 def _components_of(N) -> Sequence[ExpPoly]:
     comps = getattr(N, "components", N)
     comps = tuple(comps)

@@ -66,10 +66,6 @@ class SolutionSpec:
     modes: Tuple[Tuple[Fraction, Fraction, Fraction], ...] = ()
 
     @staticmethod
-    def empty() -> "SolutionSpec":
-        return SolutionSpec(())
-
-    @staticmethod
     def single(coeff, a, b) -> "SolutionSpec":
         return SolutionSpec((tuple(map(_as_fraction, (coeff, a, b))),))
 
@@ -119,25 +115,6 @@ def in_solution_ideal(N: Isovector, ctx: ModelContext) -> bool:
     if not pair.h.is_zero():
         return False
     return pde_defect(pair.g, ctx).is_zero()
-
-
-@dataclass(frozen=True)
-class Generator:
-    """Generator function F = c + B*d with c free of B and d = d(t)."""
-
-    c: ExpPoly
-    d: ExpPoly
-
-    def __post_init__(self):
-        if self.c.depends_on("B"):
-            raise ValueError("generator part c must be free of B")
-        for name in ("x", "phi", "A", "B"):
-            if self.d.depends_on(name):
-                raise ValueError("generator part d must be a function of t only")
-
-    @property
-    def F(self) -> ExpPoly:
-        return self.c + _B * self.d
 
 
 @dataclass(frozen=True)
@@ -257,35 +234,23 @@ class VerificationReport:
 # -- generator correspondence ----------------------------------------------
 
 
-def _generator(N: Isovector) -> ExpPoly:
-    """F = N _| alpha = N^phi - A N^x - B N^t, summed in one pass."""
+def generator_of(N: Isovector) -> ExpPoly:
+    """The generating function F = N _| alpha = N^phi - A N^x - B N^t,
+    summed in one pass."""
     return _sum_of_products(((_ONE, N.Nphi),), ((_A, N.Nx), (_B, N.Nt)))
 
 
-def generator_of(N: Isovector) -> Generator:
-    """F = N _| alpha, split as c + B*d."""
-    F = _generator(N)
-    if F.degree_in("B") > 1:
-        raise ValueError(
-            "generator is quadratic or higher in B; no isovector induces it"
-        )
-    d = F.coeff_of("B", 1)
-    c = F.coeff_of("B", 0)
-    return Generator(c=c, d=d)
-
-
-def isovector_from_generator(gen: Generator) -> Isovector:
-    """Rebuild the five components from F by the canonical prolongation.
+def isovector_from_generator(F: ExpPoly, name: str = "") -> Isovector:
+    """The prolongation of any generating function F, each component summed
+    in one pass:
 
         N^t = -F_B     N^x = -F_A     N^phi = F - A F_A - B F_B
         N^A = F_x + A F_phi           N^B = F_t + B F_phi
+
+    Every such N is a contact field, L_N alpha = F_phi alpha, whose own
+    generator is F again; whether it is an isovector, that is whether L_N
+    beta lies in the ideal, is what `verify_isovector` decides.
     """
-    return _prolong(gen.F)
-
-
-def _prolong(F: ExpPoly, name: str = "") -> Isovector:
-    """The prolongation of `isovector_from_generator`, each component
-    summed in one pass."""
     FB = F.diff("B")
     FA = F.diff("A")
     Fphi = F.diff("phi")
@@ -325,7 +290,7 @@ def isovector_from_constants(
         raise ValueError("expected six constants C1..C6")
     constants = tuple(map(_as_fraction, constants))
     modes.check_dispersion(ctx)
-    return _prolong(_family_generator(constants, modes, ctx), name=name)
+    return isovector_from_generator(_family_generator(constants, modes, ctx), name=name)
 
 
 def _member_terms(constants, ctx: ModelContext) -> tuple:
@@ -375,7 +340,7 @@ def basis_isovector(i: int, ctx: ModelContext) -> Isovector:
         constants = [0] * 6
         constants[i - 1] = 1
         N = basis[i] = isovector_from_constants(
-            constants, SolutionSpec.empty(), ctx, name=f"N{i}"
+            constants, SolutionSpec(), ctx, name=f"N{i}"
         )
     return N
 
@@ -393,7 +358,7 @@ def solution_isovector(
 def verify_isovector(N: Isovector, ctx: ModelContext) -> VerificationReport:
     """Machine check of L_N(I) subset I with exact arithmetic."""
     alpha, _, beta = _forms_of(ctx)
-    F = _generator(N)
+    F = generator_of(N)
     lam = F.diff("phi")
     alpha_defect = lie_derivative(N, alpha) - alpha * lam
     L_beta = lie_derivative(N, beta)
@@ -475,7 +440,7 @@ def decompose(N: Isovector, ctx: ModelContext):
     variable.  The one membership check is the rebuild-and-compare: a
     NotInFamilyError names the first component that differs.
     """
-    F = _generator(N)
+    F = generator_of(N)
     # read off F's integer storage: group 0 holds the terms with no
     # exponential, key 0 the term with no power of any variable
     den, groups = F._den, F._terms
@@ -491,7 +456,7 @@ def decompose(N: Isovector, ctx: ModelContext):
     )))
     spec.check_dispersion(ctx)
 
-    rebuilt = _prolong(_family_generator(constants, spec, ctx))
+    rebuilt = isovector_from_generator(_family_generator(constants, spec, ctx))
     for var, a, b in zip(VARS, rebuilt.components, N.components):
         if a != b:
             raise NotInFamilyError(

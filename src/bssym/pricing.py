@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +16,23 @@ from .model import ModelContext
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 
+def _finite_float(name: str, value) -> float:
+    """A real parameter read once as a float: anything past the float range,
+    an int or a Fraction too, is the "must be finite" ValueError, and a
+    non-number is a TypeError."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int or a Fraction past the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class OptionSpec:
-    """Vanilla European option parameters."""
+    """Vanilla European option parameters; strike and maturity are read
+    once as floats."""
 
     strike: float
     maturity: float
@@ -28,8 +43,7 @@ class OptionSpec:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-            if not value < np.inf:
-                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, _finite_float(name, value))
         if self.kind not in ("call", "put"):
             raise ValueError(f"kind must be 'call' or 'put', got {self.kind!r}")
 

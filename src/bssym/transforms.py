@@ -23,8 +23,8 @@ that interpolation took place so a failed verdict can be attributed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from operator import index
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -44,7 +44,7 @@ from .grids import (
     residual_e2,
 )
 from .model import _LOG_FLOWS, ModelContext
-from .pricing import Surface, _box, _masked, _out, _spot
+from .pricing import Surface, _box, _finite_float, _masked, _out, _spot
 
 if TYPE_CHECKING:
     from .isovectors import Isovector
@@ -62,14 +62,16 @@ class TransformDomainError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteTransform:
-    """Finite flow exp(kappa * N_i) for i in {3, 4, 5, 6} and a finite real
-    kappa, kept as a float; labelled for the surfaces it acts on."""
+    """Finite flow exp(kappa * N_i) for an integer i in {3, 4, 5, 6} and a
+    finite real kappa, kept as a float; labelled for the surfaces it acts on."""
 
     generator: int
     kappa: float
     frame: str = "price"
 
     def __post_init__(self):
+        # index, not int: a generator of 4.0 is a TypeError, not a 4
+        object.__setattr__(self, "generator", index(self.generator))
         if self.generator not in FLOW_GENERATORS:
             raise ValueError(
                 f"no closed-form flow for generator {self.generator}; "
@@ -77,13 +79,7 @@ class FiniteTransform:
             )
         if self.frame not in ("price", "log"):
             raise ValueError(f"frame must be 'price' or 'log', got {self.frame!r}")
-        try:
-            finite = math.isfinite(self.kappa)
-        except OverflowError:  # an int or a Fraction past the float range
-            finite = False
-        if not finite:
-            raise ValueError(f"kappa must be finite, got {self.kappa!r}")
-        object.__setattr__(self, "kappa", float(self.kappa))
+        object.__setattr__(self, "kappa", _finite_float("kappa", self.kappa))
 
     def pullback(self, ctx: ModelContext, t, x):
         """Map evaluation points (t, x) to base-solution points."""
@@ -97,26 +93,16 @@ class FiniteTransform:
         return {"generator": self.generator, "kappa": self.kappa, "frame": self.frame}
 
 
-@dataclass(frozen=True)
-class Pipeline:
-    """A sequence of finite transforms applied left to right."""
-
-    transforms: tuple
-
-    def __post_init__(self):
-        if not self.transforms:
-            raise ValueError("empty transform pipeline")
-
-    def to_json(self) -> list:
-        return [tr.to_json() for tr in self.transforms]
-
-
-def compose(*transforms: FiniteTransform) -> Pipeline:
-    return Pipeline(tuple(transforms))
+def compose(*flows: FiniteTransform) -> tuple:
+    """The pipeline that applies `flows` left to right: their tuple."""
+    if not flows:
+        raise ValueError("empty transform pipeline")
+    return flows
 
 
 class TransformedSurface(Surface):
-    """Lazy application of a pipeline to a base surface.
+    """Lazy application of a finite flow, or a pipeline of them (the tuple
+    `compose` returns), to a base surface.
 
     The pipeline acts left to right, so a point is pulled back through its
     last stage first.  The base is evaluated once, at the fully pulled-back
@@ -126,8 +112,11 @@ class TransformedSurface(Surface):
     stage's label must be the base's, which the result carries.
     """
 
-    def __init__(self, base, pipeline: Pipeline, ctx: ModelContext):
-        labels = [tr.frame for tr in pipeline.transforms]
+    def __init__(self, base, pipeline, ctx: ModelContext):
+        if isinstance(pipeline, FiniteTransform):
+            pipeline = (pipeline,)
+        pipeline = compose(*pipeline)
+        labels = [tr.frame for tr in pipeline]
         if set(labels) != {base.frame}:
             raise ValueError(
                 f"frame labels differ: surface is {base.frame!r}, "
@@ -141,7 +130,7 @@ class TransformedSurface(Surface):
     def _pull_back(self, t, x):
         """(t, x) pulled back through every stage, and each stage with the points it saw."""
         seen = []
-        for tr in reversed(self.pipeline.transforms):
+        for tr in reversed(self.pipeline):
             seen.append((tr, t, x))
             t, x = tr.pullback(self.ctx, t, x)
         return t, x, seen
@@ -256,11 +245,9 @@ def as_surface(sol):
     return _ForeignSurface(sol)
 
 
-def apply_transform(transform: Union[FiniteTransform, Pipeline], sol, ctx: ModelContext):
+def apply_transform(transform: Union[FiniteTransform, tuple], sol, ctx: ModelContext):
     """Apply a finite flow, or a pipeline of them, to a solution surface (or
     GridSolution).  A single flow is the one-stage pipeline compose(flow)."""
-    if not isinstance(transform, Pipeline):
-        transform = compose(transform)
     return TransformedSurface(as_surface(sol), transform, ctx)
 
 
@@ -311,7 +298,7 @@ class CertificationResult:
 
 
 def certify_transform(
-    transform: Union[FiniteTransform, Pipeline],
+    transform: Union[FiniteTransform, tuple],
     sol,
     grid: Grid,
     ctx: ModelContext,

@@ -22,11 +22,10 @@ import pytest
 from conftest import MODEL_POINTS, record_criterion
 
 from bssym.exppoly import ExpPoly
-from bssym.forms import DiffForm, contract, structural_forms, wedge
+from bssym.forms import DiffForm, contract, structural_forms
 from bssym.grids import GridSolution, fd_solve, make_grid, residual_e2
 from bssym.ideal import ideal_membership
 from bssym.isovectors import (
-    Generator,
     Isovector,
     SolutionSpec,
     basis_isovector,
@@ -163,7 +162,7 @@ def test_criterion_2_structural_identities():
     dt, dB = DiffForm.covector("dt"), DiffForm.covector("dB")
     if str(dalpha) != "-dA^dx - dB^dt":
         problems.append(f"dalpha rendered as {dalpha}")
-    if dalpha != wedge(dx, dA) + wedge(dt, dB):
+    if dalpha != dx.wedge(dA) + dt.wedge(dB):
         problems.append("dalpha != dx^dA + dt^dB")
 
     for r, sigma2 in MODEL_POINTS:
@@ -172,7 +171,7 @@ def test_criterion_2_structural_identities():
         if alpha.d() != da:
             problems.append(f"d(alpha) mismatch at r={r}")
         shift = dx - dt * ExpPoly.constant(ctx.rtilde)
-        want = wedge(da, shift) - wedge(wedge(alpha, dx), dt) * ExpPoly.constant(ctx.r)
+        want = da.wedge(shift) - alpha.wedge(dx).wedge(dt) * ExpPoly.constant(ctx.r)
         if beta.d() != want:
             problems.append(f"d(beta) recombination fails at r={r}")
 
@@ -421,9 +420,7 @@ def test_criterion_8_negative_controls(acceptance_grid):
     problems = []
 
     # bare boost: the contact condition holds, the 2-form condition fails
-    boost = isovector_from_generator(
-        Generator(c=ExpPoly.var("A") * ExpPoly.var("t"), d=ExpPoly.zero())
-    )
+    boost = isovector_from_generator(ExpPoly.var("A") * ExpPoly.var("t"))
     rep = verify_isovector(boost, DEFAULT)
     if rep.passed:
         problems.append("bare boost verified but must not")
@@ -434,7 +431,7 @@ def test_criterion_8_negative_controls(acceptance_grid):
 
     # dx^dt is outside the ideal, with itself as the offending remainder
     cert = ideal_membership(
-        wedge(DiffForm.covector("dx"), DiffForm.covector("dt")), DEFAULT
+        DiffForm.covector("dx").wedge(DiffForm.covector("dt")), DEFAULT
     )
     if cert.in_ideal or str(cert.remainder) != "dx^dt":
         problems.append(f"dx^dt membership remainder is {cert.remainder}")

@@ -709,7 +709,7 @@ def test_every_public_name_resolves():
 
     namespace = {}
     exec("from bssym import *", namespace)
-    assert len(bssym.__all__) == 57
+    assert len(bssym.__all__) == 54
     assert all(namespace[name] is getattr(bssym, name) for name in bssym.__all__)
     # a numeric name is the submodule's own object, read on each lookup
     assert bssym.fd_solve is bssym.grids.fd_solve

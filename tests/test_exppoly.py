@@ -43,10 +43,10 @@ def test_constructors_and_predicates():
     x = ExpPoly.var("x")
     assert x.depends_on("x") and not x.depends_on("t")
     assert x.degree_in("x") == 1
-    assert ExpPoly.exp_factor(1, 2).depends_on("t")
-    assert not ExpPoly.exp_factor(0, 2).depends_on("t")
-    assert ExpPoly.var("phi").is_polynomial()
-    assert not ExpPoly.exp_factor(1, 0).is_polynomial()
+    assert ExpPoly.term(1, a=1, b=2).depends_on("t")
+    assert not ExpPoly.term(1, a=0, b=2).depends_on("t")
+    assert {sig for (_, sig), _ in ExpPoly.var("phi").sorted_terms()} == {(0, 0)}
+    assert {sig for (_, sig), _ in ExpPoly.term(1, a=1, b=0).sorted_terms()} == {(1, 0)}
 
 
 def test_var_rejects_unknown_name():
@@ -94,9 +94,9 @@ def test_mixed_partials_commute(p):
 
 
 def test_exp_factors_multiply_by_adding_signatures():
-    e1 = ExpPoly.exp_factor(Fraction(1, 2), 1)
-    e2 = ExpPoly.exp_factor(Fraction(1, 2), -1)
-    assert e1 * e2 == ExpPoly.exp_factor(1, 0)
+    e1 = ExpPoly.term(1, a=Fraction(1, 2), b=1)
+    e2 = ExpPoly.term(1, a=Fraction(1, 2), b=-1)
+    assert e1 * e2 == ExpPoly.term(1, a=1, b=0)
     # d/dt e^{at+bx} = a e^{at+bx}
     assert e1.diff("t") == ExpPoly.constant(Fraction(1, 2)) * e1
     assert e1.diff("x") == e1
@@ -121,13 +121,13 @@ def test_evaluate_agrees_with_exact(terms):
 
 @pytest.mark.parametrize("name", ["phi", "A", "B"])
 def test_eval_grid_rejects_a_term_in_the_jet_variables(name):
-    p = ExpPoly.exp_factor(1, 0) + ExpPoly.var(name) * ExpPoly.var("x")
+    p = ExpPoly.term(1, a=1, b=0) + ExpPoly.var(name) * ExpPoly.var("x")
     with pytest.raises(ValueError, match="no term in phi, A or B"):
         p.eval_grid(0.5, np.asarray([1.0, 2.0]))
 
 
 def test_eval_grid_broadcasts():
-    p = ExpPoly.term(Fraction(2), (1, 1, 0, 0, 0)) + ExpPoly.exp_factor(0, 1)
+    p = ExpPoly.term(Fraction(2), (1, 1, 0, 0, 0)) + ExpPoly.term(1, a=0, b=1)
     t = np.asarray([[0.0], [1.0]])
     x = np.asarray([[1.0, 2.0]])
     got = p.eval_grid(t, x)
@@ -149,12 +149,12 @@ def test_string_rendering():
     p = B + ExpPoly.constant(Fraction(3, 100)) * A - ExpPoly.constant(Fraction(1, 20)) * phi
     assert str(p) == "-1/20*phi + 3/100*A + B"
     assert str(ExpPoly.zero()) == "0"
-    assert str(ExpPoly.exp_factor(Fraction(1, 20), 0)) == "exp(1/20*t)"
+    assert str(ExpPoly.term(1, a=Fraction(1, 20), b=0)) == "exp(1/20*t)"
     q = ExpPoly.term(Fraction(-1, 2), (0, 1, 0, 0, 0), 0, 2)
     assert str(q) == "-1/2*x*exp(2*x)"
     r = ExpPoly.term(3, (1, 0, 0, 0, 0), Fraction(1, 2), -2)
     assert str(r) == "3*t*exp(1/2*t - 2*x)"
-    assert str(ExpPoly.exp_factor(-1, 1) - ExpPoly.var("x")) == "-x + exp(-1*t + x)"
+    assert str(ExpPoly.term(1, a=-1, b=1) - ExpPoly.var("x")) == "-x + exp(-1*t + x)"
 
 
 # -- term storage ----------------------------------------------------------------
@@ -214,26 +214,26 @@ def test_difference_with_itself_is_the_zero_constant(terms):
 
 
 def test_trivial_exponential_is_one():
-    assert ExpPoly.exp_factor(0, 0) == ExpPoly.one()
-    assert hash(ExpPoly.exp_factor(0, 0)) == hash(ExpPoly.one())
-    assert ExpPoly.exp_factor(0, 0).is_polynomial()
-    e = ExpPoly.exp_factor(Fraction(1, 2), -1)
-    assert e * ExpPoly.exp_factor(Fraction(-1, 2), 1) == ExpPoly.one()
-    assert (e * ExpPoly.exp_factor(Fraction(-1, 2), 1)).is_constant()
+    assert ExpPoly.term(1, a=0, b=0) == ExpPoly.one()
+    assert hash(ExpPoly.term(1, a=0, b=0)) == hash(ExpPoly.one())
+    assert ExpPoly.term(1, a=0, b=0).is_constant()
+    e = ExpPoly.term(1, a=Fraction(1, 2), b=-1)
+    assert e * ExpPoly.term(1, a=Fraction(-1, 2), b=1) == ExpPoly.one()
+    assert (e * ExpPoly.term(1, a=Fraction(-1, 2), b=1)).is_constant()
 
 
 def _pinned_polys():
     t, x, phi, A, B = (ExpPoly.var(n) for n in VARS)
     return {
         "mixed": ExpPoly.term(Fraction(3, 4), (1, 0, 0, 0, 0), Fraction(1, 2), -1)
-        - x * ExpPoly.exp_factor(Fraction(1, 2), -1)
+        - x * ExpPoly.term(1, a=Fraction(1, 2), b=-1)
         + ExpPoly.constant(Fraction(-5, 3)) * t * t * phi
-        + ExpPoly.exp_factor(0, 2) * A + B - 7,
-        "product": (x + ExpPoly.exp_factor(Fraction(-1, 20), 1))
-        * (t - ExpPoly.exp_factor(Fraction(1, 20), -1) * B),
+        + ExpPoly.term(1, a=0, b=2) * A + B - 7,
+        "product": (x + ExpPoly.term(1, a=Fraction(-1, 20), b=1))
+        * (t - ExpPoly.term(1, a=Fraction(1, 20), b=-1) * B),
         "derivative": (
             ExpPoly.term(2, (2, 1, 0, 0, 0), 1, Fraction(2, 3))
-            + t * ExpPoly.exp_factor(-1, 0)
+            + t * ExpPoly.term(1, a=-1, b=0)
         ).diff("t"),
     }
 
@@ -282,7 +282,7 @@ def test_signatures_interned_from_many_threads_stay_distinct():
     def build(worker, bad):
         for j in range(300):
             sig = (Fraction(j, 7919), Fraction(worker + 1, 104729))
-            p = ExpPoly.exp_factor(*sig) * ExpPoly.var("x")
+            p = ExpPoly.term(1, a=sig[0], b=sig[1]) * ExpPoly.var("x")
             if p.sorted_terms() != [(((0, 1, 0, 0, 0), sig), 1)]:
                 bad.append((worker, j))
 

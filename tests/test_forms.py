@@ -10,13 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bssym.exppoly import VARS, ExpPoly
-from bssym.forms import (
-    DiffForm,
-    contract,
-    lie_derivative,
-    structural_forms,
-    wedge,
-)
+from bssym.forms import DiffForm, contract, lie_derivative, structural_forms
 from bssym.isovectors import basis_isovector, Isovector
 from bssym.model import make_context
 
@@ -55,14 +49,14 @@ DEFAULT = make_context(Fraction(1, 20), Fraction(1, 25))
 
 @given(one_forms(), one_forms())
 def test_wedge_antisymmetry(u, v):
-    assert wedge(u, v) == -wedge(v, u)
-    assert wedge(u, u).is_zero()
+    assert u.wedge(v) == -v.wedge(u)
+    assert u.wedge(u).is_zero()
 
 
 @given(one_forms(), one_forms(), one_forms())
 def test_wedge_associativity_and_linearity(u, v, w):
-    assert wedge(wedge(u, v), w) == wedge(u, wedge(v, w))
-    assert wedge(u + v, w) == wedge(u, w) + wedge(v, w)
+    assert u.wedge(v).wedge(w) == u.wedge(v.wedge(w))
+    assert (u + v).wedge(w) == u.wedge(w) + v.wedge(w)
 
 
 @given(functions())
@@ -81,24 +75,21 @@ def test_leibniz_rule(f, u):
     # d(f u) = df ^ u + f du
     left = (u * f).d()
     df = DiffForm(0, {(): f}).d()
-    right = wedge(df, u) + u.d() * f
+    right = df.wedge(u) + u.d() * f
     assert left == right
 
 
 def test_degree_bounds():
     dt = DiffForm.covector("dt")
-    top = wedge(
-        dt,
-        wedge(
-            DiffForm.covector("dx"),
-            wedge(
-                DiffForm.covector("dphi"),
-                wedge(DiffForm.covector("dA"), DiffForm.covector("dB")),
-            ),
-        ),
+    top = dt.wedge(
+        DiffForm.covector("dx").wedge(
+            DiffForm.covector("dphi").wedge(
+                DiffForm.covector("dA").wedge(DiffForm.covector("dB"))
+            )
+        )
     )
     assert top.degree == 5
-    assert wedge(top, dt).is_zero()
+    assert top.wedge(dt).is_zero()
 
 
 def test_contact_form_strings():
@@ -118,7 +109,7 @@ def test_dalpha_is_context_free(ctx):
     assert alpha.d() == dalpha
     dx, dA = DiffForm.covector("dx"), DiffForm.covector("dA")
     dt, dB = DiffForm.covector("dt"), DiffForm.covector("dB")
-    assert dalpha == wedge(dx, dA) + wedge(dt, dB)
+    assert dalpha == dx.wedge(dA) + dt.wedge(dB)
 
 
 @given(contexts)
@@ -128,7 +119,7 @@ def test_dbeta_structural_identity(ctx):
     dt, dx = DiffForm.covector("dt"), DiffForm.covector("dx")
     rt = ExpPoly.constant(ctx.rtilde)
     shift = dx - dt * rt
-    expected = wedge(dalpha, shift) - wedge(wedge(alpha, dx), dt) * ExpPoly.constant(
+    expected = dalpha.wedge(shift) - alpha.wedge(dx).wedge(dt) * ExpPoly.constant(
         ctx.r
     )
     assert beta.d() == expected

@@ -10,7 +10,7 @@ from conftest import MODEL_POINTS, NEGATIVE_RATE
 
 import bssym.forms as forms
 from bssym.exppoly import VARS, ExpPoly
-from bssym.forms import DiffForm, structural_forms, wedge
+from bssym.forms import DiffForm, structural_forms
 from bssym.ideal import ideal_membership
 from bssym.isovectors import pde_defect
 from bssym.model import make_context
@@ -48,9 +48,8 @@ def two_forms(draw):
     for i in range(5):
         for j in range(i + 1, 5):
             f = draw(functions(max_terms=1))
-            form = form + wedge(
-                DiffForm.covector(names[i]), DiffForm.covector(names[j])
-            ) * f
+            dz = DiffForm.covector(names[i]).wedge(DiffForm.covector(names[j]))
+            form = form + dz * f
     return form
 
 
@@ -63,7 +62,7 @@ def reconstruct(cert, triple) -> DiffForm:
     """Rebuild rho ^ alpha + xi dalpha + omega beta from the multipliers and
     the structural forms (alpha, dalpha, beta)."""
     alpha, dalpha, beta = triple
-    return wedge(rho_of(cert), alpha) + dalpha * cert.R5 + beta * cert.R6
+    return rho_of(cert).wedge(alpha) + dalpha * cert.R5 + beta * cert.R6
 
 
 def test_generators_belong_to_the_ideal():
@@ -86,7 +85,7 @@ def test_generators_belong_to_the_ideal():
 def test_alpha_multiples_belong(rho):
     for ctx in CONTEXTS:
         triple = structural_forms(ctx)
-        gamma = wedge(rho, triple[0])
+        gamma = rho.wedge(triple[0])
         cert = ideal_membership(gamma, ctx)
         assert cert.in_ideal
         assert reconstruct(cert, triple) == gamma
@@ -96,7 +95,7 @@ def test_alpha_multiples_belong(rho):
 def test_membership_is_complete_on_true_members(rho, xi, omega):
     for ctx in CONTEXTS:
         triple = alpha, dalpha, beta = structural_forms(ctx)
-        gamma = wedge(rho, alpha) + dalpha * xi + beta * omega
+        gamma = rho.wedge(alpha) + dalpha * xi + beta * omega
         cert = ideal_membership(gamma, ctx)
         assert cert.in_ideal
         assert reconstruct(cert, triple) == gamma
@@ -133,17 +132,17 @@ def test_the_equation_is_read_off_beta(monkeypatch):
     t, x = ExpPoly.var("t"), ExpPoly.var("x")
     dt, dx, dA = (DiffForm.covector(name) for name in ("dt", "dx", "dA"))
     rho = dA * x + dt * t
-    for gamma in (beta, wedge(rho, alpha) + dalpha * t + beta * (x * x)):
+    for gamma in (beta, rho.wedge(alpha) + dalpha * t + beta * (x * x)):
         cert = ideal_membership(gamma, ctx)
         assert cert.in_ideal
         assert reconstruct(cert, triple) == gamma
     # non-members, the Black-Scholes beta of the same (r, sigma2) among them
-    for gamma in (structural_forms(ctx)[2], wedge(dx, dt) * x, wedge(dt, dA) * t):
+    for gamma in (structural_forms(ctx)[2], dx.wedge(dt) * x, dt.wedge(dA) * t):
         cert = ideal_membership(gamma, ctx)
         assert not cert.in_ideal
         assert reconstruct(cert, triple) + cert.remainder == gamma
 
-    for g in (x * x * t, ExpPoly.exp_factor(Fraction(1, 3), -2) * x + t):
+    for g in (x * x * t, ExpPoly.term(1, a=Fraction(1, 3), b=-2) * x + t):
         gx = g.diff("x")
         reference = (g.diff("t") + VASICEK_S2 / 2 * gx.diff("x")
                      + VASICEK_K * (VASICEK_THETA - x) * gx - x * g)
@@ -151,14 +150,14 @@ def test_the_equation_is_read_off_beta(monkeypatch):
 
 
 def test_dx_dt_is_not_a_member():
-    gamma = wedge(DiffForm.covector("dx"), DiffForm.covector("dt"))
+    gamma = DiffForm.covector("dx").wedge(DiffForm.covector("dt"))
     cert = ideal_membership(gamma, DEFAULT)
     assert not cert.in_ideal
     assert str(cert.remainder) == "dx^dt"
 
 
 def test_remainder_lives_in_check_slots_only():
-    gamma = wedge(DiffForm.covector("dphi"), DiffForm.covector("dB"))
+    gamma = DiffForm.covector("dphi").wedge(DiffForm.covector("dB"))
     cert = ideal_membership(gamma, DEFAULT)
     blocked = [(0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4)]
     for slot in blocked:
@@ -168,7 +167,7 @@ def test_remainder_lives_in_check_slots_only():
 def test_rho_is_normalized_without_dphi():
     alpha, dalpha, beta = structural_forms(DEFAULT)
     rho = DiffForm.covector("dphi") * ExpPoly.var("t") + DiffForm.covector("dx")
-    gamma = wedge(rho, alpha)
+    gamma = rho.wedge(alpha)
     cert = ideal_membership(gamma, DEFAULT)
     assert cert.in_ideal
     assert rho_of(cert).coeff((2,)).is_zero()

@@ -143,10 +143,33 @@ def test_domain_validation():
     (100.0, math.inf, "maturity must be finite"),
     (math.nan, 1.0, "strike must be positive"),
     (100.0, 0.0, "maturity must be positive"),
+    # past the float range: float() would raise OverflowError
+    pytest.param(10**400, 1.0, "strike must be finite", id="strike 1e400"),
+    pytest.param(100.0, 10**400, "maturity must be finite", id="maturity 1e400"),
+    pytest.param(Fraction(10**400, 3), 1.0, "strike must be finite", id="strike 1e400/3"),
 ])
 def test_option_spec_takes_only_finite_positive_terms(strike, maturity, message):
     with pytest.raises(ValueError, match=message):
         OptionSpec(strike, maturity, "put")
+
+
+@pytest.mark.parametrize("strike, maturity", [
+    (Fraction(100), Fraction(1)), (100, 1), (np.float32(100.0), np.int64(1)),
+])
+def test_option_spec_terms_are_read_once_as_floats(strike, maturity):
+    spec, want = OptionSpec(strike, maturity), OptionSpec(100.0, 1.0)
+    assert type(spec.strike) is float and type(spec.maturity) is float and spec == want
+    S = np.array([90.0, 110.0])
+    assert np.array_equal(bs_price(spec, DEFAULT, 0.5, S), bs_price(want, DEFAULT, 0.5, S))
+    x = np.log(S)
+    got = ClosedFormSolution(spec, DEFAULT).at(0.5, x)
+    assert np.array_equal(got, ClosedFormSolution(want, DEFAULT).at(0.5, x))
+
+
+@pytest.mark.parametrize("name", ["strike", "maturity"])
+def test_option_spec_term_as_text_is_a_type_error(name):
+    with pytest.raises(TypeError):
+        OptionSpec(**{"strike": 100.0, "maturity": 1.0, name: "1"})
 
 
 @pytest.mark.parametrize("spec", [CALL, PUT], ids=["call", "put"])

@@ -110,6 +110,17 @@ def test_kappa_as_text_is_a_type_error():
         FiniteTransform(5, "0.1")
 
 
+@pytest.mark.parametrize("i", FLOW_GENERATORS)
+def test_generator_is_read_once_as_an_int(i):
+    # any integer generator acts, and serialises, as the int it is
+    tr = FiniteTransform(np.int64(i), 0.1)
+    assert type(tr.generator) is int and tr == FiniteTransform(i, 0.1)
+    assert json.loads(json.dumps(tr.to_json()))["generator"] == i
+    # a float is no generator, even an integral one
+    with pytest.raises(TypeError):
+        FiniteTransform(float(i), 0.1)
+
+
 def test_time_shift_pullback_and_prefactor():
     tr = FiniteTransform(3, 0.25, frame="price")
     x = math.log(100.0)
@@ -164,6 +175,7 @@ def test_pipeline_composition_order():
     a = FiniteTransform(5, 0.2, frame="price")
     b = FiniteTransform(3, 0.1, frame="price")
     pipe = compose(a, b)
+    assert pipe == (a, b)  # a pipeline is the tuple of its flows
     staged = apply_transform(b, apply_transform(a, call_surface(), DEFAULT), DEFAULT)
     direct = apply_transform(pipe, call_surface(), DEFAULT)
     assert direct.frame == "price"
@@ -204,8 +216,10 @@ def test_pipeline_needs_common_frame():
     for base in (call_surface(), log_call_surface()):
         with pytest.raises(ValueError, match="frame labels differ"):
             apply_transform(mixed, base, DEFAULT)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty transform pipeline"):
         compose()
+    with pytest.raises(ValueError, match="empty transform pipeline"):
+        apply_transform((), call_surface(), DEFAULT)
 
 
 def test_group_law_in_kappa():
