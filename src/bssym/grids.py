@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,72 @@ def _row_strips(n_rows: int, row_len: int):
     n_rows rows of row_len nodes: _STRIP_NODES nodes each, or one row."""
     step = max(1, _STRIP_NODES // max(1, row_len))
     return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_in_strip = threading.local()  # .running: this thread is running strips
+_pool_lock = threading.Lock()
+_pool = None  # (pid, threads, executor)
+
+
+def _strip_pool(n: int):
+    """The process's pool of n strip threads.  A forked child, which has
+    none of its parent's threads, and a new CPU count get a new pool."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[:2] != (os.getpid(), n):
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = (os.getpid(), n, ThreadPoolExecutor(n, "bssym-strip"))
+        return _pool[2]
+
+
+def _each_strip(fn, strips) -> None:
+    """fn(lo, hi) for every strip, on every CPU of the process.
+
+    With W CPUs, at most one per strip, the calling thread takes strips 0,
+    W, 2W, ... and a pool of W - 1 threads the rest, each under the caller's
+    numpy error state.  fn must write only its own strip's part of any
+    output, and compute each node from that node alone, so the result has
+    the same bits as the serial loop's.  As in that loop, a failure raises
+    the error of the first failing strip in row order, once every share has
+    finished.  With one CPU, and inside a strip, this is the serial loop.
+    """
+    cpus = _cpus()
+    w = min(cpus, len(strips))
+    if w <= 1 or getattr(_in_strip, "running", False):
+        for lo, hi in strips:
+            fn(lo, hi)
+        return
+    errstate = {**np.geterr(), "call": np.geterrcall()}
+
+    def share(k):
+        """Strips k, k + W, ... up to the first failing one: its (index,
+        error), or None."""
+        _in_strip.running = True
+        try:
+            with np.errstate(**errstate):
+                for n in range(k, len(strips), w):
+                    try:
+                        fn(*strips[n])
+                    except Exception as exc:  # raised below, once all are done
+                        return n, exc
+        finally:
+            _in_strip.running = False
+        return None
+
+    pool = _strip_pool(cpus - 1)
+    futures = [pool.submit(share, k) for k in range(1, w)]
+    failures = [f for f in (share(0), *(f.result() for f in futures)) if f]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
 
 
 def _check_axis(vals: np.ndarray, name: str) -> None:
@@ -276,10 +344,11 @@ def _log_frame_residual(
     ]
     res = np.full((nt - 2, nx - 2), np.nan)
     if nt >= 5 and nx >= 5:
-        # the bulk: central five-point stencils, one strip of rows at a time,
+        # the bulk: central five-point stencils, strips of rows on every CPU,
         # each term summed in the same order as on the whole block
         inner = res[1:-1, 1:-1]
-        for lo, hi in _row_strips(nt - 4, nx - 4):
+
+        def bulk(lo, hi):
             rows = slice(2 + lo, 2 + hi)
             strip = inner[lo:hi]
             np.multiply(v[rows, 2:-2], -ctx.r_f, out=strip)
@@ -287,6 +356,8 @@ def _log_frame_residual(
                 strip += w * v[2 + lo + k:2 + hi + k, 2:-2]
             for k, w in x_tiers[0].items():
                 strip += w * v[rows, 2 + k:nx - 2 + k]
+
+        _each_strip(bulk, _row_strips(nt - 4, nx - 4))
     # the border ring and nodes near clipped ones, node by node; a node
     # whose own value is NaN is skipped: that value enters its x stencil and
     # its -r phi term, so its residual is NaN whatever stencil it takes

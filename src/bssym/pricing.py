@@ -196,7 +196,11 @@ class Surface:
     values are the same bits as at the grid's full meshes.  So `at` must
     compute each point from that point alone, and be total and quiet: NaN,
     with no warning or raise, anywhere off its domain, where `_masked` may
-    evaluate it.
+    evaluate it.  The strips run on every CPU of the process, so `at` is
+    called from several threads at once and must be safe to: bssym's
+    surfaces run numpy ufuncs on their own arrays, and call code from
+    outside bssym (a foreign `value`, an action's base, FITPACK) one at a
+    time.
 
     Every surface computes in (t, x) and evaluates another one through `at`.
     Its `frame`, "price" or "log", is only a label: it says how `value`
@@ -222,6 +226,11 @@ class ClosedFormSolution(Surface):
     frame = "price"
 
     def __init__(self, spec: OptionSpec, ctx: ModelContext):
+        # the kernel's scipy.special loads here, on the caller's thread.  First
+        # imported inside a strip, it would load on a pool thread, into that
+        # thread's fresh malloc arena: 8% slower in a new process
+        import scipy.special  # noqa: F401
+
         self.spec = spec
         self.ctx = ctx
 

@@ -23,6 +23,8 @@ that interpolation took place so a failed verdict can be attributed.
 
 from __future__ import annotations
 
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from operator import index
 from typing import TYPE_CHECKING, Union
@@ -38,6 +40,7 @@ from .grids import (
     Grid,
     GridSolution,
     ResidualReport,
+    _each_strip,
     _first_derivative,
     _row_strips,
     residual_e,
@@ -145,7 +148,9 @@ class TransformedSurface(Surface):
 
 
 class GridSurface(Surface):
-    """Cubic-spline interpolant over a fully evaluable grid solution."""
+    """Cubic-spline interpolant over a fully evaluable grid solution.  Its
+    FITPACK calls, which scipy does not document as thread-safe, run one at
+    a time."""
 
     def __init__(self, sol: GridSolution):
         from scipy.interpolate import RectBivariateSpline
@@ -158,6 +163,7 @@ class GridSurface(Surface):
         )
         self.frame = sol.frame
         self._inside = _box(g.t_values[0], g.t_values[-1], g.x_values[0], g.x_values[-1])
+        self._lock = threading.Lock()
 
     def at(self, t, x):
         return _masked(t, x, self._rows, self._inside)
@@ -176,22 +182,23 @@ class GridSurface(Surface):
         maps a grid row to points at one time; a point set with no run of
         two points, or whose x descends or is NaN in a run, is one `ev` call.
         """
-        if t.ndim == x.ndim == 2 and t.shape[1] == x.shape[0] == 1:
-            tf, xf = t[:, 0], x[0]
-            if np.all(np.diff(tf) >= 0) and np.all(np.diff(xf) >= 0):
-                return self._spline(tf, xf)
-        t, x = np.broadcast_arrays(t, x)
-        tf, xf = t.ravel(), x.ravel()
-        starts = np.flatnonzero(tf[1:] != tf[:-1]) + 1
-        descends = ~(np.diff(xf) >= 0)
-        descends[starts - 1] = False
-        if starts.size == tf.size - 1 or np.any(descends):
-            return self._spline.ev(t, x)
-        out = np.empty(tf.size)
-        bounds = [0, *starts.tolist(), tf.size]
-        for lo, hi in zip(bounds, bounds[1:]):
-            out[lo:hi] = self._spline(tf[lo], xf[lo:hi])[0]
-        return out.reshape(t.shape)
+        with self._lock:
+            if t.ndim == x.ndim == 2 and t.shape[1] == x.shape[0] == 1:
+                tf, xf = t[:, 0], x[0]
+                if np.all(np.diff(tf) >= 0) and np.all(np.diff(xf) >= 0):
+                    return self._spline(tf, xf)
+            t, x = np.broadcast_arrays(t, x)
+            tf, xf = t.ravel(), x.ravel()
+            starts = np.flatnonzero(tf[1:] != tf[:-1]) + 1
+            descends = ~(np.diff(xf) >= 0)
+            descends[starts - 1] = False
+            if starts.size == tf.size - 1 or np.any(descends):
+                return self._spline.ev(t, x)
+            out = np.empty(tf.size)
+            bounds = [0, *starts.tolist(), tf.size]
+            for lo, hi in zip(bounds, bounds[1:]):
+                out[lo:hi] = self._spline(tf[lo], xf[lo:hi])[0]
+            return out.reshape(t.shape)
 
 
 class BoxRestrictedSurface(Surface):
@@ -220,16 +227,20 @@ class BoxRestrictedSurface(Surface):
 
 class _ForeignSurface(Surface):
     """A surface from outside bssym with only a total `value(t, u)`, in the
-    spelling of its label: read at S = e^x when it is labelled "price"."""
+    spelling of its label: read at S = e^x when it is labelled "price".
+    Nothing says that code is thread-safe, so it is called one at a time."""
 
     def __init__(self, sol):
         self.sol = sol
         self.frame = sol.frame
+        self._lock = threading.Lock()
 
     def at(self, t, x):
         u = _spot(x) if self.frame == "price" else x
         # foreign code gets whole (t, u) arrays of one shape, as from meshes
-        return self.sol.value(*(np.array(a) for a in np.broadcast_arrays(t, u)))
+        tu = [np.array(a) for a in np.broadcast_arrays(t, u)]
+        with self._lock:
+            return self.sol.value(*tu)
 
 
 def as_surface(sol):
@@ -256,14 +267,18 @@ def sample_surface(surface, grid: Grid) -> GridSolution:
     its label.  Others go through `as_surface` first.
 
     The grid goes in as strips of whole time rows, each a t column against
-    the x row and small enough that its temporaries stay in cache.  Every
-    surface computes node by node, so the values are the same bits as from
-    one call on the whole grid.
+    the x row and small enough that its temporaries stay in cache, and the
+    strips run on every CPU of the process (`grids._each_strip`); there is
+    no option.  Every surface computes node by node, so the values are the
+    same bits as from one call on the whole grid, and code from outside
+    bssym (a foreign `value`, the base of an `ActionSurface`, FITPACK) is
+    called one strip at a time.
     """
     surface = as_surface(surface)
     t, x = grid.t_values[:, None], grid.x_values[None, :]
     values = np.empty((grid.nt, grid.nx))
-    for lo, hi in _row_strips(grid.nt, grid.nx):
+
+    def sample(lo, hi):
         strip = surface.at(t[lo:hi], x)
         # checked, not broadcast: a foreign surface's value could be any shape
         if np.shape(strip) != (hi - lo, grid.nx):
@@ -272,6 +287,8 @@ def sample_surface(surface, grid: Grid) -> GridSolution:
                 f"{hi - lo} x {grid.nx} nodes"
             )
         values[lo:hi] = strip
+
+    _each_strip(sample, _row_strips(grid.nt, grid.nx))
     return GridSolution(grid, values, frame=surface.frame)
 
 
@@ -387,7 +404,8 @@ class ActionSurface(Surface):
     """Surface N~(phi) of an isovector N on a base solution with derivatives
     in x, that is, with a `value_and_derivatives(t, x, dt, dx)` method and an
     `inside(t, x)` domain predicate, as the closed form has.  It is NaN
-    outside the base's domain and carries the base's label."""
+    outside the base's domain and carries the base's label.  A base that is
+    not a bssym surface is called one at a time."""
 
     def __init__(self, N: Isovector, base):
         if not hasattr(base, "value_and_derivatives"):
@@ -399,9 +417,11 @@ class ActionSurface(Surface):
         self._needs = [not c.is_zero() for c in self.action[:2]]
         self.base = base
         self.frame = base.frame
+        self._lock = nullcontext() if isinstance(base, Surface) else threading.Lock()
 
     def at(self, t, x):
-        return _masked(t, x, self._acted, self.base.inside)
+        with self._lock:
+            return _masked(t, x, self._acted, self.base.inside)
 
     def _acted(self, t, x):
         jet = self.base.value_and_derivatives(t, x, *self._needs)

@@ -9,6 +9,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
 # pytest puts src/ on sys.path (pyproject's pythonpath); the CLI tests start
@@ -31,6 +32,14 @@ MODEL_POINTS = (
 NEGATIVE_RATE = (Fraction(-1, 20), Fraction(1, 25))
 
 CRITERIA_RESULTS = {}
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Strips run as on a machine of three CPUs, whatever this one has."""
+    from bssym import grids
+
+    monkeypatch.setattr(grids, "_cpus", lambda: 3)
 
 
 def record_criterion(number: int, line: str) -> None:

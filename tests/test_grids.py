@@ -2,7 +2,12 @@
 
 import math
 import os
+import subprocess
+import sys
 import tempfile
+import textwrap
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bssym import grids
 from bssym.grids import (
     _D1_TIERS,
     Grid,
     GridSolution,
     _first_derivative,
+    _each_strip,
     _fd_boundaries,
     _first_finite,
     fd_solve,
@@ -405,3 +412,62 @@ def test_csv_header_only_is_empty(tmp_path, recwarn):
     with pytest.raises(ValueError, match="empty grid CSV"):
         read_csv(path)
     assert not recwarn.list
+
+
+# -- strips on every CPU -------------------------------------------------------
+
+
+_NINE = [(k, k + 1) for k in range(9)]
+
+
+def test_each_strip_runs_every_strip_once_and_every_third_in_the_caller(three_cpus):
+    seen = []
+    _each_strip(lambda lo, hi: seen.append((lo, threading.get_ident())), _NINE)
+    assert sorted(lo for lo, _ in seen) == list(range(9))
+    caller = threading.get_ident()
+    assert sorted(lo for lo, ident in seen if ident == caller) == [0, 3, 6]
+
+
+def test_each_strip_on_one_cpu_is_the_serial_loop(monkeypatch):
+    monkeypatch.setattr(grids, "_cpus", lambda: 1)
+    seen = []
+    _each_strip(lambda lo, hi: seen.append((lo, threading.get_ident())), _NINE)
+    assert seen == [(k, threading.get_ident()) for k in range(9)]
+
+
+def test_each_strip_raises_the_first_failing_strip_in_row_order(three_cpus):
+    # strip 2 fails at once; strip 1, on another thread, fails 0.2 s later
+    def fn(lo, hi):
+        if lo == 1:
+            time.sleep(0.2)
+        if lo in (1, 2):
+            raise ValueError(f"strip {lo}")
+
+    with pytest.raises(ValueError, match="strip 1"):
+        _each_strip(fn, _NINE)
+
+
+def test_each_strip_nested_in_a_strip_runs_inline():
+    # in a child process, so that a deadlock fails this test, not the run
+    script = textwrap.dedent("""
+        import threading
+        import numpy as np
+        from bssym import grids
+
+        grids._cpus = lambda: 3
+        strips = [(k, k + 1) for k in range(9)]
+        out, threads = np.zeros((9, 9)), set()
+
+        def row(lo, hi):
+            def cell(c_lo, c_hi):
+                threads.add((lo, threading.get_ident()))
+                out[lo, c_lo] = 10 * lo + c_lo
+
+            grids._each_strip(cell, strips)
+
+        grids._each_strip(row, strips)
+        assert np.array_equal(out, 10 * np.arange(9)[:, None] + np.arange(9))
+        # each row's cells ran on the thread that ran the row
+        assert len(threads) == 9
+    """)
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=60)

@@ -3,9 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+import textwrap
+import threading
+import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MODEL_POINTS, NEGATIVE_RATE
-from bssym import pricing
+from bssym import grids, pricing
 from bssym.grids import (
     _D1_TIERS,
     _D2_TIERS,
@@ -882,6 +888,162 @@ def test_sampling_rejects_values_of_the_wrong_shape(nt):
     grid = make_grid(0.0, 0.8, nt, 0.0, 1.0, 121)
     with pytest.raises(ValueError, match="shape"):
         sample_surface(as_surface(_OneRowSurface()), grid)
+
+
+# four strips of 270 rows of 121 nodes, the last one a single row
+_FOUR_STRIPS = make_grid(0.0, 0.8, 3 * (_STRIP_NODES // 121) + 1, 0.0, 1.0, 121)
+
+
+class _OneAtATime:
+    """Foreign code, a log surface e^(x - t) with its jet and domain, that
+    raises if it is entered while it is running."""
+
+    frame = "log"
+
+    def __init__(self):
+        self.running = False
+
+    @contextmanager
+    def alone(self):
+        if self.running:
+            raise RuntimeError("entered while it was running")
+        self.running = True
+        try:
+            time.sleep(0.005)
+            yield
+        finally:
+            self.running = False
+
+    def value(self, t, x):
+        with self.alone():
+            return np.exp(x - t)
+
+    def inside(self, t, x):
+        with self.alone():
+            return np.isfinite(t + x)
+
+    def value_and_derivatives(self, t, x, dt, dx):
+        with self.alone():
+            phi = np.exp(x - t)
+            return phi, -phi if dt else None, phi if dx else None
+
+
+class _OneAtATimeSpline:
+    """A spline's FITPACK calls, guarded as `_OneAtATime` is."""
+
+    def __init__(self, spline):
+        self.spline, self.guard = spline, _OneAtATime()
+
+    def __call__(self, *args):
+        with self.guard.alone():
+            return self.spline(*args)
+
+    def ev(self, *args):
+        with self.guard.alone():
+            return self.spline.ev(*args)
+
+
+def test_outside_code_runs_alone_and_concurrent_samples_keep_the_bits(monkeypatch):
+    """Three callers sample the same surfaces at once, each spreading its
+    strips over four pool threads, while the interpreter switches threads
+    every 10 us: no foreign `value`, duck-typed action base or FITPACK call
+    is entered while it runs, and every sample has the serial loop's bits."""
+    spline = GridSurface(sample_surface(log_call_surface(), COARSE))
+    spline._spline = _OneAtATimeSpline(spline._spline)
+    surfaces = [spline, as_surface(_OneAtATime()), call_surface(),
+                infinitesimal_action(basis_isovector(4, DEFAULT), _OneAtATime())]
+    monkeypatch.setattr(grids, "_cpus", lambda: 1)
+    want = [sample_surface(s, _FOUR_STRIPS).values for s in surfaces]
+    monkeypatch.setattr(grids, "_cpus", lambda: 5)
+    got, errors = {}, []
+
+    def run(k):
+        try:
+            got[k] = [sample_surface(s, _FOUR_STRIPS).values for s in surfaces]
+        except Exception as exc:  # reported below, on the test's thread
+            errors.append(exc)
+
+    callers = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert not errors, errors
+    assert sorted(got) == [0, 1, 2]
+    for values in got.values():
+        for a, b in zip(values, want):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class _FailingRows:
+    """A foreign surface that raises on every strip but the first, naming
+    the first time of its rows."""
+
+    frame = "log"
+
+    def value(self, t, x):
+        if t[0, 0] > 0:
+            raise ValueError(f"rows from t = {float(t[0, 0])!r}")
+        return np.zeros(t.shape)
+
+
+def test_sampling_raises_the_first_failing_strip_in_row_order(three_cpus):
+    first = float(_FOUR_STRIPS.t_values[_row_strips(_FOUR_STRIPS.nt, _FOUR_STRIPS.nx)[1][0]])
+    for _ in range(5):
+        with pytest.raises(ValueError, match=re.escape(f"rows from t = {first!r}") + "$"):
+            sample_surface(_FailingRows(), _FOUR_STRIPS)
+
+
+class _DividingSurface:
+    """A foreign surface whose every value divides by zero."""
+
+    frame = "log"
+
+    def value(self, t, x):
+        return np.divide(np.ones(t.shape), np.zeros(t.shape))
+
+
+def test_sampling_keeps_the_callers_numpy_error_state(three_cpus):
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        sample_surface(_DividingSurface(), _FOUR_STRIPS)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = sample_surface(_DividingSurface(), _FOUR_STRIPS).values
+    assert np.isposinf(values).all()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_samples_on_its_own_pool():
+    script = textwrap.dedent("""
+        import os, signal, sys, warnings
+        from fractions import Fraction
+        import numpy as np
+        from bssym import grids
+        from bssym.grids import make_grid
+        from bssym.model import make_context
+        from bssym.pricing import LogClosedForm, OptionSpec
+        from bssym.transforms import sample_surface
+
+        grids._cpus = lambda: 2
+        grid = make_grid(0.0, 0.8, 801, 4.0, 5.0, 121)
+        call = LogClosedForm(OptionSpec(100.0, 1.0), make_context(Fraction(1, 20), Fraction(1, 25)))
+        # the parent's pool threads exist now; a forked child has none of them
+        before = sample_surface(call, grid).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            signal.alarm(100)  # a deadlocked child must not outlive the test
+            os._exit(0 if np.array_equal(sample_surface(call, grid).values, before) else 1)
+        sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    """)
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=120)
 
 
 def test_action_at_maturity_is_nan_on_the_maturity_row_only():
