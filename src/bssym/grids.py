@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -29,6 +31,10 @@ from .model import ModelContext
 from .pricing import OptionSpec
 
 _UNIFORM_RTOL = 1e-9
+
+# the largest sum of squared residuals summed as they are, with room for
+# the rounding of the sum
+_SQUARES_MAX = sys.float_info.max / 2
 
 # Whole-grid work runs in strips of whole time rows of about this many nodes,
 # 256 KB per float64 array, so a strip's temporaries stay in cache.
@@ -219,22 +225,54 @@ class ResidualReport:
 
 
 def _finish_report(op: str, res: np.ndarray, values: np.ndarray, stencil: str) -> ResidualReport:
-    """The report of the residual `res` of `values`; res is overwritten."""
-    mask = np.isfinite(res)
-    n_interior = int(mask.sum())
+    """The report of the residual `res` of `values`; res is overwritten.
+
+    NaN in res marks a clipped node, one whose footprint held a non-finite
+    value along some axis; every other node counts, an overflowed one as
+    |res| = inf.  The report holds no full-size array of its own: scale
+    comes from masked reductions strip by strip, and the counted residuals
+    move to the front of res itself, strip by strip in row order, so max
+    |res| and the mean of the squares see the elements that `res[mask]`
+    would hold, in its order, and give its bits.  The squares are taken in
+    place, and on residuals scaled by a power of two near max |res| where
+    max |res|^2 times the count would leave the float range, so the root
+    mean square overflows only with max |res|.
+    """
+    scale_hi, scale_lo = -np.inf, np.inf
+    for lo, hi in _row_strips(*values.shape):
+        strip = values[lo:hi]
+        finite = np.isfinite(strip)
+        finite = True if finite.all() else finite  # unmasked is twice as fast
+        scale_hi = max(scale_hi, strip.max(where=finite, initial=-np.inf))
+        scale_lo = min(scale_lo, strip.min(where=finite, initial=np.inf))
+    scale = float(abs(max(scale_hi, -scale_lo))) if scale_hi >= scale_lo else 0.0
+    width = res.shape[1]
+    flat = res.reshape(-1)  # a view: res is a fresh C-ordered array
+    n_interior = 0
+    for lo, hi in _row_strips(*res.shape):
+        strip = flat[lo * width:hi * width]
+        keep = ~np.isnan(strip)
+        n = int(np.count_nonzero(keep))
+        if n_interior < lo * width or n < strip.size:
+            flat[n_interior:n_interior + n] = strip[keep]
+        n_interior += n
     if n_interior == 0:
         raise ValueError("no evaluable interior nodes for the residual stencil")
-    finite = np.isfinite(values)
-    finite_vals = values if finite.all() else values[finite]
-    scale = _max_abs(finite_vals) if finite_vals.size else 0.0
-    picked = res if n_interior == res.size else res[mask]
+    picked = res if n_interior == res.size else flat[:n_interior]
     max_abs = _max_abs(picked)
-    # squared in place: no second full-size array, and the same mean
+    if max_abs * max_abs * n_interior <= _SQUARES_MAX:
+        exp = 0
+    else:
+        # picked * 2^-exp is exact, its squares and their mean are those of
+        # the unscaled residuals times 2^-2exp, and the root times 2^exp is
+        # exact again: the same bits wherever those stay in range
+        exp = math.frexp(max_abs)[1]
+        np.multiply(picked, math.ldexp(1.0, -exp), out=picked)
     np.multiply(picked, picked, out=picked)
     return ResidualReport(
         op=op,
         max_abs_residual=max_abs,
-        interior_norm=float(np.sqrt(np.mean(picked))),
+        interior_norm=math.ldexp(float(np.sqrt(np.mean(picked))), exp),
         stencil=stencil,
         scale=scale,
         n_interior=n_interior,
@@ -251,11 +289,12 @@ def _max_abs(a: np.ndarray) -> float:
 # Difference weights on unit spacing, times 12, keyed by node offset
 # (B. Fornberg, Math. Comp. 51, 1988).  Along each axis a node takes the
 # first stencil whose footprint lies on the grid and holds no clipped (NaN)
-# node: the five-point central one, then the fourth-order ones reaching one
-# node back or one node forward (so the first and last interior node of an
-# axis, and a node two steps from a clipped one, stay fourth order), and
-# last the three-point central one.  Every stencil covers the three-point
-# footprint, so a node is excluded only where that one cannot be evaluated.
+# or other non-finite node: the five-point central one, then the
+# fourth-order ones reaching one node back or one node forward (so the
+# first and last interior node of an axis, and a node two steps from a
+# clipped one, stay fourth order), and last the three-point central one.
+# Every stencil covers the three-point footprint, so a node is excluded
+# only where that one cannot be evaluated.
 # The six-point second derivative is the shortest one-back formula of
 # fourth order.
 _D1_EDGE = {-1: -3.0, 0: -10.0, 1: 18.0, 2: -6.0, 3: 1.0}
@@ -288,20 +327,34 @@ def _combine(*terms) -> dict:
 
 def _first_finite(v: np.ndarray, i, j, axis: int, tiers):
     """Value at nodes (i, j) of the first stencil along `axis` that fits and
-    is finite, and a mask of the nodes the last (three-point) one served."""
+    whose footprint holds only finite values, NaN where none does, and a mask
+    of the nodes the last (three-point) one served.
+
+    Clipping comes from the footprint, not from the stencil's sum: a served
+    node whose sum overflows keeps it (inf where it is NaN), and takes no
+    later stencil.
+    """
     pos = (i, j)[axis]
     out = np.full(pos.shape, np.nan)
+    todo = np.ones(pos.shape, dtype=bool)
     three_point = np.zeros(pos.shape, dtype=bool)
     for n, stencil in enumerate(tiers):
-        todo = ~np.isfinite(out)
-        todo &= (pos + min(stencil) >= 0) & (pos + max(stencil) < v.shape[axis])
-        ii, jj = i[todo], j[todo]
+        fits = np.flatnonzero(
+            todo & (pos + min(stencil) >= 0) & (pos + max(stencil) < v.shape[axis])
+        )
+        ii, jj = i[fits], j[fits]
         val = np.zeros(ii.shape)
+        held = np.ones(ii.shape, dtype=bool)
         for k, w in stencil.items():
-            val += w * (v[ii + k, jj] if axis == 0 else v[ii, jj + k])
-        out[todo] = val
+            node = v[ii + k, jj] if axis == 0 else v[ii, jj + k]
+            held &= np.isfinite(node)
+            val += w * node
+        served = fits[held]
+        out[served] = val[held]
+        todo[served] = False
         if n == len(tiers) - 1:
-            three_point[todo] = np.isfinite(val)
+            three_point[served] = True
+    out[np.isnan(out) & ~todo] = np.inf
     return out, three_point
 
 
@@ -358,18 +411,27 @@ def _log_frame_residual(
                 strip += w * v[rows, 2 + k:nx - 2 + k]
 
         _each_strip(bulk, _row_strips(nt - 4, nx - 4))
-    # the border ring and nodes near clipped ones, node by node; a node
-    # whose own value is NaN is skipped: that value enters its x stencil and
-    # its -r phi term, so its residual is NaN whatever stencil it takes
-    flat = res.ravel()
-    bad = np.flatnonzero(~np.isfinite(flat))
-    i = bad // (nx - 2) + 1
-    j = bad % (nx - 2) + 1
-    live = ~np.isnan(v[i, j])
-    bad, i, j = bad[live], i[live], j[live]
+    # the border ring and nodes near clipped ones, node by node.  A node
+    # whose own value is NaN is no candidate: that value enters its x
+    # stencil and its -r phi term, so its residual is NaN whatever stencil
+    # it takes.  The candidates are found strip by strip, with no full-size
+    # mask.
+    width = nx - 2
+    bad = []
+    for lo, hi in _row_strips(nt - 2, width):
+        done = np.isfinite(res[lo:hi])
+        done |= np.isnan(v[1 + lo:1 + hi, 1:-1])
+        bad.append(np.flatnonzero(~done) + lo * width)
+    bad = np.concatenate(bad)
+    i = bad // width + 1
+    j = bad % width + 1
     t_term, t_three = _first_finite(v, i, j, 0, t_tiers)
     x_term, x_three = _first_finite(v, i, j, 1, x_tiers)
-    flat[bad] = t_term + x_term - ctx.r_f * v[i, j]
+    ring = t_term + x_term - ctx.r_f * v[i, j]
+    # clipped where an axis has no stencil; any other non-finite residual
+    # has overflowed and counts as inf
+    ring[~np.isfinite(ring) & ~np.isnan(t_term) & ~np.isnan(x_term)] = np.inf
+    res.ravel()[bad] = ring
     stencil = _STENCIL_FALLBACK if np.any(t_three | x_three) else _STENCIL_4TH
     return _finish_report(op, res, v, stencil)
 
@@ -384,7 +446,12 @@ def residual_e2(sol: GridSolution, ctx: ModelContext) -> ResidualReport:
     both sides) a node takes the three-point central one, and the report's
     `stencil` then reads "4th-order-uniform+3-point-fallback".  The nodes
     excluded as clipped are those where the three-point stencil cannot be
-    evaluated.
+    evaluated.  Clipping comes from the footprint's values, not from the
+    stencil's sum: a node whose stencils all reach a non-finite value is
+    clipped, and one whose stencil overflows counts with |res| = inf, so
+    that it fails any tolerance.  The root mean square `interior_norm` is
+    taken on residuals scaled by a power of two where their squares would
+    overflow, so it is finite whenever max |res| is.
     """
     if sol.frame != "log":
         raise ValueError("residual_e2 expects a log-frame solution")

@@ -314,6 +314,23 @@ class CertificationResult:
         }
 
 
+def _non_finite_nodes(surface, base, sampled: GridSolution):
+    """(n_bad, n_over): the samples' non-finite nodes, and those of them
+    whose pulled-back point the base evaluates to a finite value, which the
+    transform has overflowed.  A strip at a time, with no full-size mask,
+    and nothing of it outlives the call."""
+    grid = sampled.grid
+    n_bad = n_over = 0
+    for lo, hi in _row_strips(grid.nt, grid.nx):
+        nodes = np.flatnonzero(~np.isfinite(sampled.values[lo:hi]))
+        if nodes.size:
+            n_bad += nodes.size
+            t, x, _ = surface._pull_back(
+                grid.t_values[lo + nodes // grid.nx], grid.x_values[nodes % grid.nx])
+            n_over += np.count_nonzero(np.isfinite(base.at(t, x)))
+    return n_bad, n_over
+
+
 def certify_transform(
     transform: Union[FiniteTransform, tuple],
     sol,
@@ -338,16 +355,9 @@ def certify_transform(
         base = BoxRestrictedSurface(base, grid)
     surface = apply_transform(transform, base, ctx)
     sampled = sample_surface(surface, grid)
-    bad = ~np.isfinite(sampled.values)
-    n_bad, n_over = int(bad.sum()), 0
-    # the base at the non-finite nodes' pulled-back points, a strip at a time
-    for lo, hi in _row_strips(grid.nt, grid.nx) if n_bad else ():
-        nodes = np.flatnonzero(bad[lo:hi])
-        t, x, _ = surface._pull_back(
-            grid.t_values[lo + nodes // grid.nx], grid.x_values[nodes % grid.nx])
-        n_over += np.count_nonzero(np.isfinite(base.at(t, x)))
+    n_bad, n_over = _non_finite_nodes(surface, base, sampled)
     if n_over:
-        raise OverflowError(f"{n_over} of {bad.size} nodes overflow")
+        raise OverflowError(f"{n_over} of {sampled.values.size} nodes overflow")
     # one operator on the node values; the label names it E (price) or E2 (log)
     residual = residual_e if sampled.frame == "price" else residual_e2
     try:

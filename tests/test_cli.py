@@ -400,10 +400,10 @@ def test_transform_out_of_domain_exits_one(tmp_path):
     assert obj["error"]["n_clipped"] == obj["error"]["n_total"] == 11 * 21
 
 
-@pytest.mark.parametrize("pipeline", ["6:800", "6:700"])
+@pytest.mark.parametrize("pipeline", ["6:800", "6:703"])
 def test_transform_past_the_float_range_exits_two_and_writes_nothing(pipeline, tmp_path):
     # N6 pulls no node back: at kappa = 800 its prefactor e^800 overflows
-    # at every node, which is not clipping; at 700 the values are finite
+    # at every node, which is not clipping; at 703 the values are finite
     # and the residual overflows
     out_dir = tmp_path / "o"
     code, out, err = run_cli(
@@ -413,6 +413,35 @@ def test_transform_past_the_float_range_exits_two_and_writes_nothing(pipeline, t
     assert out == b""
     assert err.startswith(b"error: the configuration leaves the float range")
     assert not out_dir.exists()
+
+
+def test_a_huge_finite_residual_is_reported(tmp_path):
+    # N6 at kappa = 700: the residual reaches 1.1e304, whose square leaves
+    # the float range; its root mean square does not, and the stage fails
+    code, out, err = run_cli(
+        ["transform", "--pipeline", "6:700", "--out", str(tmp_path / "o"),
+         "--nt", "41", "--nx", "31"]
+    )
+    assert (code, err) == (1, b"")
+    (stage,) = json.loads(out, parse_constant=_no_constant)["stages"]
+    assert stage["verdict"] == "fail"
+    assert 0 < stage["report"]["interior_norm"] <= stage["report"]["max_abs_residual"]
+
+
+def test_residual_of_a_huge_strike_is_reported(tmp_path):
+    # the finest FD level's residual reaches 1.1e159, whose square leaves
+    # the float range; its root mean square does not
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("kind = put\nstrike = 1e160\nnt = 101\nnx = 101\n")
+    code, out, err = run_cli(["residual", "--config", str(cfg)])
+    assert (code, err) == (0, b"")
+    finest = json.loads(out, parse_constant=_no_constant)["fd"]["finest_E2"]
+    assert 1e158 < finest["max_abs_residual"] < 1e160
+    assert 0 < finest["interior_norm"] <= finest["max_abs_residual"]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in strict JSON")
 
 
 def test_transform_of_a_zero_surface_fails(tmp_path):

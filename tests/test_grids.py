@@ -471,3 +471,151 @@ def test_each_strip_nested_in_a_strip_runs_inline():
         assert len(threads) == 9
     """)
     subprocess.run([sys.executable, "-c", script], check=True, timeout=60)
+
+
+# -- the residual report in place -----------------------------------------------
+
+
+def _gather_report(op, res, values, stencil):
+    """The report as full-size gathers take it, `values[finite]` and
+    `res[mask]`: the reference that the in-place report must match bit for
+    bit wherever res holds no infinity."""
+    mask = np.isfinite(res)
+    n_interior = int(mask.sum())
+    if n_interior == 0:
+        raise ValueError("no evaluable interior nodes for the residual stencil")
+    finite = np.isfinite(values)
+    finite_vals = values if finite.all() else values[finite]
+    scale = grids._max_abs(finite_vals) if finite_vals.size else 0.0
+    picked = res if n_interior == res.size else res[mask]
+    max_abs = grids._max_abs(picked)
+    np.multiply(picked, picked, out=picked)
+    return grids.ResidualReport(
+        op=op,
+        max_abs_residual=max_abs,
+        interior_norm=float(np.sqrt(np.mean(picked))),
+        stencil=stencil,
+        scale=scale,
+        n_interior=n_interior,
+        n_clipped=int(res.size - n_interior),
+    )
+
+
+# magnitudes whose squares, summed over any drawn grid, stay in range
+_report_floats = st.one_of(
+    st.floats(-1e100, 1e100, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]),
+)
+
+
+@st.composite
+def _report_inputs(draw):
+    """(res, values, strip nodes): residuals with clipped (NaN) nodes in
+    one of the patterns a grid gives, and samples that may hold NaN and
+    +-inf."""
+    nt, nx = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    shape = (nt - 2, nx - 2)
+    res = np.array(draw(st.lists(_report_floats, min_size=shape[0] * shape[1],
+                                 max_size=shape[0] * shape[1]))).reshape(shape)
+    pattern = draw(st.sampled_from(["none", "scattered", "rows", "columns", "one"]))
+    if pattern == "scattered":
+        res[np.array(draw(st.lists(st.booleans(), min_size=res.size,
+                                   max_size=res.size))).reshape(shape)] = np.nan
+    elif pattern == "rows":
+        res[draw(st.lists(st.integers(0, shape[0] - 1), max_size=shape[0])), :] = np.nan
+    elif pattern == "columns":
+        res[:, draw(st.lists(st.integers(0, shape[1] - 1), max_size=shape[1]))] = np.nan
+    elif pattern == "one":
+        keep = draw(st.integers(0, res.size - 1))
+        kept = res.flat[keep]
+        res[...] = np.nan
+        res.flat[keep] = kept
+    values = np.array(draw(st.lists(
+        st.one_of(_report_floats, st.sampled_from([np.nan, np.inf, -np.inf])),
+        min_size=nt * nx, max_size=nt * nx))).reshape(nt, nx)
+    return res, values, draw(st.sampled_from([1, 3, 7, 16, 1 << 15]))
+
+
+@given(_report_inputs())
+@settings(max_examples=200)
+def test_report_in_place_keeps_the_gather_reports_bits(inputs):
+    res, values, strip_nodes = inputs
+    try:
+        want = _gather_report("E2", res.copy(), values, "s")
+    except ValueError:
+        with pytest.raises(ValueError, match="no evaluable interior nodes"):
+            grids._finish_report("E2", res.copy(), values, "s")
+        return
+    old = grids._STRIP_NODES
+    grids._STRIP_NODES = strip_nodes  # strips of one row and up
+    try:
+        got = grids._finish_report("E2", res.copy(), values, "s")
+    finally:
+        grids._STRIP_NODES = old
+    assert [repr(getattr(got, f)) for f in vars(want)] == \
+        [repr(getattr(want, f)) for f in vars(want)]
+
+
+def test_an_overflowing_residual_is_counted_not_clipped():
+    # C = S is a solution; one node at 1e308 has finite footprints all
+    # round, so its stencils overflow rather than clip
+    g = make_grid(0.0, 0.8, 41, 4.0, 5.0, 41)
+    for big in (1e308, 1e307):
+        v = np.exp(np.broadcast_to(g.x_values, (41, 41)))
+        v[20, 20] = big
+        with np.errstate(all="ignore"):
+            rep = residual_e2(GridSolution(g, v, frame="log"), DEFAULT)
+        assert rep.n_clipped == 0
+        assert rep.max_abs_residual == rep.interior_norm == rep.rel_max == math.inf
+        assert not rep.rel_max <= 5e-4
+
+
+def test_an_overflowing_stencil_takes_no_later_one():
+    # a finite footprint whose sum overflows serves its node with inf,
+    # where a later stencil would give a finite value
+    tiers = [{-1: 4.0, 0: 1.0}, {0: 1.0}]
+    i, j = np.zeros(1, dtype=int), np.full(1, 2)
+    v = np.ones((1, 6))
+    v[0, 1] = 1e308
+    with np.errstate(over="ignore"):
+        out, three = _first_finite(v, i, j, 1, tiers)
+    assert out.tolist() == [math.inf] and not three.any()
+    v[0, 1] = np.nan  # a non-finite footprint: the next stencil serves
+    out, three = _first_finite(v, i, j, 1, tiers)
+    assert out.tolist() == [1.0] and three.all()
+
+
+def test_root_mean_square_of_a_huge_residual_stays_in_range():
+    # scaling the samples by 2^k scales every residual by 2^k exactly, and
+    # the report with it, though the squares at 2^1000 leave the float range
+    g = make_grid(0.0, 0.8, 41, 4.0, 5.0, 41)
+    v = np.exp(np.broadcast_to(g.x_values, (41, 41))) + g.t_values[:, None] ** 3
+    clean = residual_e2(GridSolution(g, v, frame="log"), DEFAULT)
+    for k in (600, 1000):
+        with np.errstate(all="raise"):
+            rep = residual_e2(GridSolution(g, v * 2.0 ** k, frame="log"), DEFAULT)
+        assert rep.max_abs_residual == math.ldexp(clean.max_abs_residual, k)
+        assert rep.interior_norm == math.ldexp(clean.interior_norm, k)
+        assert rep.scale == math.ldexp(clean.scale, k)
+
+
+def test_residual_of_the_canonical_grid_holds_one_grid_more(monkeypatch):
+    # the residual, strip temporaries and nothing else of full size; the
+    # report and the ring scan used to add two full-size masks (1.28 grids)
+    import tracemalloc
+
+    monkeypatch.setattr(grids, "_cpus", lambda: 1)
+    g = make_grid(0.0, 0.8, 801, math.log(0.5), math.log(200.0), 601)
+    T, X = g.meshes()
+    sol = GridSolution(g, bs_price(OptionSpec(100.0, 1.0, "call"), DEFAULT, T, np.exp(X)),
+                       frame="price")
+    del T, X
+    residual_e(sol, DEFAULT)
+    tracemalloc.start()
+    try:
+        rep = residual_e(sol, DEFAULT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_clipped == 0
+    assert peak < 1.15 * sol.values.nbytes

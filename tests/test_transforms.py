@@ -564,6 +564,27 @@ def test_certify_detects_small_prefactor_error():
     assert off.report.rel_max > 10.0 * exact.report.rel_max
 
 
+@pytest.mark.parametrize("generator", [3, 4], ids=["N3", "N4"])
+def test_a_clipped_certification_holds_two_grids(generator, monkeypatch):
+    # the samples, their residual and strip temporaries: the report's
+    # gathers and the ring scan's masks used to take it to 4.3-4.4 grids.
+    # On one CPU, so that no pool thread's strips add to the peak
+    import tracemalloc
+
+    monkeypatch.setattr(grids, "_cpus", lambda: 1)
+    grid = make_grid(0.0, 0.8, 801, math.log(0.5), math.log(200.0), 601)
+    flow = FiniteTransform(generator, 0.15)
+    certify_transform(flow, call_surface(), grid, DEFAULT, 5e-4)
+    tracemalloc.start()
+    try:
+        result = certify_transform(flow, call_surface(), grid, DEFAULT, 5e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_clipped_nodes > 0
+    assert peak < 2.5 * result.samples.values.nbytes
+
+
 def test_grid_surface_route_matches_closed_form():
     samples = sample_surface(call_surface(), COARSE)
     result = certify_transform(
