@@ -429,10 +429,11 @@ def _log_frame_residual(
     x_term, x_three = _first_finite(v, i, j, 1, x_tiers)
     ring = t_term + x_term - ctx.r_f * v[i, j]
     # clipped where an axis has no stencil; any other non-finite residual
-    # has overflowed and counts as inf
-    ring[~np.isfinite(ring) & ~np.isnan(t_term) & ~np.isnan(x_term)] = np.inf
+    # has overflowed and counts as inf.  Only a served node names its stencil
+    served = ~np.isnan(t_term) & ~np.isnan(x_term)
+    ring[~np.isfinite(ring) & served] = np.inf
     res.ravel()[bad] = ring
-    stencil = _STENCIL_FALLBACK if np.any(t_three | x_three) else _STENCIL_4TH
+    stencil = _STENCIL_FALLBACK if np.any((t_three | x_three) & served) else _STENCIL_4TH
     return _finish_report(op, res, v, stencil)
 
 

@@ -198,8 +198,8 @@ class Surface:
     with no warning or raise, anywhere off its domain, where `_masked` may
     evaluate it.  The strips run on every CPU of the process, so `at` is
     called from several threads at once and must be safe to: bssym's
-    surfaces run numpy ufuncs on their own arrays, and call code from
-    outside bssym (a foreign `value`, an action's base, FITPACK) one at a
+    surfaces, a spline's too, only read their own arrays, and call code
+    from outside bssym (a foreign `value`, an action's base) one at a
     time.
 
     Every surface computes in (t, x) and evaluates another one through `at`.

@@ -31,10 +31,10 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-# scipy, and the exact layer's `gh_of`, are imported inside the code that
-# calls them.  This module, and numpy with it, loads when a numeric name is
-# first used: `import bssym` and the exact CLI subcommands load neither, and
-# of the exact layer the numeric subcommands load only `model`.
+# This module imports no scipy, and the exact layer's `gh_of` only inside
+# the code that calls it.  It loads, and numpy with it, when a numeric name
+# is first used: `import bssym` and the exact CLI subcommands load neither,
+# and of the exact layer the numeric subcommands load only `model`.
 
 from .grids import (
     Grid,
@@ -147,23 +147,97 @@ class TransformedSurface(Surface):
         return _out(out)
 
 
+def _knots(nodes):
+    """(knots, k): FITPACK's knots of the interpolating spline (s = 0) of
+    degree k = min(3, n - 1) through n ascending nodes.  Each end node is
+    repeated k + 1 times; at degree 3 the interior knots are the nodes
+    without the second and the second to last ("not-a-knot"), and at
+    degrees 1 and 2 (two or three nodes) there are none."""
+    k = min(3, nodes.size - 1)
+    ends = [np.repeat(nodes[0], k + 1), np.repeat(nodes[-1], k + 1)]
+    return np.concatenate([ends[0], nodes[2:-2], ends[1]]), k
+
+
+def _bsplines(knots, k, x):
+    """(first, [B_first(x), ..., B_first+k(x)]): the k + 1 B-splines of
+    degree k that can be nonzero at each point x, by de Boor's recurrence
+    (C. de Boor, *A Practical Guide to Splines*, 1978), elementwise in the
+    shape of x.  A point's interval is the knot span that holds it, clamped
+    to the first and last spans; a point past the knots extrapolates, and
+    NaN stays NaN."""
+    l = np.clip(np.searchsorted(knots, x, side="right") - 1, k, knots.size - k - 2)
+    right = [knots[l + i] - x for i in range(1, k + 1)]
+    left = [x - knots[l + 1 - i] for i in range(1, k + 1)]
+    b = [np.ones(np.shape(x))]
+    for j in range(k):
+        saved = 0.0
+        for r in range(j + 1):
+            term = b[r] / (right[r] + left[j - r])
+            b[r] = saved + right[r] * term
+            saved = left[j - r] * term
+        b.append(saved)
+    return l - k, b
+
+
+def _weighted_sum(weights, terms):
+    """sum_a weights[a] * terms[a], added in index order."""
+    out = weights[0] * terms[0]
+    for w, term in zip(weights[1:], terms[1:]):
+        out += w * term
+    return out
+
+
+def _solve_collocation(nodes, knots, k, rhs):
+    """rhs (n rows) overwritten by the coefficients c of the splines that
+    interpolate it at the nodes: the solution of A c = rhs for the
+    collocation matrix A[i, j] = B_j(nodes[i]), every column of rhs at once.
+
+    A is banded, each row's k + 1 entries starting at its first B-spline,
+    and totally positive, so Gaussian elimination without pivoting is
+    backward stable on it (C. de Boor and A. Pinkus, Numer. Math. 27, 1977).
+    Each row keeps its band as {column: entry}: one loop down the rows
+    eliminates to the left of the diagonal, one loop up substitutes back.
+    """
+    first, b = _bsplines(knots, k, nodes)
+    rows = list(rhs)  # views: each step updates a whole row of right-hand sides
+    pivots, uppers = [], []
+    for i, (lo, entries) in enumerate(zip(first.tolist(), np.stack(b, axis=1).tolist())):
+        band = dict(zip(range(lo, lo + k + 1), entries))
+        for j in range(lo, i):
+            f = band.pop(j) / pivots[j]
+            if f:
+                rows[i] -= f * rows[j]
+                for col, u in uppers[j]:
+                    band[col] -= f * u
+        pivots.append(band.pop(i))
+        uppers.append([(col, u) for col, u in band.items() if u])
+    for i in range(len(rows) - 1, -1, -1):
+        for col, u in uppers[i]:
+            rows[i] -= u * rows[col]
+        rows[i] /= pivots[i]
+    return rhs
+
+
 class GridSurface(Surface):
-    """Cubic-spline interpolant over a fully evaluable grid solution.  Its
-    FITPACK calls, which scipy does not document as thread-safe, run one at
-    a time."""
+    """The interpolating tensor-product spline of a fully evaluable grid
+    solution: FITPACK's s = 0 spline (scipy's `RectBivariateSpline` at
+    degree min(3, n - 1) per axis), fitted with numpy alone.
+
+    The coefficients C solve the collocation systems along t and then
+    along x (`_solve_collocation`).  Once built, the spline only reads its
+    arrays, so it runs on every strip thread at once, with no lock.
+    """
 
     def __init__(self, sol: GridSolution):
-        from scipy.interpolate import RectBivariateSpline
-
         if not np.all(np.isfinite(sol.values)):
             raise ValueError("cannot interpolate a grid solution with gaps")
         g = sol.grid
-        self._spline = RectBivariateSpline(
-            g.t_values, g.x_values, sol.values, kx=min(3, g.nt - 1), ky=min(3, g.nx - 1)
-        )
+        self._t, self._x = _knots(g.t_values), _knots(g.x_values)
+        coef = _solve_collocation(g.t_values, *self._t, sol.values.copy())
+        coef = _solve_collocation(g.x_values, *self._x, np.ascontiguousarray(coef.T))
+        self._coef = np.ascontiguousarray(coef.T)
         self.frame = sol.frame
         self._inside = _box(g.t_values[0], g.t_values[-1], g.x_values[0], g.x_values[-1])
-        self._lock = threading.Lock()
 
     def at(self, t, x):
         return _masked(t, x, self._rows, self._inside)
@@ -173,32 +247,37 @@ class GridSurface(Surface):
     value = Surface.value
 
     def _rows(self, t, x):
-        """The spline at the points (t, x), broadcast together.
+        """The spline at the points (t, x), broadcast together, each by one
+        formula: with the B-splines N_t,a at t and N_x,b at x,
 
-        FITPACK's grid evaluator gives the same values as the pointwise `ev`
-        at a fraction of the cost, and needs ascending axes.  A t column
-        against an x row, both ascending, is one grid call.  Otherwise each
-        run of equal t with ascending x is one grid call, since every flow
-        maps a grid row to points at one time; a point set with no run of
-        two points, or whose x descends or is NaN in a run, is one `ev` call.
+            sum_b N_x,b * (sum_a N_t,a * C[i_t + a, i_x + b]),
+
+        each sum in index order.  The shapes decide only what is shared.  A
+        t column, one t per row (a grid, a translation, the boost), takes
+        the inner sum once per row, over the coefficient columns its x
+        reach, and each point then gathers from its row; any other point
+        set gathers per point.  Every route gives the same bits.
         """
-        with self._lock:
-            if t.ndim == x.ndim == 2 and t.shape[1] == x.shape[0] == 1:
-                tf, xf = t[:, 0], x[0]
-                if np.all(np.diff(tf) >= 0) and np.all(np.diff(xf) >= 0):
-                    return self._spline(tf, xf)
-            t, x = np.broadcast_arrays(t, x)
-            tf, xf = t.ravel(), x.ravel()
-            starts = np.flatnonzero(tf[1:] != tf[:-1]) + 1
-            descends = ~(np.diff(xf) >= 0)
-            descends[starts - 1] = False
-            if starts.size == tf.size - 1 or np.any(descends):
-                return self._spline.ev(t, x)
-            out = np.empty(tf.size)
-            bounds = [0, *starts.tolist(), tf.size]
-            for lo, hi in zip(bounds, bounds[1:]):
-                out[lo:hi] = self._spline(tf[lo], xf[lo:hi])[0]
-            return out.reshape(t.shape)
+        (t_knots, kt), (x_knots, kx), coef = self._t, self._x, self._coef
+        if t.ndim == x.ndim == 2 and t.shape[1] == 1:
+            it, wt = _bsplines(t_knots, kt, t)
+            ix, wx = _bsplines(x_knots, kx, x)
+            lo, hi = int(ix.min()), int(ix.max()) + kx + 1
+            rows = _weighted_sum(wt, [coef[it[:, 0] + a, lo:hi] for a in range(kt + 1)])
+            if x.shape[0] == 1:  # an x row: every row gathers the same columns
+                cols = ix[0] - lo
+                return _weighted_sum(wx, [rows.take(cols + b, axis=1) for b in range(kx + 1)])
+            at = ix - lo + np.arange(t.shape[0])[:, None] * (hi - lo)
+            flat = rows.ravel()
+            return _weighted_sum(wx, [flat.take(at + b) for b in range(kx + 1)])
+        t, x = np.broadcast_arrays(t, x)
+        it, wt = _bsplines(t_knots, kt, t)
+        ix, wx = _bsplines(x_knots, kx, x)
+        width, flat = coef.shape[1], coef.ravel()
+        at = it * width + ix
+        return _weighted_sum(wx, [
+            _weighted_sum(wt, [flat.take(at + (a * width + b)) for a in range(kt + 1)])
+            for b in range(kx + 1)])
 
 
 class BoxRestrictedSurface(Surface):
@@ -271,8 +350,8 @@ def sample_surface(surface, grid: Grid) -> GridSolution:
     strips run on every CPU of the process (`grids._each_strip`); there is
     no option.  Every surface computes node by node, so the values are the
     same bits as from one call on the whole grid, and code from outside
-    bssym (a foreign `value`, the base of an `ActionSurface`, FITPACK) is
-    called one strip at a time.
+    bssym (a foreign `value`, the base of an `ActionSurface`) is called one
+    strip at a time.  A spline runs on every strip at once.
     """
     surface = as_surface(surface)
     t, x = grid.t_values[:, None], grid.x_values[None, :]

@@ -696,13 +696,15 @@ def test_transform_stage_csv_matches_reference_bytes(tmp_path):
 
 
 _LOADED_NUMERIC = """
-import json, sys
+import contextlib, io, json, sys
 import bssym
 assert not any(m.split(".")[0] in ("numpy", "scipy") for m in sys.modules)
 from bssym.cli import main
 argv = json.loads(sys.argv[1])
 if argv:
-    assert main(argv) == 0
+    # transform writes its verdicts to stdout's buffer
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+        assert main(argv) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
 """
 
@@ -716,6 +718,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "
         (["price", *FAST], ["numpy", "scipy.special"], ["scipy.interpolate"]),
         (["residual", *FAST], ["numpy", "scipy.special", "scipy.linalg"],
          ["scipy.interpolate"]),
+        (["transform", "--pipeline", "6:0.1", "--nt", "21", "--nx", "21", "--grid-x", "4.0:5.2"],
+         ["numpy", "scipy.special"], ["scipy.interpolate"]),
     ],
 )
 def test_scipy_loads_only_where_called(argv, loaded, absent, tmp_path):

@@ -570,6 +570,18 @@ def test_an_overflowing_residual_is_counted_not_clipped():
         assert not rep.rel_max <= 5e-4
 
 
+def test_a_clipped_node_names_no_fallback():
+    # C = S with three NaN nodes: (20, 20) fits only the three-point t
+    # stencil, but its x stencils all reach the NaN at (20, 19), so it is
+    # clipped and the report names no stencil that no counted node used
+    g = make_grid(0.0, 0.8, 41, 4.0, 5.0, 41)
+    v = np.exp(np.broadcast_to(g.x_values, (41, 41)))
+    v[[20, 18, 22], [19, 20, 20]] = np.nan
+    rep = residual_e2(GridSolution(g, v, frame="log"), DEFAULT)
+    assert rep.stencil == "4th-order-uniform"
+    assert rep.n_clipped == 15
+
+
 def test_an_overflowing_stencil_takes_no_later_one():
     # a finite footprint whose sum overflows serves its node with inf,
     # where a later stencil would give a finite value

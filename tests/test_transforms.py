@@ -603,81 +603,164 @@ def test_certify_bare_grid_surface_reports_interpolation():
     assert result.verdict
 
 
-def _pointwise_spline(surface, grid, t, x):
-    """A log-frame GridSurface's values by `ev`, one point at a time in
-    FITPACK, with NaN outside the grid's box: the reference of the row-wise
-    evaluation."""
-    t, x = np.broadcast_arrays(t, x)
-    ok = ((t >= grid.t_values[0]) & (t <= grid.t_values[-1])
-          & (x >= grid.x_values[0]) & (x <= grid.x_values[-1]))
+def _pointwise_spline(surface, t, x):
+    """A GridSurface at the points (t, x), broadcast together: the points
+    inside its box gathered into one 1-D point set (the pointwise route)
+    and NaN elsewhere, the reference of every other route."""
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    ok = surface._inside(t, x)
     out = np.full(t.shape, np.nan)
-    out[ok] = surface._spline.ev(t[ok], x[ok])
+    out[ok] = surface._rows(t[ok], x[ok])
     return out
 
 
-@pytest.mark.parametrize("case", ["boost", "clipped", "scattered", "descending"])
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "case", ["boost", "clipped", "scattered", "descending", "tensor sample", "meshes"])
 def test_row_wise_spline_matches_pointwise_bit_for_bit(case):
-    sol = sample_surface(log_call_surface(), COARSE)
-    surface = GridSurface(sol)
+    surface = GridSurface(sample_surface(log_call_surface(), COARSE))
     T, X = COARSE.meshes()
     if case == "boost":  # x shifted by kappa t on each row, all inside
         inner = make_grid(0.0, 0.8, 161, X.min(), X.max() - 0.3, 121)
-        t, x = FiniteTransform(4, 0.3, frame="log").pullback(DEFAULT, *inner.meshes())
+        t, x = FiniteTransform(4, 0.3, frame="log").pullback(
+            DEFAULT, inner.t_values[:, None], inner.x_values[None, :])
+        assert x.shape == (161, 121)
     elif case == "clipped":  # rows partly outside: a gathered 1-D input
         t, x = FiniteTransform(5, 0.8, frame="log").pullback(DEFAULT, T, X)
     elif case == "scattered":
         rng = np.random.default_rng(7)
         t = rng.uniform(-0.1, 0.9, 3000)
         x = rng.uniform(X.min() - 0.2, X.max() + 0.2, 3000)
-    else:
+    elif case == "descending":
         t, x = T, X[:, ::-1]
-    got = surface.value(t, x)
-    want = _pointwise_spline(surface, COARSE, t, x)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    else:  # the grid's axes, then its meshes
+        t, x = (T, X) if case == "meshes" else (T[:, :1], X[:1])
+    want = _pointwise_spline(surface, t, x)
+    got = (sample_surface(surface, COARSE).values if case == "tensor sample"
+           else surface.value(t, x))
+    _assert_same_bits(got, want)
     assert np.isnan(got).any() == (case in ("clipped", "scattered"))
 
 
-class _CountingSpline:
-    """A spline that counts its FITPACK calls, grid and pointwise."""
-
-    def __init__(self, spline):
-        self.spline, self.calls = spline, 0
-
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return self.spline(*args, **kwargs)
-
-    def ev(self, *args, **kwargs):
-        self.calls += 1
-        return self.spline.ev(*args, **kwargs)
-
-
-def test_scattered_spline_points_are_one_ev_call():
-    # no two points at one time: one pointwise call, not one grid call each
+def test_a_per_row_scaled_point_set_keeps_the_pointwise_bits():
+    # shaped like N1's pullback (t/d, x/d) with d = 1 + t/2 per row: a t
+    # column against an x whose every row is scaled by its own factor, all
+    # of it inside the box
     surface = GridSurface(sample_surface(log_call_surface(), COARSE))
-    rng = np.random.default_rng(11)
-    t = rng.uniform(-0.1, 0.9, 200)
-    x = rng.uniform(math.log(0.4), math.log(250.0), 200)
-    want = _pointwise_spline(surface, COARSE, t, x)
-    surface._spline = counting = _CountingSpline(surface._spline)
-    got = surface.value(t, x)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert np.isnan(got).any() and not np.isnan(got).all()
-    assert counting.calls <= 1
+    t, x = COARSE.t_values[:, None], COARSE.x_values[None, :]
+    d = 1.0 + 0.5 * t
+    t, x = t / d, x / d
+    assert t.shape == (161, 1) and x.shape == (161, 121)
+    got = surface.at(t, x)
+    _assert_same_bits(got, _pointwise_spline(surface, t, x))
+    assert not np.isnan(got).any()
 
 
 @pytest.mark.parametrize("i, kappa", [(3, 0.3), (5, -0.25), (6, 0.1)])
-def test_spline_on_a_translated_grid_is_one_grid_call(i, kappa):
+def test_spline_on_a_translated_grid_keeps_the_pointwise_bits(i, kappa):
     # a translation maps the grid's axes to shifted axes, and a box clips
-    # them to a block: one FITPACK grid call for the whole sample
+    # them to a block: the row route, with the bits of each node alone
     surface = GridSurface(sample_surface(log_call_surface(), COARSE))
     T, X = COARSE.meshes()
     flowed = apply_transform(FiniteTransform(i, kappa, frame="log"), surface, DEFAULT)
-    want = flowed.at(T, X)
-    surface._spline = counting = _CountingSpline(surface._spline)
-    got = sample_surface(flowed, COARSE).values
-    assert counting.calls == 1
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    want = flowed.at(T.ravel(), X.ravel()).reshape(T.shape)
+    _assert_same_bits(sample_surface(flowed, COARSE).values, want)
+
+
+def _fitpack_case(nt, nx, seed):
+    """A grid solution of nt x nx nodes, smooth plus noise, and FITPACK's
+    interpolating spline of it, the oracle of GridSurface."""
+    from scipy.interpolate import RectBivariateSpline
+
+    g = make_grid(0.1, 0.9, nt, math.log(40.0), math.log(250.0), nx)
+    rng = np.random.default_rng(seed)
+    values = np.exp(g.x_values)[None, :] * (1.0 + g.t_values[:, None]) \
+        + rng.normal(size=(nt, nx))
+    sol = GridSolution(g, values, frame="log")
+    fitpack = RectBivariateSpline(
+        g.t_values, g.x_values, values, kx=min(3, nt - 1), ky=min(3, nx - 1))
+    return sol, fitpack
+
+
+def _assert_is_fitpacks_spline(sol, fitpack, rng):
+    """Equal knots, and values within 1e-13 of max |values| at the nodes,
+    between them and at scattered points of the box."""
+    surface = GridSurface(sol)
+    t_knots, x_knots = fitpack.get_knots()
+    assert np.array_equal(surface._t[0], t_knots)
+    assert np.array_equal(surface._x[0], x_knots)
+    g = sol.grid
+    t_lo, t_hi, x_lo, x_hi = g.t_values[0], g.t_values[-1], g.x_values[0], g.x_values[-1]
+    between = make_grid(t_lo, t_hi, 2 * g.nt - 1, x_lo, x_hi, 2 * g.nx - 1)
+    t, x = rng.uniform(t_lo, t_hi, 2000), rng.uniform(x_lo, x_hi, 2000)
+    bound = 1e-13 * np.max(np.abs(sol.values))
+    for ours, theirs in [
+        (surface.at(g.t_values[:, None], g.x_values[None, :]),
+         fitpack(g.t_values, g.x_values)),
+        (surface.at(between.t_values[:, None], between.x_values[None, :]),
+         fitpack(between.t_values, between.x_values)),
+        (surface.at(t, x), fitpack.ev(t, x)),
+    ]:
+        assert np.max(np.abs(ours - theirs)) <= bound
+
+
+@pytest.mark.parametrize("nx", range(2, 9))
+@pytest.mark.parametrize("nt", range(2, 9))
+def test_spline_is_fitpacks_interpolant_on_few_nodes(nt, nx):
+    # 2, 3 and 4 or more nodes per axis: degrees 1, 2 and 3
+    sol, fitpack = _fitpack_case(nt, nx, seed=10 * nt + nx)
+    _assert_is_fitpacks_spline(sol, fitpack, np.random.default_rng(nt * nx))
+
+
+@pytest.mark.parametrize("source", ["COARSE", "FD 401x601", "CSV 401x201"])
+def test_spline_is_fitpacks_interpolant_on_the_certified_shapes(source, tmp_path):
+    from scipy.interpolate import RectBivariateSpline
+
+    if source == "COARSE":
+        sol = sample_surface(log_call_surface(), COARSE)
+    elif source == "FD 401x601":
+        sol = grids.fd_solve(CALL, DEFAULT, make_grid(
+            0.0, 1.0, 401, math.log(100.0) - 3.0, math.log(100.0) + 3.0, 601))
+    else:
+        path = tmp_path / "call.csv"
+        grids.write_csv(sample_surface(call_surface(), make_grid(
+            0.0, 0.8, 401, math.log(40.0), math.log(250.0), 201)), path)
+        sol = grids.read_csv(path)
+    g = sol.grid
+    fitpack = RectBivariateSpline(g.t_values, g.x_values, sol.values)
+    _assert_is_fitpacks_spline(sol, fitpack, np.random.default_rng(3))
+
+
+def test_certifying_a_grid_solution_loads_no_interpolation_module(tmp_path):
+    # the spline is numpy alone: certifying a read-back CSV surface and an
+    # FD-solved one loads none of scipy's interpolation, optimisation or
+    # sparse modules
+    script = textwrap.dedent("""
+        import math, sys
+        from fractions import Fraction
+        from bssym import grids
+        from bssym.model import make_context
+        from bssym.pricing import ClosedFormSolution, OptionSpec
+        from bssym.transforms import FiniteTransform, certify_transform, sample_surface
+        ctx = make_context(Fraction(1, 20), Fraction(1, 25))
+        spec = OptionSpec(100.0, 1.0, "call")
+        grid = grids.make_grid(0.0, 0.8, 41, math.log(60.0), math.log(160.0), 31)
+        grids.write_csv(sample_surface(ClosedFormSolution(spec, ctx), grid), sys.argv[1])
+        fd = grids.fd_solve(spec, ctx, grids.make_grid(0.0, 1.0, 81, 3.0, 6.2, 121))
+        for sol in (grids.read_csv(sys.argv[1]), fd):
+            frame = sol.frame
+            certify_transform(FiniteTransform(5, 0.1, frame=frame), sol, grid, ctx, 5e-3)
+        assert "scipy.linalg" in sys.modules
+        print(sorted(m for m in sys.modules if m.startswith(
+            ("scipy.interpolate", "scipy.optimize", "scipy.sparse"))))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "c.csv")],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class _ForeignCall:
@@ -830,7 +913,8 @@ def _whole_block_residual(sol, ctx, skip_nan=True):
         op="E" if sol.frame == "price" else "E2",
         max_abs_residual=float(np.max(np.abs(picked))),
         interior_norm=float(np.sqrt(np.mean(picked * picked))),
-        stencil=_STENCIL_FALLBACK if np.any(t_three | x_three) else _STENCIL_4TH,
+        stencil=_STENCIL_FALLBACK if np.any(
+            (t_three | x_three) & ~np.isnan(t_term) & ~np.isnan(x_term)) else _STENCIL_4TH,
         scale=float(np.max(np.abs(finite_vals))) if finite_vals.size else 0.0,
         n_interior=int(mask.sum()),
         n_clipped=int(res.size - mask.sum()),
@@ -949,29 +1033,15 @@ class _OneAtATime:
             return phi, -phi if dt else None, phi if dx else None
 
 
-class _OneAtATimeSpline:
-    """A spline's FITPACK calls, guarded as `_OneAtATime` is."""
-
-    def __init__(self, spline):
-        self.spline, self.guard = spline, _OneAtATime()
-
-    def __call__(self, *args):
-        with self.guard.alone():
-            return self.spline(*args)
-
-    def ev(self, *args):
-        with self.guard.alone():
-            return self.spline.ev(*args)
-
-
 def test_outside_code_runs_alone_and_concurrent_samples_keep_the_bits(monkeypatch):
     """Three callers sample the same surfaces at once, each spreading its
     strips over four pool threads, while the interpreter switches threads
-    every 10 us: no foreign `value`, duck-typed action base or FITPACK call
-    is entered while it runs, and every sample has the serial loop's bits."""
+    every 10 us: no foreign `value` or duck-typed action base is entered
+    while it runs, and every sample, the spline's on its lock-free grid and
+    boosted routes included, has the serial loop's bits."""
     spline = GridSurface(sample_surface(log_call_surface(), COARSE))
-    spline._spline = _OneAtATimeSpline(spline._spline)
-    surfaces = [spline, as_surface(_OneAtATime()), call_surface(),
+    surfaces = [spline, apply_transform(FiniteTransform(4, 0.2, frame="log"), spline, DEFAULT),
+                as_surface(_OneAtATime()), call_surface(),
                 infinitesimal_action(basis_isovector(4, DEFAULT), _OneAtATime())]
     monkeypatch.setattr(grids, "_cpus", lambda: 1)
     want = [sample_surface(s, _FOUR_STRIPS).values for s in surfaces]
