@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import index, or_
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Sequence
 
 from .model import _as_fraction
 
@@ -47,8 +47,6 @@ if TYPE_CHECKING:
 
 VARS = ("t", "x", "phi", "A", "B")
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
-
-Scalar = Union[int, Fraction]
 
 _ZERO_EXPS = (0, 0, 0, 0, 0)
 _ZERO = Fraction(0)

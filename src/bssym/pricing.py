@@ -198,9 +198,9 @@ class Surface:
     with no warning or raise, anywhere off its domain, where `_masked` may
     evaluate it.  The strips run on every CPU of the process, so `at` is
     called from several threads at once and must be safe to: bssym's
-    surfaces, a spline's too, only read their own arrays, and call code
-    from outside bssym (a foreign `value`, an action's base) one at a
-    time.
+    surfaces, a spline's and an action's too, only read their own state.
+    The only code from outside bssym is a foreign surface's `value`, which
+    its adapter (`transforms.as_surface`) calls one at a time.
 
     Every surface computes in (t, x) and evaluates another one through `at`.
     Its `frame`, "price" or "log", is only a label: it says how `value`

@@ -24,7 +24,6 @@ that interpolation took place so a failed verdict can be attributed.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass
 from operator import index
 from typing import TYPE_CHECKING, Union
@@ -47,7 +46,7 @@ from .grids import (
     residual_e2,
 )
 from .model import _LOG_FLOWS, ModelContext
-from .pricing import Surface, _box, _finite_float, _masked, _out, _spot
+from .pricing import ClosedFormSolution, Surface, _box, _finite_float, _masked, _out, _spot
 
 if TYPE_CHECKING:
     from .isovectors import Isovector
@@ -349,9 +348,9 @@ def sample_surface(surface, grid: Grid) -> GridSolution:
     the x row and small enough that its temporaries stay in cache, and the
     strips run on every CPU of the process (`grids._each_strip`); there is
     no option.  Every surface computes node by node, so the values are the
-    same bits as from one call on the whole grid, and code from outside
-    bssym (a foreign `value`, the base of an `ActionSurface`) is called one
-    strip at a time.  A spline runs on every strip at once.
+    same bits as from one call on the whole grid.  The only code from
+    outside bssym, a foreign surface's `value`, is called one strip at a
+    time; bssym's surfaces run on every strip at once.
     """
     surface = as_surface(surface)
     t, x = grid.t_values[:, None], grid.x_values[None, :]
@@ -490,14 +489,14 @@ def _act(action: tuple, t, x, phi, phi_t, phi_x):
 
 
 class ActionSurface(Surface):
-    """Surface N~(phi) of an isovector N on a base solution with derivatives
-    in x, that is, with a `value_and_derivatives(t, x, dt, dx)` method and an
-    `inside(t, x)` domain predicate, as the closed form has.  It is NaN
-    outside the base's domain and carries the base's label.  A base that is
-    not a bssym surface is called one at a time."""
+    """Surface N~(phi) of an isovector N on a closed-form solution, from the
+    value and derivatives in x of one closed-form pass
+    (`ClosedFormSolution.value_and_derivatives`).  It is NaN outside the
+    closed form's domain and carries its label.  A foreign `value` is the
+    only code from outside bssym, and an action never calls one."""
 
     def __init__(self, N: Isovector, base):
-        if not hasattr(base, "value_and_derivatives"):
+        if not isinstance(base, ClosedFormSolution):
             raise ValueError(
                 "base solution does not expose derivatives; sample it on a "
                 "grid and use the stencil route instead"
@@ -506,11 +505,9 @@ class ActionSurface(Surface):
         self._needs = [not c.is_zero() for c in self.action[:2]]
         self.base = base
         self.frame = base.frame
-        self._lock = nullcontext() if isinstance(base, Surface) else threading.Lock()
 
     def at(self, t, x):
-        with self._lock:
-            return _masked(t, x, self._acted, self.base.inside)
+        return _masked(t, x, self._acted, self.base.inside)
 
     def _acted(self, t, x):
         jet = self.base.value_and_derivatives(t, x, *self._needs)
@@ -524,11 +521,12 @@ class ActionSurface(Surface):
 def infinitesimal_action(N: Isovector, sol):
     """Build N~(phi) for a solution, in x; the result keeps its label.
 
-    Closed-form solutions use their analytic derivatives and return a
-    surface; grid solutions use the fourth-order stencils of the residual
-    operator (`grids._first_derivative`) and return a GridSolution.  No
-    stencil is one-sided, so where N^t (or N^x) is not zero the first and
-    last time rows (or space columns) are NaN.
+    Closed-form solutions use their analytic derivatives and return an
+    `ActionSurface`; grid solutions use the fourth-order stencils of the
+    residual operator (`grids._first_derivative`) and return a
+    GridSolution.  No stencil is one-sided, so where N^t (or N^x) is not
+    zero the first and last time rows (or space columns) are NaN.  Any
+    other solution, a foreign one too, is a ValueError.
     """
     if not isinstance(sol, GridSolution):
         return ActionSurface(N, sol)

@@ -11,7 +11,6 @@ import textwrap
 import threading
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
@@ -459,11 +458,13 @@ def test_price_and_log_labels_certify_the_same_numbers(stages):
 
 
 class _ForeignCall:
-    """A price-labelled surface from outside the package: `value(t, S)` only."""
+    """A price-labelled call from outside bssym: `value(t, S)` only, which
+    must be handed whole arrays of one shape."""
 
     frame = "price"
 
     def value(self, t, S):
+        assert isinstance(t, np.ndarray) and t.shape == np.shape(S)
         return bs_price(CALL, DEFAULT, t, S)
 
 
@@ -474,6 +475,28 @@ def test_foreign_price_surface_is_read_at_e_to_the_x():
     assert np.array_equal(got, sample_surface(call_surface(), COARSE).values)
     result = certify_transform(FiniteTransform(5, 0.1), _ForeignCall(), COARSE, DEFAULT, 5e-3)
     assert result.verdict and not result.used_interpolation
+
+
+class _WrongBoostCall(_ForeignCall):
+    """The call boosted by exp(kappa N_4), with the time exponent of its
+    prefactor 10% too large: a foreign surface that is no solution."""
+
+    def __init__(self, kappa):
+        self.kappa = kappa
+
+    def value(self, t, S):
+        k, r, s2 = self.kappa, DEFAULT.r_f, DEFAULT.sigma2_f
+        pref = np.exp(1.1 * k * t * (2 * (r - s2 / 2) - k) / (2 * s2)) * S ** (-k / s2)
+        return pref * super().value(t, np.exp(k * t) * S)
+
+
+def test_a_foreign_surface_that_is_no_solution_fails_certification():
+    # the path of the benchmark's negative control: a frame + value object
+    # goes through the foreign-surface adapter, and the residual rejects it
+    tol = 5e-3
+    result = certify_transform(FiniteTransform(6, 0.1), _WrongBoostCall(0.3), COARSE, DEFAULT, tol)
+    assert not result.verdict and not result.used_interpolation
+    assert result.report.rel_max > 10 * tol
 
 
 def test_certify_closed_form_transforms():
@@ -763,17 +786,6 @@ def test_certifying_a_grid_solution_loads_no_interpolation_module(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
-class _ForeignCall:
-    """A price-labelled call from outside bssym: `value(t, S)` only, which
-    must be handed whole arrays of one shape."""
-
-    frame = "price"
-
-    def value(self, t, S):
-        assert isinstance(t, np.ndarray) and t.shape == np.shape(S)
-        return bs_price(CALL, DEFAULT, t, S)
-
-
 def _tensor_cases(i, kappa):
     """One surface of each class, flowed by exp(kappa N_i) where a flow
     applies; the bases are box-restricted to COARSE, as certification has
@@ -1000,49 +1012,35 @@ _FOUR_STRIPS = make_grid(0.0, 0.8, 3 * (_STRIP_NODES // 121) + 1, 0.0, 1.0, 121)
 
 
 class _OneAtATime:
-    """Foreign code, a log surface e^(x - t) with its jet and domain, that
-    raises if it is entered while it is running."""
+    """Foreign code, a log surface e^(x - t), that raises if it is entered
+    while it is running."""
 
     frame = "log"
 
     def __init__(self):
         self.running = False
 
-    @contextmanager
-    def alone(self):
+    def value(self, t, x):
         if self.running:
             raise RuntimeError("entered while it was running")
         self.running = True
         try:
             time.sleep(0.005)
-            yield
+            return np.exp(x - t)
         finally:
             self.running = False
-
-    def value(self, t, x):
-        with self.alone():
-            return np.exp(x - t)
-
-    def inside(self, t, x):
-        with self.alone():
-            return np.isfinite(t + x)
-
-    def value_and_derivatives(self, t, x, dt, dx):
-        with self.alone():
-            phi = np.exp(x - t)
-            return phi, -phi if dt else None, phi if dx else None
 
 
 def test_outside_code_runs_alone_and_concurrent_samples_keep_the_bits(monkeypatch):
     """Three callers sample the same surfaces at once, each spreading its
     strips over four pool threads, while the interpreter switches threads
-    every 10 us: no foreign `value` or duck-typed action base is entered
-    while it runs, and every sample, the spline's on its lock-free grid and
-    boosted routes included, has the serial loop's bits."""
+    every 10 us: no foreign `value` is entered while it runs, and every
+    sample, the spline's on its lock-free grid and boosted routes and the
+    lock-free action's included, has the serial loop's bits."""
     spline = GridSurface(sample_surface(log_call_surface(), COARSE))
     surfaces = [spline, apply_transform(FiniteTransform(4, 0.2, frame="log"), spline, DEFAULT),
                 as_surface(_OneAtATime()), call_surface(),
-                infinitesimal_action(basis_isovector(4, DEFAULT), _OneAtATime())]
+                infinitesimal_action(basis_isovector(4, DEFAULT), log_call_surface())]
     monkeypatch.setattr(grids, "_cpus", lambda: 1)
     want = [sample_surface(s, _FOUR_STRIPS).values for s in surfaces]
     monkeypatch.setattr(grids, "_cpus", lambda: 5)
@@ -1178,6 +1176,33 @@ def test_residual_in_strips_keeps_every_report_field(nt):
         report = (residual_e if zero.frame == "price" else residual_e2)(zero, DEFAULT)
         assert math.copysign(1.0, report.scale) == 1.0
         assert math.copysign(1.0, report.max_abs_residual) == 1.0
+
+
+class _DuckJet:
+    """A log surface from outside bssym with the closed form's jet and
+    domain, delegated: an action takes the closed form itself, not its shape."""
+
+    frame = "log"
+
+    def __init__(self):
+        self._call = log_call_surface()
+
+    def inside(self, t, x):
+        return self._call.inside(t, x)
+
+    def value_and_derivatives(self, t, x, dt, dx):
+        return self._call.value_and_derivatives(t, x, dt, dx)
+
+
+@pytest.mark.parametrize("base", [
+    lambda: GridSurface(sample_surface(log_call_surface(), COARSE)),
+    lambda: apply_transform(FiniteTransform(5, 0.1), call_surface(), DEFAULT),
+    lambda: as_surface(_ForeignCall()),
+    _DuckJet,
+], ids=["spline", "flowed call", "foreign", "duck-typed jet"])
+def test_an_action_refuses_a_base_that_is_not_the_closed_form(base):
+    with pytest.raises(ValueError, match="does not expose derivatives"):
+        infinitesimal_action(basis_isovector(4, DEFAULT), base())
 
 
 def test_infinitesimal_action_of_scaling_is_identity():
