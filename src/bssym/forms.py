@@ -43,31 +43,12 @@ _COVAR_INDEX = {name: i for i, name in enumerate(COVARS)}
 _PHI, _A, _B = (ExpPoly.var(name) for name in VARS[2:])
 
 
-def _merge_indices(left: tuple, right: tuple):
-    """Concatenate two increasing index tuples; return (sorted, sign) or None."""
-    combined = list(left) + list(right)
-    if len(set(combined)) != len(combined):
+def _sorted_sign(idx: tuple):
+    """(sorted idx, (-1)^inversions), or None when an index repeats."""
+    if len(set(idx)) != len(idx):
         return None
-    sign = 1
-    # insertion sort, counting swaps
-    for i in range(1, len(combined)):
-        j = i
-        while j > 0 and combined[j - 1] > combined[j]:
-            combined[j - 1], combined[j] = combined[j], combined[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(combined), sign
-
-
-def _replace_index(key: tuple, m: int, c: int):
-    """key with key[m] replaced by c, sorted, and the sign of that sort; None
-    when c already sits in another slot."""
-    k = key[m]
-    if c != k and c in key:
-        return None
-    lo, hi = (k, c) if k < c else (c, k)
-    passed = sum(lo < i < hi for i in key)
-    return tuple(sorted(key[:m] + (c,) + key[m + 1 :])), -1 if passed % 2 else 1
+    inversions = sum(a > b for i, a in enumerate(idx) for b in idx[i + 1 :])
+    return tuple(sorted(idx)), -1 if inversions % 2 else 1
 
 
 def _summed(degree: int, signed: dict) -> "DiffForm":
@@ -139,7 +120,7 @@ class DiffForm:
         )
         if len(idx) != self.degree or not all(0 <= i < NVARS for i in idx):
             raise ValueError(f"key {tuple(key)} names no slot of a {self.degree}-form")
-        merged = _merge_indices(idx, ())
+        merged = _sorted_sign(idx)
         if merged is None:
             return ExpPoly.zero()
         canon, sign = merged
@@ -208,7 +189,7 @@ class DiffForm:
         signed: dict = {}
         for k1, p1 in self._coeffs.items():
             for k2, p2 in other._coeffs.items():
-                merged = _merge_indices(k1, k2)
+                merged = _sorted_sign(k1 + k2)
                 if merged is None:
                     continue
                 key, sign = merged
@@ -220,7 +201,7 @@ class DiffForm:
         signed: dict = {}
         for key, poly in self._coeffs.items():
             for i, var in enumerate(VARS):
-                merged = _merge_indices((i,), key)
+                merged = _sorted_sign((i,) + key)
                 if merged is None:
                     continue
                 new_key, sign = merged
@@ -308,7 +289,7 @@ def lie_derivative(N, u: DiffForm) -> DiffForm:
             for c, dN in enumerate(jacobian[k]):
                 if not dN._terms:
                     continue
-                moved = _replace_index(key, m, c)
+                moved = _sorted_sign(key[:m] + (c,) + key[m + 1 :])
                 if moved is None:
                     continue
                 new_key, sign = moved

@@ -119,9 +119,12 @@ def _check_axis(vals: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} needs at least two nodes")
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{name} must be finite")
-    steps = np.diff(vals)
+    with np.errstate(over="ignore"):
+        steps = np.diff(vals)
     if np.any(steps <= 0):
         raise ValueError(f"{name} must be strictly ascending")
+    if not np.all(np.isfinite(steps)):
+        raise ValueError(f"{name} spacing must be finite")
     h = steps[0]
     if np.max(np.abs(steps - h)) > _UNIFORM_RTOL * max(abs(h), 1e-300):
         raise ValueError(f"{name} must be uniformly spaced")

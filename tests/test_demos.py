@@ -11,8 +11,9 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_zero(demo):
-    # conftest puts src/ on the children's PYTHONPATH
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          timeout=120)
+    # conftest puts src/ on the children's PYTHONPATH; a leaked floating-point
+    # warning is an error, as in the test suite itself
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bssym.exppoly import VARS, ExpPoly
-from bssym.forms import DiffForm, contract, lie_derivative, structural_forms
+from bssym.forms import DiffForm, _sorted_sign, contract, lie_derivative, structural_forms
 from bssym.isovectors import basis_isovector, Isovector
 from bssym.model import make_context
 
@@ -202,6 +202,32 @@ def test_lie_derivative_of_the_structural_forms_matches_cartan():
         N = basis_isovector(i, DEFAULT)
         for u in (alpha, dalpha, beta):
             assert lie_derivative(N, u) == cartan(N, u)
+
+
+def _cycle_sign(idx):
+    """The sign of the permutation that sorts distinct idx, (-1)^(n - cycles)."""
+    order = sorted(range(len(idx)), key=idx.__getitem__)
+    seen, cycles = set(), 0
+    for start in range(len(idx)):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = order[start]
+    return -1 if (len(idx) - cycles) % 2 else 1
+
+
+def test_sorted_sign_against_cycle_decomposition():
+    # lie_derivative and d both sign through _sorted_sign, so the Cartan
+    # oracle alone cannot see a slip in it: check it independently, on every
+    # tuple of 0-5 indices from 0..4
+    tuples = [idx for n in range(6) for idx in itertools.product(range(5), repeat=n)]
+    assert len(tuples) == 3906
+    for idx in tuples:
+        if len(set(idx)) < len(idx):
+            assert _sorted_sign(idx) is None, idx
+        else:
+            assert _sorted_sign(idx) == (tuple(sorted(idx)), _cycle_sign(idx)), idx
 
 
 def test_coeff_lookup_by_name_and_index():

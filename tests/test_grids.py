@@ -64,6 +64,25 @@ def test_grid_rejects_non_finite_nodes(x):
         Grid(x, [0.0, 1.0])
 
 
+# each node is finite, but 1.7e308 - (-1.7e308) is not
+_WIDE = [-1.7e308, 1.7e308, 1.75e308]
+
+
+def test_grid_rejects_spacing_past_the_float_range():
+    with pytest.raises(ValueError, match="x_values spacing must be finite"):
+        Grid([0.0, 1.0], _WIDE)
+    with pytest.raises(ValueError, match="t_values spacing must be finite"):
+        Grid(_WIDE, [0.0, 1.0])
+
+
+def test_csv_with_spacing_past_the_float_range_rejected(tmp_path):
+    path = tmp_path / "wide.csv"
+    rows = "".join(f"{t!r},{u},1.0\n" for t in _WIDE for u in ("0.0", "1.0"))
+    path.write_text("t,x,value\n" + rows)
+    with pytest.raises(ValueError, match="t_values spacing must be finite"):
+        read_csv(path)
+
+
 @pytest.mark.parametrize("spot", ["0.0", "-1.0"])
 def test_price_csv_with_nonpositive_spot_rejected(spot, tmp_path, recwarn):
     # S = 0 reads as x = -inf and S < 0 as NaN: not grid nodes
