@@ -32,7 +32,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -48,6 +48,7 @@ if TYPE_CHECKING:
 
     from .grids import GridSolution
     from .isovectors import Isovector
+    from .pricing import OptionSpec
 
 
 class ConfigError(Exception):
@@ -235,12 +236,12 @@ def _context(cfg: RunConfig):
         return make_context(cfg.r, cfg.sigma2)
 
 
-def _report(command: str, ctx, cfg: RunConfig | None = None, **fields) -> dict:
+def _report(command: str, ctx, spec: OptionSpec | None = None, **fields) -> dict:
     """A command's schema-1 report: its name, the model, the option when
-    cfg is given, and its own fields."""
+    spec is given, and its own fields."""
     obj = {"schema": 1, "command": command, "model": ctx.to_json(), **fields}
-    if cfg is not None:
-        obj["option"] = {"strike": cfg.strike, "maturity": cfg.maturity, "kind": cfg.kind}
+    if spec is not None:
+        obj["option"] = asdict(spec)
     return obj
 
 
@@ -457,7 +458,7 @@ def cmd_transform(cfg: RunConfig) -> int:
             for stage, (pipe, result) in enumerate(results, start=1)
         ]
         obj = _report(
-            "transform", ctx, cfg,
+            "transform", ctx, call.spec,
             stages=verdicts, all_passed=all(v["verdict"] == "pass" for v in verdicts),
         )
     data = _json_bytes(obj)
@@ -485,7 +486,7 @@ def cmd_price(cfg: RunConfig) -> int:
         _emit(buf.getvalue().encode(), cfg.out)
     else:
         obj = _report(
-            "price", ctx, cfg,
+            "price", ctx, call.spec,
             grid={"t": grid.t_values.tolist(), "S": grid.s_values.tolist()},
             table=values.tolist(),
         )
@@ -543,7 +544,7 @@ def cmd_residual(cfg: RunConfig) -> int:
     ratios = [a / b if b else math.nan for a, b in zip(errors, errors[1:])]
 
     obj = _report(
-        "residual", ctx, cfg,
+        "residual", ctx, spec,
         closed_form={"E": rep_e.to_json(), "E2": rep_e2.to_json()},
         fd={
             "levels": [{"nx": nx, "nt": nt} for nx, nt in _FD_LEVELS],

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -168,7 +168,15 @@ class Grid:
 
 
 def make_grid(t_lo, t_hi, nt, x_lo, x_hi, nx) -> Grid:
-    return Grid(np.linspace(t_lo, t_hi, nt), np.linspace(x_lo, x_hi, nx))
+    with np.errstate(over="ignore", invalid="ignore"):  # Grid refuses inf nodes
+        t, x = np.linspace(t_lo, t_hi, nt), np.linspace(x_lo, x_hi, nx)
+    return Grid(t, x)
+
+
+def _check_stencil_nodes(g: Grid) -> None:
+    """The central stencils, the residual's and the derivative's, need 3 nodes per axis."""
+    if g.nt < 3 or g.nx < 3:
+        raise ValueError("grid too coarse for central stencils (need 3 nodes)")
 
 
 @dataclass(eq=False)
@@ -215,16 +223,7 @@ class ResidualReport:
         return self.max_abs_residual / self.scale
 
     def to_json(self) -> dict:
-        return {
-            "op": self.op,
-            "max_abs_residual": self.max_abs_residual,
-            "interior_norm": self.interior_norm,
-            "rel_max": self.rel_max,
-            "scale": self.scale,
-            "stencil": self.stencil,
-            "n_interior": self.n_interior,
-            "n_clipped": self.n_clipped,
-        }
+        return {**asdict(self), "rel_max": self.rel_max}
 
 
 def _finish_report(op: str, res: np.ndarray, values: np.ndarray, stencil: str) -> ResidualReport:
@@ -386,8 +385,7 @@ def _log_frame_residual(
     op: str, sol: GridSolution, ctx: ModelContext
 ) -> ResidualReport:
     g = sol.grid
-    if g.nt < 3 or g.nx < 3:
-        raise ValueError("grid too coarse for central stencils (need 3 nodes)")
+    _check_stencil_nodes(g)
     v = sol.values
     nt, nx = v.shape
     t_tiers = [{k: w / (12.0 * g.dt) for k, w in d1.items()} for d1 in _D1_TIERS]

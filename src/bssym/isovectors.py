@@ -21,7 +21,7 @@ on the `Isovector`.  Nothing is shared between two objects, however equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -122,7 +122,7 @@ class Isovector:
     """Vector field on the jet manifold, components in (t, x, phi, A, B) order."""
 
     components: Tuple[ExpPoly, ExpPoly, ExpPoly, ExpPoly, ExpPoly]
-    name: str = ""
+    name: str = field(default="", compare=False)  # a label: == and hash read components
 
     @property
     def Nt(self) -> ExpPoly:
@@ -180,11 +180,6 @@ class Isovector:
         return Isovector(tuple(scalar * c for c in self.components))
 
     __mul__ = __rmul__
-
-    def __eq__(self, other):
-        if not isinstance(other, Isovector):
-            return NotImplemented
-        return self.components == other.components
 
     def __str__(self) -> str:
         label = self.name or "N"

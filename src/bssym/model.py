@@ -13,7 +13,7 @@ The closed-form flows' one table, `_LOG_FLOWS`, lives here, free of numpy.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -122,7 +122,7 @@ class ModelContext:
         return float(self.stilde)
 
     def to_json(self) -> dict:
-        return {k: str(getattr(self, k)) for k in ("r", "sigma2", "rtilde", "stilde")}
+        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
 
 
 def make_context(r, sigma2) -> ModelContext:

@@ -24,7 +24,7 @@ that interpolation took place so a failed verdict can be attributed.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import index
 from typing import TYPE_CHECKING, Union
 
@@ -39,6 +39,7 @@ from .grids import (
     Grid,
     GridSolution,
     ResidualReport,
+    _check_stencil_nodes,
     _each_strip,
     _first_derivative,
     _row_strips,
@@ -92,7 +93,7 @@ class FiniteTransform:
         return np.exp(log_p(self.kappa, ctx.rtilde_f, ctx.sigma2_f, ctx.stilde_f, t, x))
 
     def to_json(self) -> dict:
-        return {"generator": self.generator, "kappa": self.kappa, "frame": self.frame}
+        return asdict(self)
 
 
 def compose(*flows: FiniteTransform) -> tuple:
@@ -283,11 +284,11 @@ class BoxRestrictedSurface(Surface):
     """A surface clipped to the (t, x) bounding box of a grid; outside it
     evaluates to NaN.
 
-    Certification treats the base solution as known on the certification
-    grid only, so pulled-back points must stay inside the grid's bounding
-    box; this wrapper realizes that clipping for closed forms, which would
-    otherwise evaluate anywhere before maturity.  The box is widened by
-    1e-12 of its largest bound on each axis, so nodes on its edge stay in.
+    Certification treats a base that would evaluate anywhere, a closed form
+    or a foreign surface, as known on the certification grid's box only;
+    this wrapper realizes that clipping.  A grid base needs none: its
+    spline is known on its own grid's box.  The box is widened by 1e-12 of
+    its largest bound on each axis, so nodes on its edge stay in.
     """
 
     def __init__(self, base, grid: Grid):
@@ -318,7 +319,10 @@ class _ForeignSurface(Surface):
         # foreign code gets whole (t, u) arrays of one shape, as from meshes
         tu = [np.array(a) for a in np.broadcast_arrays(t, u)]
         with self._lock:
-            return self.sol.value(*tu)
+            out = self.sol.value(*tu)
+        if np.shape(out) != tu[0].shape:  # checked: a prefactor would broadcast it
+            raise ValueError(f"foreign values of shape {np.shape(out)} at points {tu[0].shape}")
+        return out
 
 
 def as_surface(sol):
@@ -357,14 +361,7 @@ def sample_surface(surface, grid: Grid) -> GridSolution:
     values = np.empty((grid.nt, grid.nx))
 
     def sample(lo, hi):
-        strip = surface.at(t[lo:hi], x)
-        # checked, not broadcast: a foreign surface's value could be any shape
-        if np.shape(strip) != (hi - lo, grid.nx):
-            raise ValueError(
-                f"surface values of shape {np.shape(strip)} for a strip of "
-                f"{hi - lo} x {grid.nx} nodes"
-            )
-        values[lo:hi] = strip
+        values[lo:hi] = surface.at(t[lo:hi], x)
 
     _each_strip(sample, _row_strips(grid.nt, grid.nx))
     return GridSolution(grid, values, frame=surface.frame)
@@ -421,13 +418,16 @@ def certify_transform(
     The verdict compares the max interior relative residual against tol; a
     surface that is zero on every evaluable node (scale 0) fails, since its
     residual says nothing about the flow.
-    The base solution is treated as known on the certification grid only,
-    so pullbacks that leave the grid's bounding box mark their nodes as
-    clipped; clipped nodes are excluded and counted, and if nothing remains
+    A base that evaluates anywhere (a closed form, a foreign surface) is
+    known on the certification grid's box only, a grid base on its own
+    grid's box; pullbacks that leave that box mark their nodes as clipped.
+    Clipped nodes are excluded and counted, and if nothing remains
     evaluable the transform has left the domain entirely and a
-    TransformDomainError is raised.  A node whose pulled-back point the base
-    evaluates, but whose value is not finite, is an OverflowError.
+    TransformDomainError is raised; a grid too coarse for the stencils is
+    a ValueError.  A node whose pulled-back point the base evaluates, but
+    whose value is not finite, is an OverflowError.
     """
+    _check_stencil_nodes(grid)
     base = as_surface(sol)
     if not isinstance(base, GridSurface):
         base = BoxRestrictedSurface(base, grid)
@@ -532,8 +532,7 @@ def infinitesimal_action(N: Isovector, sol):
         return ActionSurface(N, sol)
     action = _action_of(N)
     g = sol.grid
-    if g.nt < 3 or g.nx < 3:
-        raise ValueError("grid too coarse for derivative stencils")
+    _check_stencil_nodes(g)
     v = sol.values
     out = _act(
         action, g.t_values[:, None], g.x_values[None, :], v,

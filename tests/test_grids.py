@@ -75,6 +75,24 @@ def test_grid_rejects_spacing_past_the_float_range():
         Grid(_WIDE, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("axis, bounds", [
+    ("t", (-1.7e308, 1.75e308, 3, 0.0, 1.0, 3)),
+    ("x", (0.0, 1.0, 3, -1.7e308, 1.75e308, 3)),
+])
+def test_make_grid_past_the_float_range_rejected_quietly(axis, bounds):
+    # hi - lo overflows inside linspace; Grid refuses the nodes, with no warning
+    with pytest.raises(ValueError, match=f"{axis}_values must be finite"):
+        make_grid(*bounds)
+
+
+def test_residual_report_json_is_its_fields_and_rel_max():
+    # pinned whole: a field added later shows up here, not silently in a report
+    report = grids.ResidualReport("E2", 1.0, 0.5, "4th-order-uniform", 4.0, 10, 2)
+    assert report.to_json() == {
+        "op": "E2", "max_abs_residual": 1.0, "interior_norm": 0.5, "rel_max": 0.25,
+        "scale": 4.0, "stencil": "4th-order-uniform", "n_interior": 10, "n_clipped": 2}
+
+
 def test_csv_with_spacing_past_the_float_range_rejected(tmp_path):
     path = tmp_path / "wide.csv"
     rows = "".join(f"{t!r},{u},1.0\n" for t in _WIDE for u in ("0.0", "1.0"))

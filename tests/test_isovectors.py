@@ -12,9 +12,11 @@ from conftest import MODEL_POINTS as ACCEPTANCE_POINTS, NEGATIVE_RATE
 import bssym.forms as forms
 import bssym.isovectors as isovectors
 from bssym.exppoly import VARS, ExpPoly
+from bssym.forms import DiffForm
 from bssym.ideal import ideal_membership
 from bssym.isovectors import (
     DispersionError,
+    GHPair,
     Isovector,
     NotInFamilyError,
     SolutionSpec,
@@ -56,6 +58,31 @@ def family_member(constants, bs, ctx, name=""):
     for b in bs:
         modes = modes + SolutionSpec.mode_for(b, ctx)
     return isovector_from_constants(constants, modes, ctx, name=name)
+
+
+# -- value types -----------------------------------------------------------
+
+
+@given(consts, consts, consts)
+@settings(max_examples=30, deadline=None)
+def test_equal_values_hash_equal(c, a, b):
+    """Each exact value type built two ways: the two are equal, hash equal
+    and make a set of one.  An isovector's name is a label, not a value."""
+    t, x = ExpPoly.var("t"), ExpPoly.var("x")
+    e = ExpPoly.term(c, (0, 1, 0, 0, 0), a, b)
+    p, q = e * t + x, x + t * e
+    rest = (x, t, e, ExpPoly.one())
+    pairs = [
+        (p, q),
+        (DiffForm(1, {(0,): p, (1,): x}), DiffForm(1, {(1,): x}) + DiffForm(1, {(0,): q})),
+        (SolutionSpec.single(c, a, b), SolutionSpec.single(str(c), str(a), str(b))),
+        (GHPair(p, x), GHPair(g=q, h=x)),
+        (Isovector((p, *rest), name="N1"), Isovector((q, *rest), name="x")),
+    ]
+    for one, other in pairs:
+        assert one == other, type(one).__name__
+        assert hash(one) == hash(other), type(one).__name__
+        assert len({one, other}) == 1, type(one).__name__
 
 
 # -- family construction and verification -----------------------------------

@@ -126,6 +126,12 @@ def test_generator_is_read_once_as_an_int(i):
         FiniteTransform(float(i), 0.1)
 
 
+def test_transform_json_is_its_fields():
+    # pinned whole: a field added later shows up here, not silently in a verdict
+    assert FiniteTransform(4, 0.1, frame="log").to_json() == {
+        "generator": 4, "kappa": 0.1, "frame": "log"}
+
+
 def test_time_shift_pullback_and_prefactor():
     tr = FiniteTransform(3, 0.25, frame="price")
     x = math.log(100.0)
@@ -517,6 +523,14 @@ def test_certify_counts_clipped_nodes():
     expected_rows = sum(1 for tv in COARSE.t_values if tv + 0.1 > 0.8 + 1e-12)
     assert result.n_clipped_nodes == expected_rows * COARSE.nx
     assert result.verdict
+
+
+def test_certify_on_a_too_coarse_grid_is_no_domain_error():
+    # two time rows leave no interior node: the grid is at fault, not the flow
+    with pytest.raises(ValueError, match="too coarse") as err:
+        certify_transform(FiniteTransform(6, 0.1), call_surface(),
+                          make_grid(0.0, 0.8, 2, 4.0, 5.0, 50), DEFAULT, 5e-4)
+    assert type(err.value) is ValueError
 
 
 def test_certify_rejects_fully_clipped():
@@ -1005,6 +1019,27 @@ def test_sampling_rejects_values_of_the_wrong_shape(nt):
     grid = make_grid(0.0, 0.8, nt, 0.0, 1.0, 121)
     with pytest.raises(ValueError, match="shape"):
         sample_surface(as_surface(_OneRowSurface()), grid)
+
+
+class _OneValueSurface:
+    """A foreign surface that answers every point set with one value."""
+
+    frame = "log"
+
+    def value(self, t, x):
+        return np.zeros(1)
+
+
+def test_wrong_shapes_are_rejected_before_a_per_node_prefactor():
+    # N4's prefactor varies node by node, so it would broadcast a wrong
+    # shape into the right one; the foreign answer is checked first
+    boost = FiniteTransform(4, 0.1, frame="log")
+    with pytest.raises(ValueError, match="shape"):
+        certify_transform(boost, _OneRowSurface(), make_grid(0.0, 0.8, 41, 0.0, 1.0, 31),
+                          DEFAULT, 5e-3)
+    with pytest.raises(ValueError, match=r"shape \(1,\) at points \(2,\)"):
+        apply_transform(boost, _OneValueSurface(), DEFAULT).value(
+            np.asarray([0.1, 0.2]), np.asarray([0.3, 0.4]))
 
 
 # four strips of 270 rows of 121 nodes, the last one a single row
