@@ -250,9 +250,7 @@ def _priced(cfg: RunConfig, stencils: bool = False):
     closed form prices, ending by maturity, and with `stencils` one the
     residual stencils act on (3 nodes per axis).  The checks run in a fixed
     order, so a config with several faults reports the same first one."""
-    import numpy as np
-
-    from .grids import make_grid
+    from .grids import _s_axis, make_grid
     from .pricing import ClosedFormSolution, OptionSpec
 
     ctx = _context(cfg)
@@ -270,12 +268,7 @@ def _priced(cfg: RunConfig, stencils: bool = False):
             cfg.grid_t[0], cfg.grid_t[1], cfg.nt,
             cfg.grid_x[0], cfg.grid_x[1], cfg.nx,
         )
-    s = grid.s_values
-    if not np.all(np.isfinite(s) & (s > 0)):
-        raise ConfigError(
-            "bad grid: S = e^x is not a finite positive float on grid_x "
-            f"{cfg.grid_x[0]!r}:{cfg.grid_x[1]!r}"
-        )
+        _s_axis(grid)  # S = e^x must read back from a price CSV
     # the stencil weights go up to 16 / (12 h^2)
     if stencils and min(grid.dt, grid.dx) ** 2 < 2.0 / sys.float_info.max:
         raise ConfigError(_OUT_OF_RANGE + ": grid spacing too fine for the stencils")

@@ -26,8 +26,10 @@ exponent would pass `_EXP_MAX` raises instead of aliasing another monomial.
 The storage is canonical: no zero numerator and no empty group is stored,
 and gcd(_den, *numerators) is 1, with the zero stored as {} over 1.  Equal
 expressions have equal storage and equal hashes.  Every sum, `+` and `-`
-too, is one `_sum_of_products`; a scalar `*` only rescales.  Fractions
-appear only at the boundary: scalar operands, `constant_value`,
+too, is one `_sum_of_products`; a scalar `*` only rescales.  A derivative
+lowers each group in one pass, and `_grad`, the five partials in VARS
+order, is the one gradient of fields, forms and the prolongation.
+Fractions appear only at the boundary: scalar operands, `constant_value`,
 `sorted_terms` and rendering.
 """
 
@@ -86,15 +88,6 @@ def _pack(exps) -> int:
 
 def _unpack(key: int) -> tuple:
     return tuple(key >> shift & _EXP_MAX for shift in _SHIFTS)
-
-
-def _acc(mono: dict, key: int, num: int) -> None:
-    """Add a nonzero num to the key entry of one signature group."""
-    num += mono.get(key, 0)
-    if num:
-        mono[key] = num
-    else:
-        del mono[key]
 
 
 def _wrap(terms: dict, den: int) -> "ExpPoly":
@@ -362,24 +355,26 @@ class ExpPoly:
         terms: dict = {}
         for sid, mono in self._terms.items():
             rate = rates.get(sid)
-            if rate is None:
-                # lowering one field is one-to-one, so no two terms meet
-                out = {}
-                for key, num in mono.items():
-                    e = key >> shift & _EXP_MAX
-                    if e:
-                        out[key - unit] = num * e * scale
-            else:
-                mult = rate.numerator * (scale // rate.denominator)
-                out = {}
-                for key, num in mono.items():
-                    e = key >> shift & _EXP_MAX
-                    if e:
-                        _acc(out, key - unit, num * e * scale)
-                    _acc(out, key, num * mult)
+            mult = rate.numerator * (scale // rate.denominator) if rate else 0
+            out: dict = {}
+            get = out.get
+            # one pass in storage order; lowering is one-to-one, so a key
+            # meets at most one rate term, and only those can cancel
+            for key, num in mono.items():
+                if e := key >> shift & _EXP_MAX:
+                    low = key - unit
+                    out[low] = get(low, 0) + num * e * scale
+                if mult:
+                    out[key] = get(key, 0) + num * mult
+            if mult and 0 in out.values():
+                out = {key: num for key, num in out.items() if num}
             if out:
                 terms[sid] = out
         return _reduce(terms, self._den * scale)
+
+    def _grad(self) -> tuple:
+        """The five partials, in VARS order."""
+        return tuple(map(self.diff, VARS))
 
     def eval_grid(self, t, x) -> np.ndarray:
         """Float evaluation at arrays t and x, broadcast together.  A term in

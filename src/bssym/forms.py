@@ -200,14 +200,12 @@ class DiffForm:
         """Exterior derivative."""
         signed: dict = {}
         for key, poly in self._coeffs.items():
-            for i, var in enumerate(VARS):
+            for i, dpoly in enumerate(poly._grad()):
                 merged = _sorted_sign((i,) + key)
                 if merged is None:
                     continue
                 new_key, sign = merged
-                signed.setdefault(new_key, ([], []))[sign < 0].append(
-                    (_ONE, poly.diff(var))
-                )
+                signed.setdefault(new_key, ([], []))[sign < 0].append((_ONE, dpoly))
         return _summed(self.degree + 1, signed)
 
     # -- rendering ---------------------------------------------------------
@@ -277,14 +275,10 @@ def lie_derivative(N, u: DiffForm) -> DiffForm:
     docstring, each slot summed in one pass over N's derivative table (an
     Isovector's cached one, or one computed here for bare components)."""
     comps = _components_of(N)
-    jacobian = getattr(N, "_jacobian", None) or tuple(
-        tuple(comp.diff(var) for var in VARS) for comp in comps
-    )
+    jacobian = getattr(N, "_jacobian", None) or tuple(comp._grad() for comp in comps)
     signed: dict = {}
     for key, poly in u._coeffs.items():
-        signed.setdefault(key, ([], []))[0].extend(
-            (comp, poly.diff(var)) for comp, var in zip(comps, VARS)
-        )
+        signed.setdefault(key, ([], []))[0].extend(zip(comps, poly._grad()))
         for m, k in enumerate(key):
             for c, dN in enumerate(jacobian[k]):
                 if not dN._terms:

@@ -28,7 +28,7 @@ import numpy as np
 # exact CLI subcommands load neither.
 
 from .model import ModelContext
-from .pricing import OptionSpec
+from .pricing import OptionSpec, _spot
 
 _UNIFORM_RTOL = 1e-9
 
@@ -161,7 +161,7 @@ class Grid:
 
     @property
     def s_values(self) -> np.ndarray:
-        return np.exp(self.x_values)
+        return _spot(self.x_values)
 
     def meshes(self):
         return np.meshgrid(self.t_values, self.x_values, indexing="ij")
@@ -171,6 +171,15 @@ def make_grid(t_lo, t_hi, nt, x_lo, x_hi, nx) -> Grid:
     with np.errstate(over="ignore", invalid="ignore"):  # Grid refuses inf nodes
         t, x = np.linspace(t_lo, t_hi, nt), np.linspace(x_lo, x_hi, nx)
     return Grid(t, x)
+
+
+def _s_axis(g: Grid) -> np.ndarray:
+    """The S = e^x axis of a price CSV: a ValueError unless `read_csv` can
+    rebuild the grid from it, that is unless log S passes its axis check."""
+    s = g.s_values
+    with np.errstate(divide="ignore"):
+        _check_axis(np.log(s), "log S")
+    return s
 
 
 def _check_stencil_nodes(g: Grid) -> None:
@@ -593,12 +602,13 @@ def csv_chunks(sol: GridSolution):
     output both write it.  The header is "t,x,value" (log frame) or
     "t,S,value" (price frame), rows are row-major by time, lines end in
     "\n", and every float is spelled by `repr`, so it round-trips exactly
-    (``nan``, ``inf``, ``-0.0`` and subnormals included).
+    (``nan``, ``inf``, ``-0.0`` and subnormals included).  A price label
+    whose S axis `read_csv` could not rebuild is a ValueError, not a header.
     """
     if sol.frame == "log":
         col, axis = "x", sol.grid.x_values
     else:
-        col, axis = "S", sol.grid.s_values
+        col, axis = "S", _s_axis(sol.grid)
     yield f"t,{col},value\n"
     us = [repr(u) for u in axis.tolist()]
     for tv, row in zip(sol.grid.t_values.tolist(), sol.values.tolist()):
@@ -607,9 +617,13 @@ def csv_chunks(sol: GridSolution):
 
 
 def write_csv(sol: GridSolution, path) -> None:
-    """Write `csv_chunks(sol)` to path, one time row per write."""
+    """Write `csv_chunks(sol)` to path, one time row per write; a grid that
+    `csv_chunks` refuses is a ValueError before the file is created."""
+    chunks = csv_chunks(sol)
+    header = next(chunks)
     with open(path, "w", newline="") as fh:
-        fh.writelines(csv_chunks(sol))
+        fh.write(header)
+        fh.writelines(chunks)
 
 
 def read_csv(path) -> GridSolution:

@@ -147,9 +147,7 @@ class Isovector:
     @cached_property
     def _jacobian(self) -> tuple:
         """Row v holds the derivatives dN^v/dw, computed once per field."""
-        return tuple(
-            tuple(comp.diff(var) for var in VARS) for comp in self.components
-        )
+        return tuple(comp._grad() for comp in self.components)
 
     @cached_property
     def _gh(self) -> "GHPair":
@@ -246,12 +244,10 @@ def isovector_from_generator(F: ExpPoly, name: str = "") -> Isovector:
     generator is F again; whether it is an isovector, that is whether L_N
     beta lies in the ideal, is what `verify_isovector` decides.
     """
-    FB = F.diff("B")
-    FA = F.diff("A")
-    Fphi = F.diff("phi")
+    Ft, Fx, Fphi, FA, FB = F._grad()
     Nphi = _sum_of_products(((_ONE, F),), ((_A, FA), (_B, FB)))
-    NA = _sum_of_products(((_ONE, F.diff("x")), (_A, Fphi)))
-    NB = _sum_of_products(((_ONE, F.diff("t")), (_B, Fphi)))
+    NA = _sum_of_products(((_ONE, Fx), (_A, Fphi)))
+    NB = _sum_of_products(((_ONE, Ft), (_B, Fphi)))
     return Isovector((-FB, -FA, Nphi, NA, NB), name=name)
 
 

@@ -133,9 +133,11 @@ class TransformedSurface(Surface):
     def _pull_back(self, t, x):
         """(t, x) pulled back through every stage, and each stage with the points it saw."""
         seen = []
-        for tr in reversed(self.pipeline):
-            seen.append((tr, t, x))
-            t, x = tr.pullback(self.ctx, t, x)
+        # quiet where a point leaves the float range: the base masks it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for tr in reversed(self.pipeline):
+                seen.append((tr, t, x))
+                t, x = tr.pullback(self.ctx, t, x)
         return t, x, seen
 
     def at(self, t, x):

@@ -260,6 +260,11 @@ def test_transform_requires_pipeline_and_out(tmp_path):
         ["price", "--nt", "100000", "--nx", "100000"],
         # N5 has h = rtilde/sigma2 = 0 here, so the fault would change nothing
         ["verify", "--debug-faulty-n5", "--r", "1", "--sigma2", "2"],
+        # S = e^x nodes that meet as floats: read_csv could not rebuild the S axis
+        ["price", "--grid-x", "0:1e-300", "--nt", "3", "--nx", "3", "--format", "csv"],
+        ["price", "--grid-x=-745:-744", "--nt", "2", "--nx", "5", "--format", "csv"],
+        ["transform", "--pipeline", "5:0.1", "--grid-x=-745:-744", "--nt", "5", "--nx", "5",
+         "--out", "OUT"],
     ],
 )
 def test_degenerate_config_exits_two_cleanly(argv, tmp_path):

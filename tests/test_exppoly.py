@@ -325,6 +325,57 @@ def test_product_matches_the_term_by_term_reference(left, right):
     assert reference_terms(p * q) == reference_product(p, q)
 
 
+def reference_diff(p, name):
+    """The partial of p in name, by the product rule on each term
+    c * t^i x^j phi^k A^l B^m * exp(a*t + b*x) in Fractions."""
+    v = VARS.index(name)
+    out = {}
+    for (exps, (a, b)), c in p.sorted_terms():
+        if exps[v]:
+            lowered = tuple(e - (k == v) for k, e in enumerate(exps))
+            out[(lowered, (a, b))] = out.get((lowered, (a, b)), 0) + c * exps[v]
+        rate = (a, b)[v] if v < 2 else 0
+        if rate:
+            out[(exps, (a, b))] = out.get((exps, (a, b)), 0) + c * rate
+    return {mono: c for mono, c in out.items() if c}
+
+
+@st.composite
+def grouped_polys(draw):
+    """Terms in two or three signature groups, each drawn beside a term one
+    power up in t or x, in any order, so that lowered and rate terms meet."""
+    sigs = draw(st.lists(shared_sigs.filter(lambda s: s != (0, 0)),
+                         min_size=2, max_size=3, unique=True))
+    terms = []
+    for sig in sigs:
+        for _ in range(draw(st.integers(1, 3))):
+            exps = list(draw(small_exps))
+            up = list(exps)
+            up[draw(st.integers(0, 1))] += 1
+            terms += [ExpPoly.term(draw(coeffs.filter(bool)), e, *sig) for e in (exps, up)]
+    return draw(st.permutations(terms))
+
+
+@given(grouped_polys(), st.sampled_from(VARS))
+def test_diff_matches_the_term_by_term_reference(terms, name):
+    p = total(terms)
+    got = p.diff(name)
+    assert reference_terms(got) == reference_diff(p, name)
+    want = total([ExpPoly.term(c, exps, *sig)
+                  for (exps, sig), c in reference_diff(p, name).items()])
+    assert got == want and hash(got) == hash(want)
+    assert p._grad() == tuple(p.diff(v) for v in VARS)
+
+
+def test_diff_drops_a_term_that_cancels_in_an_exponential_group():
+    x = ExpPoly.var("x")
+    e = ExpPoly.term(1, b=Fraction(1, 2))
+    # d/dx (x - 2) e^(x/2) = e^(x/2) + (x/2 - 1) e^(x/2) = (x/2) e^(x/2)
+    got = ((x - 2) * e).diff("x")
+    assert got == Fraction(1, 2) * x * e
+    assert got.sorted_terms() == [(((0, 1, 0, 0, 0), (0, Fraction(1, 2))), Fraction(1, 2))]
+
+
 polys_pairs = st.lists(st.tuples(mixed_polys(max_terms=4), mixed_polys(max_terms=4)),
                        max_size=4)
 

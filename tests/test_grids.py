@@ -443,6 +443,19 @@ def test_csv_rows_out_of_place_rejected(rows, message, tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("lo, hi", [(700.0, 720.0), (-800.0, -790.0), (0.0, 1e-300)],
+                         ids=["S-overflows", "S-underflows", "S-nodes-meet"])
+def test_price_csv_that_read_csv_cannot_rebuild_is_not_written(lo, hi, tmp_path, recwarn):
+    # S = e^x reads inf, 0.0 three times, or 1.0 three times: read_csv
+    # could not rebuild the S axis, so nothing is written
+    sol = GridSolution(make_grid(0.0, 1.0, 3, lo, hi, 3), np.ones((3, 3)), frame="price")
+    path = tmp_path / "price.csv"
+    with pytest.raises(ValueError, match="log S must be"):
+        write_csv(sol, path)
+    assert not path.exists()
+    assert not recwarn.list
+
+
 def test_csv_header_only_is_empty(tmp_path, recwarn):
     path = tmp_path / "empty.csv"
     path.write_text("t,S,value\n")

@@ -552,6 +552,28 @@ def test_flows_past_the_float_range_read_inf_quietly(i, kappa):
     assert np.isinf(got[0])
 
 
+@pytest.mark.parametrize("i, kappa, t, x", [
+    (4, 1e10, -1e300, 4.6),      # the boost's x + kappa t overflows
+    (5, 1e308, 0.5, 1e308),      # x + kappa overflows
+    (3, 1.7e308, 1.7e308, 4.6),  # t + kappa overflows
+], ids=["N4", "N5", "N3"])
+def test_pull_back_past_the_float_range_reads_nan_quietly(i, kappa, t, x):
+    flowed = apply_transform(FiniteTransform(i, kappa, frame="log"),
+                             LogClosedForm(CALL, DEFAULT), DEFAULT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(flowed.at(t, x))
+
+
+def test_certify_with_every_pull_back_overflowed_is_a_domain_error():
+    grid = make_grid(-1e300, 0.0, 5, 4.0, 5.2, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TransformDomainError):
+            certify_transform(FiniteTransform(4, 1e10, frame="log"),
+                              LogClosedForm(CALL, DEFAULT), grid, DEFAULT, 5e-4)
+
+
 def test_certify_reports_overflow_as_no_clipping():
     # N6 pulls no node back, so none is clipped; every node overflows
     grid = make_grid(0.0, 0.8, 41, math.log(0.5), math.log(200.0), 31)
