@@ -4,9 +4,12 @@ Subcommands: verify, brackets, transform, price, residual.  A flat
 "key = value" config file (with '#' comments) holds the same settings as the
 flags; flags override the file; unknown keys are rejected.  Exit codes are
 strict: 0 success, 1 mathematical failure, 2 usage or config error (a
-missing numpy or scipy too).  The numeric commands set up through one
-`_priced` (context, closed form, checked grid), and each JSON report is one
-`_report` envelope: schema, command, model, and the option where priced.
+missing numpy or scipy too, which `main` maps).  The numeric commands set
+up through one `_priced` (context, its floats, closed form, checked grid),
+and each JSON report is one `_report` envelope: schema, command, model, and
+the option where priced.  They set no numpy error state: the numeric layer
+is quiet where a value passes the float range, and the commands check the
+values it returns.
 
 Output is deterministic byte-for-byte for identical configuration: JSON is
 emitted with sorted keys and fixed indentation, CSV rows use repr floats,
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import gc
 import io
 import json
@@ -254,6 +256,12 @@ def _priced(cfg: RunConfig, stencils: bool = False):
     from .pricing import ClosedFormSolution, OptionSpec
 
     ctx = _context(cfg)
+    # the numeric layer reads the model as floats: float() of a rational past
+    # the float range raises, and a positive sigma2 may still read as 0.0
+    with _config_errors(f"{_OUT_OF_RANGE}: the model: ", OverflowError):
+        floats = (ctx.r_f, ctx.rtilde_f, ctx.stilde_f, ctx.sigma2_f)
+    if floats[-1] == 0.0:
+        raise ConfigError(f"{_OUT_OF_RANGE}: the model: sigma2 reads as 0.0")
     if stencils and (cfg.nt < 3 or cfg.nx < 3):
         raise ConfigError(
             f"residual stencils need nt and nx of at least 3, got {cfg.nt}x{cfg.nx}"
@@ -377,26 +385,6 @@ def cmd_brackets(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _numeric_command(cmd):
-    """A numeric subcommand, run with numpy's floating-point warnings off:
-    the commands check for non-finite results themselves and report them as
-    config errors, so numpy's warnings would only add stderr lines.  A
-    missing numpy or scipy is a usage error too, not a traceback."""
-
-    @functools.wraps(cmd)
-    def run(cfg: RunConfig) -> int:
-        try:
-            import numpy as np
-
-            with np.errstate(all="ignore"):
-                return cmd(cfg)
-        except ModuleNotFoundError as exc:
-            raise ConfigError(f"missing dependency: no module named {exc.name!r}") from None
-
-    return run
-
-
-@_numeric_command
 def cmd_transform(cfg: RunConfig) -> int:
     from .grids import write_csv
     from .transforms import (
@@ -466,7 +454,6 @@ def cmd_transform(cfg: RunConfig) -> int:
     return 0 if obj.get("all_passed") else 1
 
 
-@_numeric_command
 def cmd_price(cfg: RunConfig) -> int:
     from .transforms import sample_surface
 
@@ -496,7 +483,6 @@ def _write_csv_text(sol: GridSolution, buf) -> None:
 _FD_LEVELS = ((301, 101), (601, 201), (1201, 401))
 
 
-@_numeric_command
 def cmd_residual(cfg: RunConfig) -> int:
     import numpy as np
 
@@ -633,6 +619,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ModuleNotFoundError as exc:  # a numeric command without numpy or scipy
+        print(f"error: missing dependency: no module named {exc.name!r}", file=sys.stderr)
         return 2
 
 

@@ -405,46 +405,48 @@ def _log_frame_residual(
         _combine((drift, d1), (diffusion, d2))
         for d1, d2 in zip(_D1_TIERS, _D2_TIERS)
     ]
-    res = np.full((nt - 2, nx - 2), np.nan)
-    if nt >= 5 and nx >= 5:
-        # the bulk: central five-point stencils, strips of rows on every CPU,
-        # each term summed in the same order as on the whole block
-        inner = res[1:-1, 1:-1]
+    # a stencil that passes the float range counts as |res| = inf, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = np.full((nt - 2, nx - 2), np.nan)
+        if nt >= 5 and nx >= 5:
+            # the bulk: central five-point stencils, strips of rows on every CPU,
+            # each term summed in the same order as on the whole block
+            inner = res[1:-1, 1:-1]
 
-        def bulk(lo, hi):
-            rows = slice(2 + lo, 2 + hi)
-            strip = inner[lo:hi]
-            np.multiply(v[rows, 2:-2], -ctx.r_f, out=strip)
-            for k, w in t_tiers[0].items():
-                strip += w * v[2 + lo + k:2 + hi + k, 2:-2]
-            for k, w in x_tiers[0].items():
-                strip += w * v[rows, 2 + k:nx - 2 + k]
+            def bulk(lo, hi):
+                rows = slice(2 + lo, 2 + hi)
+                strip = inner[lo:hi]
+                np.multiply(v[rows, 2:-2], -ctx.r_f, out=strip)
+                for k, w in t_tiers[0].items():
+                    strip += w * v[2 + lo + k:2 + hi + k, 2:-2]
+                for k, w in x_tiers[0].items():
+                    strip += w * v[rows, 2 + k:nx - 2 + k]
 
-        _each_strip(bulk, _row_strips(nt - 4, nx - 4))
-    # the border ring and nodes near clipped ones, node by node.  A node
-    # whose own value is NaN is no candidate: that value enters its x
-    # stencil and its -r phi term, so its residual is NaN whatever stencil
-    # it takes.  The candidates are found strip by strip, with no full-size
-    # mask.
-    width = nx - 2
-    bad = []
-    for lo, hi in _row_strips(nt - 2, width):
-        done = np.isfinite(res[lo:hi])
-        done |= np.isnan(v[1 + lo:1 + hi, 1:-1])
-        bad.append(np.flatnonzero(~done) + lo * width)
-    bad = np.concatenate(bad)
-    i = bad // width + 1
-    j = bad % width + 1
-    t_term, t_three = _first_finite(v, i, j, 0, t_tiers)
-    x_term, x_three = _first_finite(v, i, j, 1, x_tiers)
-    ring = t_term + x_term - ctx.r_f * v[i, j]
-    # clipped where an axis has no stencil; any other non-finite residual
-    # has overflowed and counts as inf.  Only a served node names its stencil
-    served = ~np.isnan(t_term) & ~np.isnan(x_term)
-    ring[~np.isfinite(ring) & served] = np.inf
-    res.ravel()[bad] = ring
-    stencil = _STENCIL_FALLBACK if np.any((t_three | x_three) & served) else _STENCIL_4TH
-    return _finish_report(op, res, v, stencil)
+            _each_strip(bulk, _row_strips(nt - 4, nx - 4))
+        # the border ring and nodes near clipped ones, node by node.  A node
+        # whose own value is NaN is no candidate: that value enters its x
+        # stencil and its -r phi term, so its residual is NaN whatever stencil
+        # it takes.  The candidates are found strip by strip, with no full-size
+        # mask.
+        width = nx - 2
+        bad = []
+        for lo, hi in _row_strips(nt - 2, width):
+            done = np.isfinite(res[lo:hi])
+            done |= np.isnan(v[1 + lo:1 + hi, 1:-1])
+            bad.append(np.flatnonzero(~done) + lo * width)
+        bad = np.concatenate(bad)
+        i = bad // width + 1
+        j = bad % width + 1
+        t_term, t_three = _first_finite(v, i, j, 0, t_tiers)
+        x_term, x_three = _first_finite(v, i, j, 1, x_tiers)
+        ring = t_term + x_term - ctx.r_f * v[i, j]
+        # clipped where an axis has no stencil; any other non-finite residual
+        # has overflowed and counts as inf.  Only a served node names its stencil
+        served = ~np.isnan(t_term) & ~np.isnan(x_term)
+        ring[~np.isfinite(ring) & served] = np.inf
+        res.ravel()[bad] = ring
+        stencil = _STENCIL_FALLBACK if np.any((t_three | x_three) & served) else _STENCIL_4TH
+        return _finish_report(op, res, v, stencil)
 
 
 def residual_e2(sol: GridSolution, ctx: ModelContext) -> ResidualReport:
@@ -460,9 +462,10 @@ def residual_e2(sol: GridSolution, ctx: ModelContext) -> ResidualReport:
     evaluated.  Clipping comes from the footprint's values, not from the
     stencil's sum: a node whose stencils all reach a non-finite value is
     clipped, and one whose stencil overflows counts with |res| = inf, so
-    that it fails any tolerance.  The root mean square `interior_norm` is
-    taken on residuals scaled by a power of two where their squares would
-    overflow, so it is finite whenever max |res| is.
+    that it fails any tolerance, with no floating-point warning.  The root
+    mean square `interior_norm` is taken on residuals scaled by a power of
+    two where their squares would overflow, so it is finite whenever max
+    |res| is.
     """
     if sol.frame != "log":
         raise ValueError("residual_e2 expects a log-frame solution")
@@ -510,7 +513,10 @@ def fd_solve(spec: OptionSpec, ctx: ModelContext, grid: Grid) -> GridSolution:
     partial pivoting, as `scipy.linalg.solve_banded` solves it (its ?gtsv is
     ?gttrf then ?gttrs), but each step matrix, keyed by the exact (dt,
     theta) of the step, is factored once.  A non-finite matrix or right-hand
-    side is a ValueError, and a singular matrix a LinAlgError, as there.
+    side is a ValueError, and a singular matrix a LinAlgError, as there;
+    dx^2 underflowing to 0.0 is the ValueError of an infinite matrix.  The
+    solve is quiet: a boundary value or right-hand side past the float
+    range raises that ValueError with no floating-point warning.
     """
     from scipy.linalg import LinAlgError
     from scipy.linalg.lapack import dgttrf, dgttrs
@@ -525,69 +531,58 @@ def fd_solve(spec: OptionSpec, ctx: ModelContext, grid: Grid) -> GridSolution:
         raise ValueError("fd_solve needs at least 3 space nodes")
     nt, nx = grid.nt, grid.nx
     dx = grid.dx
-    a = 0.5 * ctx.sigma2_f / (dx * dx)
+    # where dx^2 underflows to 0.0 the matrix is infinite, which the first step reports
+    a = 0.5 * ctx.sigma2_f / (dx * dx) if dx * dx else math.inf
     b = ctx.rtilde_f / (2.0 * dx)
     lower = a - b
     diag = -2.0 * a - ctx.r_f
     upper = a + b
 
-    lo_all, hi_all = _fd_boundaries(spec, ctx, t, grid)
-    values = np.empty((nt, nx))
-    values[-1] = spec.payoff(grid.s_values)
-    values[-1, 0] = lo_all[-1]
-    values[-1, -1] = hi_all[-1]
-
+    # the steps as (row it ends on or None, dt, theta): two backward-Euler
+    # half steps off the payoff kink (Rannacher), the first ending
+    # mid-interval, then one Crank-Nicolson step per row
+    half = 0.5 * float(t[-1] - t[-2])
+    plan = [(None, half, 1.0), (nt - 2, half, 1.0)]
+    plan += [(n, float(t[n + 1] - t[n]), 0.5) for n in range(nt - 3, -1, -1)]
     n_in = nx - 2
     # the LAPACK wrappers take at least 3 unknowns: the rows past n_in are
     # identity rows with a zero right-hand side, coupled to no other row
     n_sys = max(n_in, 3)
     factors = {}  # (dt, theta) -> the LU factors of that step's matrix
-
-    def _solve(rhs, dt, theta):
-        if (dt, theta) not in factors:
-            weights = (
-                -theta * dt * lower, 1.0 - theta * dt * diag, -theta * dt * upper
+    values = np.empty((nt, nx))
+    # past the float range a boundary value or a right-hand side is not
+    # finite, which the checks below report
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the boundary values at maturity, then at the end of each step
+        times = np.concatenate(([t[-1], t[-2] + half], t[-2::-1]))
+        lo, hi = _fd_boundaries(spec, ctx, times, grid)
+        v = values[-1]
+        v[:] = spec.payoff(grid.s_values)
+        v[0], v[-1] = lo[0], hi[0]
+        for (row, dt, theta), lo_new, hi_new in zip(plan, lo[1:], hi[1:]):
+            rhs = np.zeros(n_sys)
+            rhs[:n_in] = v[1:-1] + (1.0 - theta) * dt * (
+                lower * v[:-2] + diag * v[1:-1] + upper * v[2:]
             )
-            if not np.isfinite(weights).all():
+            rhs[0] += theta * dt * lower * lo_new
+            rhs[n_in - 1] += theta * dt * upper * hi_new
+            if (dt, theta) not in factors:
+                weights = (
+                    -theta * dt * lower, 1.0 - theta * dt * diag, -theta * dt * upper
+                )
+                if not np.isfinite(weights).all():
+                    raise ValueError("array must not contain infs or NaNs")
+                dl, d, du = np.zeros(n_sys - 1), np.ones(n_sys), np.zeros(n_sys - 1)
+                dl[:n_in - 1], d[:n_in], du[:n_in - 1] = weights
+                factors[dt, theta] = dgttrf(dl, d, du)
+            if not np.isfinite(rhs).all():
                 raise ValueError("array must not contain infs or NaNs")
-            dl, d, du = np.zeros(n_sys - 1), np.ones(n_sys), np.zeros(n_sys - 1)
-            dl[:n_in - 1], d[:n_in], du[:n_in - 1] = weights
-            factors[dt, theta] = dgttrf(dl, d, du)
-        if not np.isfinite(rhs).all():
-            raise ValueError("array must not contain infs or NaNs")
-        *lu, info = factors[dt, theta]
-        if info > 0:
-            raise LinAlgError("singular matrix")
-        b = np.zeros(n_sys)
-        b[:n_in] = rhs
-        return dgttrs(*lu, b)[0][:n_in]
-
-    def _step(v_old, lo_new, hi_new, dt, theta):
-        """One theta-step of size dt backward in time."""
-        rhs = v_old[1:-1] + (1.0 - theta) * dt * (
-            lower * v_old[:-2] + diag * v_old[1:-1] + upper * v_old[2:]
-        )
-        rhs[0] += theta * dt * lower * lo_new
-        rhs[-1] += theta * dt * upper * hi_new
-        v_new = np.empty(nx)
-        v_new[1:-1] = _solve(rhs, dt, theta)
-        v_new[0] = lo_new
-        v_new[-1] = hi_new
-        return v_new
-
-    for n in range(nt - 2, -1, -1):
-        dt = float(t[n + 1] - t[n])
-        v_old = values[n + 1]
-        if n == nt - 2:
-            # Rannacher start: two implicit half steps off the payoff kink
-            t_mid = t[n] + 0.5 * dt
-            lo_mid, hi_mid = _fd_boundaries(
-                spec, ctx, np.asarray([t_mid]), grid
-            )
-            v_mid = _step(v_old, float(lo_mid[0]), float(hi_mid[0]), 0.5 * dt, 1.0)
-            values[n] = _step(v_mid, lo_all[n], hi_all[n], 0.5 * dt, 1.0)
-        else:
-            values[n] = _step(v_old, lo_all[n], hi_all[n], dt, 0.5)
+            *lu, info = factors[dt, theta]
+            if info > 0:
+                raise LinAlgError("singular matrix")
+            v = np.empty(nx) if row is None else values[row]
+            v[1:-1] = dgttrs(*lu, rhs)[0][:n_in]
+            v[0], v[-1] = lo_new, hi_new
     return GridSolution(grid, values, frame="log")
 
 

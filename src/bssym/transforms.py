@@ -527,8 +527,9 @@ def infinitesimal_action(N: Isovector, sol):
     `ActionSurface`; grid solutions use the fourth-order stencils of the
     residual operator (`grids._first_derivative`) and return a
     GridSolution.  No stencil is one-sided, so where N^t (or N^x) is not
-    zero the first and last time rows (or space columns) are NaN.  Any
-    other solution, a foreign one too, is a ValueError.
+    zero the first and last time rows (or space columns) are NaN, and a
+    value past the float range is inf or NaN, with no floating-point
+    warning.  Any other solution, a foreign one too, is a ValueError.
     """
     if not isinstance(sol, GridSolution):
         return ActionSurface(N, sol)
@@ -536,9 +537,10 @@ def infinitesimal_action(N: Isovector, sol):
     g = sol.grid
     _check_stencil_nodes(g)
     v = sol.values
-    out = _act(
-        action, g.t_values[:, None], g.x_values[None, :], v,
-        None if action[0].is_zero() else _first_derivative(v, g.dt, axis=0),
-        None if action[1].is_zero() else _first_derivative(v, g.dx, axis=1),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _act(
+            action, g.t_values[:, None], g.x_values[None, :], v,
+            None if action[0].is_zero() else _first_derivative(v, g.dt, axis=0),
+            None if action[1].is_zero() else _first_derivative(v, g.dx, axis=1),
+        )
     return GridSolution(g, out, frame=sol.frame)

@@ -19,6 +19,12 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
 )
 
+# the CLI tests' child processes treat a floating-point warning as an error,
+# as pyproject's filterwarnings does in this one; the last filter wins
+os.environ["PYTHONWARNINGS"] = ",".join(
+    w for w in (os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning") if w
+)
+
 settings.register_profile("exact", deadline=None, max_examples=60, derandomize=True)
 settings.load_profile("exact")
 

@@ -231,6 +231,16 @@ def test_transform_requires_pipeline_and_out(tmp_path):
     assert code == 2 and b"--out" in err
 
 
+HUGE = "1" + "0" * 400
+MODEL_PAST_THE_FLOAT_RANGE = [
+    ["price", "--r", HUGE, *FAST],
+    ["residual", "--sigma2", HUGE, *FAST],
+    ["transform", "--sigma2", "1/" + HUGE, "--pipeline", "5:0.1", "--out", "OUT", *FAST],
+    ["transform", "--r", HUGE, "--pipeline", "5:0.1", "--out", "OUT", *FAST],
+    ["price", "--sigma2", "1/" + HUGE, *FAST],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -265,6 +275,8 @@ def test_transform_requires_pipeline_and_out(tmp_path):
         ["price", "--grid-x=-745:-744", "--nt", "2", "--nx", "5", "--format", "csv"],
         ["transform", "--pipeline", "5:0.1", "--grid-x=-745:-744", "--nt", "5", "--nx", "5",
          "--out", "OUT"],
+        # a model whose floats leave the float range, or whose sigma2 reads as 0.0
+        *MODEL_PAST_THE_FLOAT_RANGE,
     ],
 )
 def test_degenerate_config_exits_two_cleanly(argv, tmp_path):
@@ -280,6 +292,19 @@ def test_degenerate_config_exits_two_cleanly(argv, tmp_path):
     assert b"Traceback" not in err
     assert err.startswith(b"error: ") and err.count(b"\n") == 1
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", MODEL_PAST_THE_FLOAT_RANGE)
+def test_a_model_past_the_float_range_is_refused_as_the_model(argv, tmp_path):
+    # a numeric command refuses the model itself, before any grid or stage;
+    # verify and brackets read no float of it and stay exact
+    argv = [str(tmp_path / "o") if a == "OUT" else a for a in argv]
+    code, out, err = run_in_process(argv)
+    assert (code, out) == (2, b"")
+    assert err.startswith("error: the configuration leaves the float range: the model: ")
+    assert not (tmp_path / "o").exists()
+    for command in ("verify", "brackets"):
+        assert run_in_process([command, *argv[1:3]])[0] == 0
 
 
 class GridBuilt(Exception):
@@ -848,12 +873,12 @@ def test_process_main_runs_main_without_the_collector(monkeypatch):
         (gc.enable if was_enabled else gc.disable)()
 
 
-_WITHOUT_NUMPY = """
+_WITHOUT = """
 import hashlib, io, json, sys
-sys.modules["numpy"] = None  # every import of numpy now fails
+sys.modules[sys.argv[1]] = None  # every import of that module now fails
 from bssym.cli import main
 results = []
-for argv in json.loads(sys.argv[1]):
+for argv in json.loads(sys.argv[2]):
     sys.stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     sys.stderr = io.StringIO()
     code = main(argv)
@@ -865,11 +890,11 @@ print(json.dumps(results))
 """
 
 
-def run_without_numpy(argvs):
+def run_without(module, argvs):
     """[exit code, stdout SHA-256, stderr] of main(argv) for each argv, in a
-    process where numpy cannot be imported."""
+    process where `module` cannot be imported."""
     proc = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(argvs)],
+        [sys.executable, "-c", _WITHOUT, module, json.dumps(argvs)],
         capture_output=True, check=True,
     )
     assert proc.stderr == b""
@@ -877,17 +902,26 @@ def run_without_numpy(argvs):
 
 
 def test_exact_subcommands_run_without_numpy():
-    got = run_without_numpy([g[0] for g in GOLDEN])
+    got = run_without("numpy", [g[0] for g in GOLDEN])
     assert got == [[code, digest, ""] for _, code, digest in GOLDEN]
 
 
-def test_numeric_subcommands_without_numpy_exit_two(tmp_path):
-    # a usage error naming the missing module, not a traceback or exit 1
+def assert_numeric_subcommands_exit_two_without(module, missing, out_dir):
+    """price, residual and transform, in a process without `module`: a usage
+    error naming the missing module, not a traceback or exit 1, and no files."""
     argvs = [["price", *FAST], ["residual", *FAST],
-             ["transform", "--pipeline", "5:0.1", "--out", str(tmp_path / "o"), *FAST]]
-    error = "error: missing dependency: no module named 'numpy'\n"
-    assert run_without_numpy(argvs) == [[2, hashlib.sha256(b"").hexdigest(), error]] * 3
-    assert not (tmp_path / "o").exists()
+             ["transform", "--pipeline", "5:0.1", "--out", str(out_dir), *FAST]]
+    error = f"error: missing dependency: no module named {missing!r}\n"
+    assert run_without(module, argvs) == [[2, hashlib.sha256(b"").hexdigest(), error]] * 3
+    assert not out_dir.exists()
+
+
+def test_numeric_subcommands_without_numpy_exit_two(tmp_path):
+    assert_numeric_subcommands_exit_two_without("numpy", "numpy", tmp_path / "o")
+
+
+def test_numeric_subcommands_without_scipy_exit_two(tmp_path):
+    assert_numeric_subcommands_exit_two_without("scipy", "scipy.special", tmp_path / "o")
 
 
 # -- the CLI contract under generated configs -------------------------------------
@@ -898,7 +932,9 @@ def _reject_constant(token):
 
 
 _rationals = st.one_of(
-    st.sampled_from(["0", "-1", "1/0", "0/7", "1/20", "-3/7", "2", "1.5", "x"]),
+    st.sampled_from(
+        ["0", "-1", "1/0", "0/7", "1/20", "-3/7", "2", "1.5", "x", HUGE, "1/" + HUGE]
+    ),
     st.fractions(max_denominator=10**6).map(str),
     st.integers(min_value=-10**30, max_value=10**30).map(str),
     st.tuples(st.integers(-10**12, 10**12), st.integers(1, 10**12)).map(
@@ -950,6 +986,11 @@ def cli_argvs(draw):
 @given(cli_argvs())
 @example(["transform", "--pipeline", "6:800", "--nt", "41", "--nx", "31"])
 @example(["transform", "--pipeline", "6:700", "--nt", "41", "--nx", "31"])
+@example(["price", "--r", HUGE, *FAST])
+@example(["residual", "--sigma2", HUGE, *FAST])
+@example(["transform", "--sigma2", "1/" + HUGE, "--pipeline", "5:0.1", *FAST])
+@example(["transform", "--r", HUGE, "--pipeline", "5:0.1", *FAST])
+@example(["price", "--sigma2", "1/" + HUGE, *FAST])
 def test_cli_contract_holds_on_generated_configs(argv):
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -358,10 +358,28 @@ def test_fd_solve_failures_match_solve_banded():
         (inf_matrix, ValueError, finite),
         (inf_rhs, ValueError, finite),
     ):
-        for solve in (fd_solve, _fd_solve_banded):
-            with np.errstate(all="ignore"), pytest.raises(error) as info:
-                solve(*case)
-            assert str(info.value) == message
+        # fd_solve raises with no floating-point warning on the way; the
+        # reference is quiet only under errstate
+        with pytest.raises(error) as info:
+            fd_solve(*case)
+        assert str(info.value) == message
+        with np.errstate(all="ignore"), pytest.raises(error) as info:
+            _fd_solve_banded(*case)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("spec, ctx, axes", [
+    (OptionSpec(1.0, 1.0), DEFAULT, (5, 700.0, 720.0, 5)),
+    (OptionSpec(100.0, 1.0), make_context(-1000, Fraction(1, 25)),
+     (301, math.log(100.0) - 3.0, math.log(100.0) + 3.0, 101)),
+    (OptionSpec(1.0, 1.0), DEFAULT, (5, -1e-170, 1e-170, 5)),
+], ids=["S overflows", "the discount overflows", "dx^2 underflows"])
+def test_fd_solve_past_the_float_range_is_a_quiet_value_error(spec, ctx, axes):
+    # an infinite boundary value, right-hand side or matrix is the
+    # ValueError, with no floating-point warning (an error under pyproject's
+    # filterwarnings) before it, and dx^2 = 0.0 no ZeroDivisionError
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        fd_solve(spec, ctx, make_grid(0.0, 1.0, *axes))
 
 
 def test_fd_requires_grid_ending_at_maturity():
@@ -613,11 +631,21 @@ def test_an_overflowing_residual_is_counted_not_clipped():
     for big in (1e308, 1e307):
         v = np.exp(np.broadcast_to(g.x_values, (41, 41)))
         v[20, 20] = big
-        with np.errstate(all="ignore"):
-            rep = residual_e2(GridSolution(g, v, frame="log"), DEFAULT)
+        rep = residual_e2(GridSolution(g, v, frame="log"), DEFAULT)
         assert rep.n_clipped == 0
         assert rep.max_abs_residual == rep.interior_norm == rep.rel_max == math.inf
         assert not rep.rel_max <= 5e-4
+
+
+@pytest.mark.parametrize("frame, residual", [("log", residual_e2), ("price", residual_e)])
+def test_an_overflowing_bulk_stencil_is_a_quiet_inf(frame, residual):
+    # the bulk's five-point stencils at a 1e308 node overflow: the report
+    # reads |res| = inf, with no floating-point warning
+    v = np.ones((11, 11))
+    v[5, 5] = 1e308
+    rep = residual(GridSolution(make_grid(0, 1, 11, 0, 1, 11), v, frame=frame), DEFAULT)
+    assert (rep.op, rep.n_clipped) == ({"log": "E2", "price": "E"}[frame], 0)
+    assert rep.max_abs_residual == rep.interior_norm == math.inf
 
 
 def test_a_clipped_node_names_no_fallback():

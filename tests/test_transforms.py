@@ -586,6 +586,16 @@ def test_certify_reports_overflow_as_no_clipping():
             certify_transform(FiniteTransform(4, -40.0), call_surface(), grid, DEFAULT, 5e-4)
 
 
+def test_certify_reports_an_overflowing_residual_as_a_quiet_failure():
+    # N6 at kappa = 705 keeps every sample finite, and the residual overflows
+    grid = make_grid(0.0, 0.8, 41, math.log(0.5), math.log(200.0), 31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = certify_transform(FiniteTransform(6, 705.0), call_surface(), grid, DEFAULT, 5e-4)
+    assert result.report.max_abs_residual == math.inf
+    assert not result.verdict
+
+
 def test_certify_flags_non_solutions():
     # C = S t is not a solution; the certificate must fail with a large
     # residual even under an exact symmetry map
@@ -1318,6 +1328,17 @@ def test_infinitesimal_action_grid_route_is_fourth_order():
             errors.append(np.max(np.abs(exact - stencil)) / np.max(np.abs(exact)))
         for coarse, fine in zip(errors, errors[1:]):
             assert 12.0 < coarse / fine < 20.0, (i, errors)
+
+
+@pytest.mark.parametrize("i", range(1, 7))
+def test_the_grid_route_of_an_action_is_quiet_past_the_float_range(i):
+    # phi = 1e308: the stencils and h phi overflow, quietly; N6 is the
+    # identity on solutions
+    sol = GridSolution(make_grid(0, 1, 9, 0, 1, 9), np.full((9, 9), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        act = infinitesimal_action(basis_isovector(i, DEFAULT), sol)
+    assert np.isfinite(act.values).all() == (i == 6)
 
 
 def test_action_of_solution_direction_is_inhomogeneous_shift():
