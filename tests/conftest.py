@@ -6,6 +6,8 @@ of every criterion is visible even when pytest captures stdout.
 """
 
 import os
+import subprocess
+import venv
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +48,37 @@ def three_cpus(monkeypatch):
     from bssym import grids
 
     monkeypatch.setattr(grids, "_cpus", lambda: 3)
+
+
+@pytest.fixture
+def cpu_counts(monkeypatch):
+    """Strips as on one CPU (the serial loop) and then on three (the pool):
+    `for n in cpu_counts:` runs its body once at each count."""
+    from bssym import grids
+
+    def each():
+        for n in (1, 3):
+            monkeypatch.setattr(grids, "_cpus", lambda: n)
+            yield n
+
+    return each()
+
+
+@pytest.fixture(scope="session")
+def stdlib_python(tmp_path_factory):
+    """(interpreter, env) of a venv with nothing but the standard library,
+    and src/ alone on its PYTHONPATH: the exact layer as a Python without
+    numpy runs it.  An inherited PYTHONPATH could carry numpy, so it is
+    replaced, and the venv is checked to have no numpy."""
+    home = tmp_path_factory.mktemp("stdlib")
+    venv.create(home, with_pip=False)
+    python = str(home / "bin" / "python")
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    probe = subprocess.run(
+        [python, "-c", "import numpy"], env=env, capture_output=True, text=True
+    )
+    assert "No module named 'numpy'" in probe.stderr, probe.stderr
+    return python, env
 
 
 def record_criterion(number: int, line: str) -> None:

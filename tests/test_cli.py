@@ -890,37 +890,88 @@ print(json.dumps(results))
 """
 
 
-def run_without(module, argvs):
-    """[exit code, stdout SHA-256, stderr] of main(argv) for each argv, in a
-    process where `module` cannot be imported."""
+THIS_PYTHON = (sys.executable, None)  # (interpreter, env): this one, env inherited
+
+
+def run_without(module, argvs, python=THIS_PYTHON):
+    """[exit code, stdout SHA-256, stderr] of main(argv) for each argv, run
+    by `python`, an (interpreter, env) pair, where `module` cannot be
+    imported: it is hidden, if that interpreter has it at all."""
+    interpreter, env = python
     proc = subprocess.run(
-        [sys.executable, "-c", _WITHOUT, module, json.dumps(argvs)],
-        capture_output=True, check=True,
+        [interpreter, "-c", _WITHOUT, module, json.dumps(argvs)],
+        env=env, capture_output=True, check=True,
     )
     assert proc.stderr == b""
     return json.loads(proc.stdout)
 
 
-def test_exact_subcommands_run_without_numpy():
-    got = run_without("numpy", [g[0] for g in GOLDEN])
+def test_exact_subcommands_run_without_numpy(stdlib_python):
+    got = run_without("numpy", [g[0] for g in GOLDEN], python=stdlib_python)
     assert got == [[code, digest, ""] for _, code, digest in GOLDEN]
 
 
-def assert_numeric_subcommands_exit_two_without(module, missing, out_dir):
+def test_the_process_entry_runs_without_numpy(stdlib_python, tmp_path):
+    # `python -m bssym.cli`, as a user without numpy starts it: the faulty-N5
+    # negative control exits 1, says nothing, and writes GOLDEN's bytes
+    argv, code, digest = GOLDEN[1]
+    interpreter, env = stdlib_python
+    proc = subprocess.run(
+        [interpreter, "-m", "bssym.cli", *argv, "--out", "faulty.json"],
+        env=env, cwd=tmp_path, capture_output=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, b"", b"")
+    assert hashlib.sha256((tmp_path / "faulty.json").read_bytes()).hexdigest() == digest
+
+
+_EXACT_WITHOUT_NUMPY = """
+import sys
+from fractions import Fraction as F
+from bssym.exppoly import ExpPoly
+from bssym.isovectors import (
+    basis_isovector, generator_of, isovector_from_generator, verify_isovector)
+from bssym.model import _LOG_FLOWS, make_context
+c, k, t, x = make_context(F(1, 20), F(1, 25)), F(1, 10), F(1, 3), F(2, 7)
+assert _LOG_FLOWS[4][0](k, t, x) == (t, F(67, 210))
+assert _LOG_FLOWS[4][1](k, c.rtilde, c.sigma2, c.stilde, t, x) == F(-307, 420)
+N1 = basis_isovector(1, c)
+assert isovector_from_generator(generator_of(N1)) == N1
+assert hash(isovector_from_generator(generator_of(N1))) == hash(N1)
+B = ExpPoly.var("B")
+rep = verify_isovector(isovector_from_generator(B * B), c)
+assert rep.alpha_ok and not rep.certificate.in_ideal
+assert "numpy" not in sys.modules
+"""
+
+
+def test_exact_library_runs_without_numpy(stdlib_python):
+    # the flow table evaluates exactly on Fractions (N4's row at (1/20, 1/25),
+    # kappa = 1/10, t = 1/3, x = 2/7), and the generator route is exact:
+    # N1 -> F -> N1 is equal and hash equal, though only N1 carries a name,
+    # and F = B^2 prolongs to a contact field that verification rejects
+    interpreter, env = stdlib_python
+    subprocess.run([interpreter, "-c", _EXACT_WITHOUT_NUMPY], env=env, check=True)
+
+
+def assert_numeric_subcommands_exit_two_without(module, missing, out_dir, python=THIS_PYTHON):
     """price, residual and transform, in a process without `module`: a usage
     error naming the missing module, not a traceback or exit 1, and no files."""
     argvs = [["price", *FAST], ["residual", *FAST],
              ["transform", "--pipeline", "5:0.1", "--out", str(out_dir), *FAST]]
     error = f"error: missing dependency: no module named {missing!r}\n"
-    assert run_without(module, argvs) == [[2, hashlib.sha256(b"").hexdigest(), error]] * 3
+    got = run_without(module, argvs, python=python)
+    assert got == [[2, hashlib.sha256(b"").hexdigest(), error]] * 3
     assert not out_dir.exists()
 
 
-def test_numeric_subcommands_without_numpy_exit_two(tmp_path):
-    assert_numeric_subcommands_exit_two_without("numpy", "numpy", tmp_path / "o")
+def test_numeric_subcommands_without_numpy_exit_two(stdlib_python, tmp_path):
+    assert_numeric_subcommands_exit_two_without(
+        "numpy", "numpy", tmp_path / "o", python=stdlib_python)
 
 
 def test_numeric_subcommands_without_scipy_exit_two(tmp_path):
+    # hidden: numpy and scipy share one site-packages, so no venv built
+    # offline has numpy without scipy
     assert_numeric_subcommands_exit_two_without("scipy", "scipy.special", tmp_path / "o")
 
 

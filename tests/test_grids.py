@@ -503,6 +503,26 @@ def test_each_strip_on_one_cpu_is_the_serial_loop(monkeypatch):
     assert seen == [(k, threading.get_ident()) for k in range(9)]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_cpus_reads_the_affinity_set():
+    # in a child process pinned to one CPU of its own set, as taskset pins one
+    script = textwrap.dedent("""
+        import os
+        from bssym import grids
+
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        assert grids._cpus() == 1
+    """)
+    subprocess.run([sys.executable, "-c", script], check=True)
+
+
+def test_cpus_without_an_affinity_call_counts_the_machine(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert grids._cpus() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert grids._cpus() == 1
+
+
 def test_each_strip_raises_the_first_failing_strip_in_row_order(three_cpus):
     # strip 2 fails at once; strip 1, on another thread, fails 0.2 s later
     def fn(lo, hi):

@@ -1026,15 +1026,17 @@ def _strip_cases():
     (2, 61, 1), (_STRIP_ROWS - 1, 61, 1), (_STRIP_ROWS, 61, 1),
     (2 * _STRIP_ROWS + 5, 61, 3), (3, _STRIP_NODES + 7, 3),
 ], ids=["nt=2", "below one strip", "one strip", "not a multiple", "one row per strip"])
-def test_sampling_in_strips_keeps_the_bits(nt, nx, n_strips):
+def test_sampling_in_strips_keeps_the_bits(nt, nx, n_strips, cpu_counts):
     grid = make_grid(0.1, 1.2, nt, math.log(20.0), math.log(300.0), nx)
     assert len(_row_strips(nt, nx)) == n_strips
-    meshes = grid.meshes()
-    for name, surface in _strip_cases().items():
-        sampled = sample_surface(surface, grid).values
-        whole = surface.at(*meshes)
-        assert np.array_equal(np.isnan(sampled), np.isnan(whole)), name
-        assert np.array_equal(sampled.view(np.uint64), whole.view(np.uint64)), name
+    meshes, cases = grid.meshes(), _strip_cases()
+    wholes = {name: surface.at(*meshes) for name, surface in cases.items()}
+    for cpus in cpu_counts:
+        for name, surface in cases.items():
+            sampled, whole = sample_surface(surface, grid).values, wholes[name]
+            assert np.array_equal(np.isnan(sampled), np.isnan(whole)), (name, cpus)
+            assert np.array_equal(
+                sampled.view(np.uint64), whole.view(np.uint64)), (name, cpus)
 
 
 class _OneRowSurface:
@@ -1221,7 +1223,7 @@ _BULK_ROWS = _STRIP_NODES // 97
 
 @pytest.mark.parametrize("nt", [5, 6, _BULK_ROWS + 3, _BULK_ROWS + 5, 2 * _BULK_ROWS + 7],
                          ids=["5", "6", "one strip - 1", "one strip + 1", "two strips + 3"])
-def test_residual_in_strips_keeps_every_report_field(nt):
+def test_residual_in_strips_keeps_every_report_field(nt, cpu_counts):
     grid = make_grid(0.0, 0.8, nt, math.log(20.0), math.log(300.0), 101)
     samples = [
         sample_surface(call_surface(), grid),
@@ -1235,10 +1237,12 @@ def test_residual_in_strips_keeps_every_report_field(nt):
         GridSolution(grid, -np.zeros((nt, 101)), frame="price"),
     ]
     assert np.isnan(samples[3].values).any()
-    for sol in samples:
-        report = (residual_e if sol.frame == "price" else residual_e2)(sol, DEFAULT)
-        # dataclass equality: every field, interior_norm included
-        assert report == _whole_block_residual(sol, DEFAULT)
+    wholes = [_whole_block_residual(sol, DEFAULT) for sol in samples]
+    for cpus in cpu_counts:
+        for sol, whole in zip(samples, wholes):
+            report = (residual_e if sol.frame == "price" else residual_e2)(sol, DEFAULT)
+            # dataclass equality: every field, interior_norm included
+            assert report == whole, cpus
     for zero in samples[4:]:
         report = (residual_e if zero.frame == "price" else residual_e2)(zero, DEFAULT)
         assert math.copysign(1.0, report.scale) == 1.0
